@@ -1,14 +1,22 @@
 """Prediction of the first topological event along a channel.
 
-Each channel triangle is scanned over sampled time offsets up to the ego's
-estimated arrival: vertices and the opposite vertices of adjacent triangles
-are extrapolated linearly and run through the in-circle test.  The scan is
-vectorized in floating point with the predicate error bounds; only samples
-the filter cannot decide fall back to the exact predicate.
+An event is a probe vertex (the opposite vertex of a triangle that shares
+an edge with a channel triangle) entering, or touching, the channel
+triangle's circumcircle: the edge between them is about to flip.  Nodes
+are extrapolated linearly, and each channel triangle is sampled from one
+resolution step up to (excluding) the ego's arrival at that triangle.
+
+Every (channel triangle, probe) pair with a non-empty window is gathered
+into one array and scanned in a single pass: the floating-point in-circle
+and orientation filter, with the predicates' error bounds, runs over a
+(pairs x samples) grid in time blocks of 8, 16, 32, ... samples, and the
+scan stops at the first block that holds an event.  Only the cells the
+filter cannot decide go to the exact predicate.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -18,12 +26,16 @@ from .geometry import (
     ICC_ERRBOUND,
     DegenerateTriangleError,
     InCircleSide,
-    Point,
     Vector,
     incircle,
 )
 from .mesh import Mesh
 from .search import Channel
+
+_FIRST_BLOCK = 8  # samples in the first time block; each later block doubles
+# Node rows of a pair as the filter reads them: the triangle (a, b, c), a
+# and b again so that every 2x2 minor is a slice, and the probe last.
+_ROWS = np.array([0, 1, 2, 0, 1, 3])
 
 
 @dataclass(frozen=True)
@@ -46,60 +58,41 @@ def neighbors_of(mesh: Mesh, tri_id: int) -> List[int]:
     return sorted(out)
 
 
-def _exact_is_event(tri_pts: np.ndarray, tri_vels: np.ndarray,
-                    probe_pt: Point, probe_vel: Vector, tau: float) -> bool:
-    pts = tri_pts + tri_vels * tau
-    p = (probe_pt[0] + probe_vel[0] * tau, probe_pt[1] + probe_vel[1] * tau)
+def _exact_is_event(pts: np.ndarray, vels: np.ndarray, tau: float) -> bool:
+    """Exact in-circle test of one pair: (2, 6) x and y of the ``_ROWS``."""
+    x, y = pts + vels * tau
     try:
-        res = incircle(tuple(pts[0]), tuple(pts[1]), tuple(pts[2]), p)
+        res = incircle((x[0], y[0]), (x[1], y[1]), (x[2], y[2]), (x[5], y[5]))
     except DegenerateTriangleError:
         return True  # collapsing triangle: conservative event
     return res.side is not InCircleSide.OUTSIDE
 
 
-def first_event_offset(tri_pts: np.ndarray, tri_vels: np.ndarray,
-                       probe_pt: Point, probe_vel: Vector,
-                       taus: np.ndarray) -> Optional[float]:
-    """Earliest sampled offset at which the probe enters the circumcircle.
+def _filter(pts: np.ndarray, vels: np.ndarray, taus: np.ndarray
+            ) -> Tuple[np.ndarray, np.ndarray]:
+    """Certain-event and certain-clear masks of the (samples, pairs) grid.
 
-    ``tri_pts``/``tri_vels`` are (3, 2) arrays of vertex positions and
-    velocities at the mesh snapshot.
+    ``pts``/``vels`` are (2, 6, pairs): x and y of the node rows laid out
+    as ``_ROWS``.  A cell in neither mask needs the exact predicate.  Every
+    value is computed with the same floating-point operations, in the same
+    order, as the scalar ``incircle`` and ``orient2d`` filters.
     """
-    if taus.size == 0:
-        return None
-    # A shared velocity is a rigid translation: the in-circle sign never
-    # changes, so an existing triangle (cocircular neighbors included)
-    # stays valid for the whole window.
-    if np.array_equal(tri_vels, np.broadcast_to(np.asarray(probe_vel, dtype=float),
-                                                tri_vels.shape)):
-        return None
-    ax = tri_pts[0, 0] + tri_vels[0, 0] * taus
-    ay = tri_pts[0, 1] + tri_vels[0, 1] * taus
-    bx = tri_pts[1, 0] + tri_vels[1, 0] * taus
-    by = tri_pts[1, 1] + tri_vels[1, 1] * taus
-    cx = tri_pts[2, 0] + tri_vels[2, 0] * taus
-    cy = tri_pts[2, 1] + tri_vels[2, 1] * taus
-    px = probe_pt[0] + probe_vel[0] * taus
-    py = probe_pt[1] + probe_vel[1] * taus
+    t = taus[:, None]
+    x = pts[0, :, None] + vels[0, :, None] * t  # (6, S, P)
+    y = pts[1, :, None] + vels[1, :, None] * t
+    dx, dy = x[:5] - x[5], y[:5] - y[5]  # relative to the probe
+    lift = dx[:3] * dx[:3] + dy[:3] * dy[:3]
+    # Row k: the minor of rows k+1 and k+2, e.g. bdx*cdy - cdx*bdy for a.
+    left = dx[1:4] * dy[2:5]
+    right = dx[2:5] * dy[1:4]
+    terms = lift * (left - right)
+    perms = (np.abs(left) + np.abs(right)) * lift
+    det = terms[0] + terms[1] + terms[2]
+    det_err = ICC_ERRBOUND * (perms[0] + perms[1] + perms[2])
 
-    adx, ady = ax - px, ay - py
-    bdx, bdy = bx - px, by - py
-    cdx, cdy = cx - px, cy - py
-    alift = adx * adx + ady * ady
-    blift = bdx * bdx + bdy * bdy
-    clift = cdx * cdx + cdy * cdy
-    bdxcdy, cdxbdy = bdx * cdy, cdx * bdy
-    cdxady, adxcdy = cdx * ady, adx * cdy
-    adxbdy, bdxady = adx * bdy, bdx * ady
-    det = alift * (bdxcdy - cdxbdy) + blift * (cdxady - adxcdy) + clift * (adxbdy - bdxady)
-    det_err = ICC_ERRBOUND * (
-        (np.abs(bdxcdy) + np.abs(cdxbdy)) * alift
-        + (np.abs(cdxady) + np.abs(adxcdy)) * blift
-        + (np.abs(adxbdy) + np.abs(bdxady)) * clift
-    )
-
-    oleft = (ax - cx) * (by - cy)
-    oright = (ay - cy) * (bx - cx)
+    ox, oy = x[:2] - x[2], y[:2] - y[2]  # a - c and b - c
+    oleft = ox[0] * oy[1]
+    oright = oy[0] * ox[1]
     orient = oleft - oright
     orient_err = CCW_ERRBOUND * (np.abs(oleft) + np.abs(oright))
 
@@ -111,13 +104,7 @@ def first_event_offset(tri_pts: np.ndarray, tri_vels: np.ndarray,
     # (inside) or either is zero (cocircular / degenerate).
     certain_event = (det_pos & ori_pos) | (det_neg & ori_neg)
     certain_clear = (det_pos & ori_neg) | (det_neg & ori_pos)
-    candidates = np.nonzero(~certain_clear)[0]
-    for idx in candidates:
-        if certain_event[idx]:
-            return float(taus[idx])
-        if _exact_is_event(tri_pts, tri_vels, probe_pt, probe_vel, float(taus[idx])):
-            return float(taus[idx])
-    return None
+    return certain_event, certain_clear
 
 
 def compute_event_time(channel: Channel, mesh: Mesh, sample_resolution: float,
@@ -125,40 +112,86 @@ def compute_event_time(channel: Channel, mesh: Mesh, sample_resolution: float,
                        ) -> Optional[EventReport]:
     """Earliest topological event along the channel.
 
-    Each channel triangle's time window is sampled from one resolution
-    step up to (excluding) the ego's arrival at that triangle.  A
-    cocircular sample counts as an event.  Extrapolation uses the given
+    Triangle ``i`` of the channel is sampled at
+    ``np.arange(sample_resolution, channel.etas[i], sample_resolution)``
+    against every probe from ``neighbors_of``.  A cocircular sample or a
+    collapsing triangle counts as an event.  Extrapolation uses the given
     velocity table (e.g. transmitted velocities) or raw node velocities.
-    The earliest event over all triangles wins; ties go to the lowest
-    channel index.  Returns None when no triangle sees an event before
-    the ego reaches it.
+    A pair whose four nodes share one velocity translates rigidly and is
+    skipped.  The earliest sample wins; a tie goes to the lowest channel
+    index, then to the lowest probe id.  Returns None when no triangle
+    sees an event before the ego reaches it.
+
+    All pairs are scanned in one array pass, block by block in time; the
+    cells the float filter cannot decide go to the exact predicate pair by
+    pair, sample by sample, and only while they can still win.
     """
     if sample_resolution <= 0:
         raise ValueError(f"sample_resolution must be positive, got {sample_resolution}")
+    res = sample_resolution
+    if velocities is not None:
+        vel_of = velocities.__getitem__
+    else:
+        def vel_of(node_id: int) -> Vector:
+            return mesh.nodes[node_id].velocity
 
-    def vel(node_id: int) -> Vector:
-        if velocities is not None:
-            return velocities[node_id]
-        return mesh.nodes[node_id].velocity
-
-    best: Optional[Tuple[float, int, int]] = None
+    ids: List[int] = []  # a, b, c, probe of each pair
+    pairs: List[Tuple[int, int, int, float]] = []  # (channel index, probe, samples, eta)
     for idx, tri_id in enumerate(channel.triangles):
         eta = channel.etas[idx]
-        if best is not None:
-            eta = min(eta, best[0])  # only earlier events can still win
-        taus = np.arange(sample_resolution, eta, sample_resolution)
-        if taus.size == 0:
+        count = len(np.arange(res, eta, res))
+        if count == 0:
             continue
         verts = mesh.triangles[tri_id].vertices
-        tri_pts = np.array([mesh.positions[v] for v in verts], dtype=float)
-        tri_vels = np.array([vel(v) for v in verts], dtype=float)
-
         for probe in neighbors_of(mesh, tri_id):
-            tau = first_event_offset(tri_pts, tri_vels, mesh.positions[probe],
-                                     vel(probe), taus)
-            if tau is not None and (best is None or tau < best[0]):
-                best = (tau, idx, probe)
-    if best is not None:
-        return EventReport(time=mesh.time + best[0], triangle_index=best[1],
-                           node_id=best[2])
+            ids.extend(verts)
+            ids.append(probe)
+            pairs.append((idx, probe, count, eta))
+    if not pairs:
+        return None
+    vels = np.fromiter(chain.from_iterable(map(vel_of, ids)), float,
+                       2 * len(ids)).reshape(-1, 4, 2)
+    # A shared velocity is a rigid translation: the in-circle sign never
+    # changes, so an existing triangle (cocircular neighbors included)
+    # stays valid for the whole window.  NaN compares unequal, as in
+    # np.array_equal.
+    live = np.flatnonzero((vels[:, :3] != vels[:, 3:]).reshape(-1, 6).any(axis=1))
+    if live.size == 0:
+        return None
+    pts = np.fromiter(chain.from_iterable(map(mesh.positions.__getitem__, ids)),
+                      float, 2 * len(ids)).reshape(-1, 4, 2)
+    layout = live[:, None], _ROWS
+    pts = np.ascontiguousarray(pts[layout].T)  # (2, 6, pairs)
+    vels = np.ascontiguousarray(vels[layout].T)
+    counts = np.array([pairs[r][2] for r in live])
+    # arange values depend only on the index, so the longest window's grid
+    # holds every shorter window's samples as a prefix.
+    grid = np.arange(res, pairs[live[counts.argmax()]][3], res)
+
+    start, size = 0, _FIRST_BLOCK
+    while start < grid.size:
+        stop = min(start + size, grid.size)
+        keep = counts > start  # pairs whose window reaches this block
+        if not keep.all():
+            live, counts = live[keep], counts[keep]
+            pts, vels = pts[..., keep], vels[..., keep]
+        certain_event, certain_clear = _filter(pts, vels, grid[start:stop])
+        in_window = np.arange(start, stop)[:, None] < counts
+        hit = certain_event & in_window
+        undecided = in_window & ~certain_event & ~certain_clear
+
+        # The winner is the first event in (sample, pair) order; pairs are
+        # gathered by channel index, then probe id.
+        cols, rows = np.nonzero(hit)
+        best = (int(cols[0]), int(rows[0])) if cols.size else (stop - start, 0)
+        for r, c in zip(*np.nonzero(undecided.T)):  # pair by pair, as gathered
+            if (c, r) < best and _exact_is_event(pts[..., r], vels[..., r],
+                                                 grid[start + c]):
+                best = (int(c), int(r))
+        if best[0] < stop - start:
+            c, r = best
+            idx, probe = pairs[live[r]][:2]
+            return EventReport(time=mesh.time + float(grid[start + c]),
+                               triangle_index=idx, node_id=probe)
+        start, size = stop, size * 2
     return None

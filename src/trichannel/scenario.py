@@ -23,6 +23,11 @@ class ScenarioFormatError(ValueError):
     """Malformed scenario file content."""
 
 
+def _all_finite(*values: float) -> bool:
+    # NaN fails every comparison, so range checks alone would let it through.
+    return all(math.isfinite(v) for v in values)
+
+
 @dataclass
 class ObjectTrack:
     id: int
@@ -33,6 +38,8 @@ class ObjectTrack:
     def __post_init__(self) -> None:
         if not self.waypoints:
             raise ScenarioFormatError(f"node {self.id}: empty trajectory")
+        if not _all_finite(self.radius, *(v for w in self.waypoints for v in w)):
+            raise ScenarioFormatError(f"node {self.id}: non-finite radius or waypoint")
         ts = [w[0] for w in self.waypoints]
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ScenarioFormatError(f"node {self.id}: waypoint times not strictly increasing")
@@ -80,6 +87,11 @@ class Scenario:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
+        numbers = [*self.start, *self.goal, self.ego_speed, self.ego_radius,
+                   self.time_limit, *(v for b in self.boundaries for p in b for v in p)]
+        if not _all_finite(*numbers):
+            raise ScenarioFormatError("non-finite start, goal, ego parameter, "
+                                      "time limit or boundary point")
         if self.time_limit <= 0:
             raise ScenarioFormatError("time_limit must be positive")
         if self.start == self.goal:

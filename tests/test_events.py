@@ -1,20 +1,135 @@
-"""Connectivity-change prediction tests, checked against mesh rebuilds."""
+"""Connectivity-change prediction tests, checked against mesh rebuilds
+and against a per-pair reference scan."""
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from trichannel.events import (EventReport, compute_event_time,
-                               first_event_offset, neighbors_of)
-from trichannel.geometry import InCircleSide, NodeKind, NodeState, incircle
-from trichannel.mesh import build_dual, build_mesh
-from trichannel.search import astar
+import trichannel.events as events
+import trichannel.sequencer as sequencer
+
+from trichannel.events import EventReport, compute_event_time, neighbors_of
+from trichannel.geometry import (CCW_ERRBOUND, ICC_ERRBOUND,
+                                 DegenerateTriangleError, InCircleSide,
+                                 NodeKind, NodeState, incircle)
+from trichannel.mesh import DegenerateInputError, build_dual, build_mesh
+from trichannel.scenario import generate_synthetic
+from trichannel.search import Channel, astar
+from trichannel.simulate import MethodId, run_scenario
 
 
 def make_nodes(points, r=0.0):
     return [NodeState(id=i, x=x, y=y, vx=0.0, vy=0.0, r=r)
             for i, (x, y) in enumerate(points)]
+
+
+# Reference scan: one (channel triangle, probe) pair at a time, with the
+# float filter per pair and the exact predicate for undecided samples.
+# ``compute_event_time`` must return exactly what ``reference_event_time``
+# returns.
+
+def _reference_exact_is_event(tri_pts, tri_vels, probe_pt, probe_vel, tau):
+    pts = tri_pts + tri_vels * tau
+    p = (probe_pt[0] + probe_vel[0] * tau, probe_pt[1] + probe_vel[1] * tau)
+    try:
+        res = incircle(tuple(pts[0]), tuple(pts[1]), tuple(pts[2]), p)
+    except DegenerateTriangleError:
+        return True  # collapsing triangle: conservative event
+    return res.side is not InCircleSide.OUTSIDE
+
+
+def first_event_offset(tri_pts, tri_vels, probe_pt, probe_vel, taus):
+    """Earliest sampled offset at which the probe enters the circumcircle.
+
+    ``tri_pts``/``tri_vels`` are (3, 2) arrays of vertex positions and
+    velocities at the mesh snapshot.
+    """
+    if taus.size == 0:
+        return None
+    # A shared velocity is a rigid translation: the in-circle sign never
+    # changes.
+    if np.array_equal(tri_vels, np.broadcast_to(np.asarray(probe_vel, dtype=float),
+                                                tri_vels.shape)):
+        return None
+    ax = tri_pts[0, 0] + tri_vels[0, 0] * taus
+    ay = tri_pts[0, 1] + tri_vels[0, 1] * taus
+    bx = tri_pts[1, 0] + tri_vels[1, 0] * taus
+    by = tri_pts[1, 1] + tri_vels[1, 1] * taus
+    cx = tri_pts[2, 0] + tri_vels[2, 0] * taus
+    cy = tri_pts[2, 1] + tri_vels[2, 1] * taus
+    px = probe_pt[0] + probe_vel[0] * taus
+    py = probe_pt[1] + probe_vel[1] * taus
+
+    adx, ady = ax - px, ay - py
+    bdx, bdy = bx - px, by - py
+    cdx, cdy = cx - px, cy - py
+    alift = adx * adx + ady * ady
+    blift = bdx * bdx + bdy * bdy
+    clift = cdx * cdx + cdy * cdy
+    bdxcdy, cdxbdy = bdx * cdy, cdx * bdy
+    cdxady, adxcdy = cdx * ady, adx * cdy
+    adxbdy, bdxady = adx * bdy, bdx * ady
+    det = alift * (bdxcdy - cdxbdy) + blift * (cdxady - adxcdy) + clift * (adxbdy - bdxady)
+    det_err = ICC_ERRBOUND * (
+        (np.abs(bdxcdy) + np.abs(cdxbdy)) * alift
+        + (np.abs(cdxady) + np.abs(adxcdy)) * blift
+        + (np.abs(adxbdy) + np.abs(bdxady)) * clift
+    )
+
+    oleft = (ax - cx) * (by - cy)
+    oright = (ay - cy) * (bx - cx)
+    orient = oleft - oright
+    orient_err = CCW_ERRBOUND * (np.abs(oleft) + np.abs(oright))
+
+    det_pos = det > det_err
+    det_neg = det < -det_err
+    ori_pos = orient > orient_err
+    ori_neg = orient < -orient_err
+    certain_event = (det_pos & ori_pos) | (det_neg & ori_neg)
+    certain_clear = (det_pos & ori_neg) | (det_neg & ori_pos)
+    for idx in np.nonzero(~certain_clear)[0]:
+        if certain_event[idx]:
+            return float(taus[idx])
+        if _reference_exact_is_event(tri_pts, tri_vels, probe_pt, probe_vel,
+                                     float(taus[idx])):
+            return float(taus[idx])
+    return None
+
+
+def reference_event_time(channel, mesh, sample_resolution, velocities=None):
+    """``compute_event_time`` as a loop over triangles, then probes."""
+    if sample_resolution <= 0:
+        raise ValueError(f"sample_resolution must be positive, got {sample_resolution}")
+
+    def vel(node_id):
+        if velocities is not None:
+            return velocities[node_id]
+        return mesh.nodes[node_id].velocity
+
+    best = None
+    for idx, tri_id in enumerate(channel.triangles):
+        eta = channel.etas[idx]
+        if best is not None:
+            eta = min(eta, best[0])  # only earlier events can still win
+        taus = np.arange(sample_resolution, eta, sample_resolution)
+        if taus.size == 0:
+            continue
+        verts = mesh.triangles[tri_id].vertices
+        tri_pts = np.array([mesh.positions[v] for v in verts], dtype=float)
+        tri_vels = np.array([vel(v) for v in verts], dtype=float)
+        for probe in neighbors_of(mesh, tri_id):
+            tau = first_event_offset(tri_pts, tri_vels, mesh.positions[probe],
+                                     vel(probe), taus)
+            if tau is not None and (best is None or tau < best[0]):
+                best = (tau, idx, probe)
+    if best is not None:
+        return EventReport(time=mesh.time + best[0], triangle_index=best[1],
+                           node_id=best[2])
+    return None
 
 
 def exact_scan_oracle(tri_pts, tri_vels, probe_pt, probe_vel, taus):
@@ -191,3 +306,175 @@ class TestComputeEventTime:
         ch = astar(dual, 0, 0)
         with pytest.raises(ValueError):
             compute_event_time(ch, mesh, 0.0)
+
+
+# Equivalence of the batched scan with the reference scan.
+
+def moving_nodes(points, velocities):
+    return [NodeState(id=i, x=x, y=y, vx=vx, vy=vy, r=0.0,
+                      kind=NodeKind.DYNAMIC if (vx, vy) != (0, 0) else NodeKind.STATIC)
+            for i, ((x, y), (vx, vy)) in enumerate(zip(points, velocities))]
+
+
+def channel_of(mesh, tri_ids, etas):
+    """A channel over arbitrary triangles; the scan reads only ids and etas."""
+    return Channel(time=mesh.time, triangles=list(tri_ids),
+                   crossed_edges=[(0, 1)] * (len(tri_ids) - 1), etas=list(etas),
+                   waypoints=[(0.0, 0.0)] * len(tri_ids), start_point=(0.0, 0.0))
+
+
+def triangle_with(mesh, verts):
+    return next(t.id for t in mesh.triangles if set(t.vertices) == set(verts))
+
+
+def count_exact_calls(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return incircle(*args)
+
+    monkeypatch.setattr(events, "incircle", counting)
+    return calls
+
+
+# Integer coordinates and velocities that are multiples of 0.5, sampled at
+# 0.5 or 0.25, keep every extrapolated coordinate exact, so cocircular and
+# collinear samples (exact fallbacks) occur often; 0.1 gives rounded ones.
+_speeds = st.sampled_from([-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5])
+_scenes = st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+                   min_size=4, max_size=9, unique=True).flatmap(
+    lambda pts: st.tuples(st.just(pts),
+                          st.lists(st.tuples(_speeds, _speeds),
+                                   min_size=len(pts), max_size=len(pts))))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scene=_scenes, res=st.sampled_from([0.5, 0.25, 0.1]),
+       data=st.data())
+def test_batched_scan_matches_reference(scene, res, data):
+    points, vels = scene
+    t0 = data.draw(st.sampled_from([0.0, 1.5]), label="mesh time")
+    try:
+        mesh = build_mesh(moving_nodes(points, vels), t0)
+    except DegenerateInputError:
+        assume(False)
+    tri_ids = data.draw(st.lists(st.integers(0, len(mesh.triangles) - 1),
+                                 min_size=1, max_size=8), label="channel")
+    # Windows: empty (0 or one step), cut exactly at a sample, or arbitrary.
+    eta = st.one_of(st.integers(2, 24).map(lambda k: k * res),
+                    st.floats(res, 6.0), st.sampled_from([0.0, res]))
+    etas = data.draw(st.lists(eta, min_size=len(tri_ids), max_size=len(tri_ids)),
+                     label="etas")
+    n = len(points)
+    per_node = st.lists(st.tuples(_speeds, _speeds), min_size=n, max_size=n)
+    table = data.draw(st.one_of(
+        st.none(),
+        per_node.map(lambda vs: dict(enumerate(vs))),
+        st.tuples(_speeds, _speeds).map(lambda v: dict.fromkeys(range(n), v)),
+    ), label="velocities")
+    ch = channel_of(mesh, tri_ids, etas)
+    assert compute_event_time(ch, mesh, res, table) == \
+        reference_event_time(ch, mesh, res, table)
+
+
+class TestBatchedScan:
+    def test_tie_goes_to_lowest_probe(self):
+        # Mirror-image probes across the two upper edges of an isosceles
+        # triangle reach its circumcircle at the same sample.
+        pts = [(0, 0), (4, 0), (2, 3), (7, 2), (-3, 2)]
+        vels = [(0, 0), (0, 0), (0, 0), (-1, 0), (1, 0)]
+        mesh = build_mesh(moving_nodes(pts, vels), 0.0)
+        tri = triangle_with(mesh, (0, 1, 2))
+        assert neighbors_of(mesh, tri) == [3, 4]
+        ch = channel_of(mesh, [tri], [6.0])
+        verts = mesh.triangles[tri].vertices
+        tri_pts = np.array([mesh.positions[v] for v in verts], dtype=float)
+        taus = np.arange(0.5, 6.0, 0.5)
+        hits = [first_event_offset(tri_pts, np.zeros((3, 2)), mesh.positions[p],
+                                   vels[p], taus) for p in (3, 4)]
+        assert hits[0] is not None and hits[0] == hits[1]
+        report = compute_event_time(ch, mesh, 0.5)
+        assert report == EventReport(time=hits[0], triangle_index=0, node_id=3)
+        assert report == reference_event_time(ch, mesh, 0.5)
+
+    def test_tie_goes_to_lowest_channel_index(self):
+        # The same triangle twice in the channel: both copies see the event
+        # at the same sample, and the first copy wins.
+        pts = [(0, 0), (4, 0), (2, 3), (7, 2), (-3, 2)]
+        vels = [(0, 0), (0, 0), (0, 0), (-1, 0), (1, 0)]
+        mesh = build_mesh(moving_nodes(pts, vels), 0.0)
+        tri = triangle_with(mesh, (0, 1, 2))
+        other = triangle_with(mesh, (1, 2, 3))
+        ch = channel_of(mesh, [other, tri, tri], [0.0, 6.0, 6.0])
+        report = compute_event_time(ch, mesh, 0.5)
+        assert report == reference_event_time(ch, mesh, 0.5)
+        assert (report.triangle_index, report.node_id) == (1, 3)
+
+    def test_rigid_translation_is_skipped(self):
+        pts = [(0, 0), (4, 0), (2, 3), (2, -1)]
+        mesh = build_mesh(moving_nodes(pts, [(0.5, -1.0)] * 4), 0.0)
+        ch = channel_of(mesh, range(len(mesh.triangles)), [8.0] * len(mesh.triangles))
+        assert compute_event_time(ch, mesh, 0.1) is None
+        assert reference_event_time(ch, mesh, 0.1) is None
+        # Equal NaN velocities are not a rigid translation (NaN != NaN): the
+        # pairs are scanned, and the exact predicate rejects the NaN.
+        table = {i: (math.nan, 0.0) for i in range(4)}
+        for scan in (compute_event_time, reference_event_time):
+            with pytest.raises(ValueError):
+                scan(ch, mesh, 0.5, table)
+
+    def test_cocircular_sample_goes_to_exact_predicate(self, monkeypatch):
+        # At tau = 1 the probe sits on the corner of the square whose other
+        # three corners are the triangle: exactly cocircular, float det 0.
+        pts = [(0, 0), (2, 0), (0, 2), (2, 3)]
+        vels = [(0, 0), (0, 0), (0, 0), (0, -1)]
+        mesh = build_mesh(moving_nodes(pts, vels), 0.0)
+        ch = channel_of(mesh, [triangle_with(mesh, (0, 1, 2))], [3.0])
+        calls = count_exact_calls(monkeypatch)
+        report = compute_event_time(ch, mesh, 0.5)
+        assert len(calls) == 1
+        assert report == EventReport(time=1.0, triangle_index=0, node_id=3)
+        assert report == reference_event_time(ch, mesh, 0.5)
+
+    def test_collapsing_triangle_is_an_event(self, monkeypatch):
+        # The apex reaches the base line at tau = 1: the triangle is
+        # collinear there and the exact predicate reports an event.
+        pts = [(0, 0), (2, 0), (1, 1), (1, -10)]
+        vels = [(0, 0), (0, 0), (0, -1), (0, 0)]
+        mesh = build_mesh(moving_nodes(pts, vels), 0.0)
+        ch = channel_of(mesh, [triangle_with(mesh, (0, 1, 2))], [3.0])
+        calls = count_exact_calls(monkeypatch)
+        report = compute_event_time(ch, mesh, 0.5)
+        assert len(calls) == 1
+        assert report == EventReport(time=1.0, triangle_index=0, node_id=3)
+        assert report == reference_event_time(ch, mesh, 0.5)
+
+    def test_window_is_truncated_at_arrival(self):
+        pts = [(0, 0), (2, 0), (0, 2), (2, 3)]
+        vels = [(0, 0), (0, 0), (0, 0), (0, -1)]
+        mesh = build_mesh(moving_nodes(pts, vels), 0.0)
+        tri = triangle_with(mesh, (0, 1, 2))
+        for eta, want in ((0.0, None), (0.5, None), (1.0, None), (1.01, 1.0)):
+            ch = channel_of(mesh, [tri], [eta])
+            report = compute_event_time(ch, mesh, 0.5)
+            assert report == reference_event_time(ch, mesh, 0.5)
+            assert (report and report.time) == want
+
+    def test_closed_loop_replay_matches_reference(self, monkeypatch):
+        # Every call the sequencer makes (main scan and prefix re-scan) on
+        # a short crossing run returns what the reference returns.
+        scene = dataclasses.replace(generate_synthetic(3), time_limit=4.0)
+        calls = []
+
+        def checked(channel, mesh, res, velocities=None):
+            got = compute_event_time(channel, mesh, res, velocities)
+            assert got == reference_event_time(channel, mesh, res, velocities)
+            calls.append(got)
+            return got
+
+        monkeypatch.setattr(sequencer, "compute_event_time", checked)
+        run_scenario(scene, MethodId.PROPOSED)
+        assert len(calls) > 50
+        assert any(c is not None for c in calls)

@@ -107,6 +107,33 @@ class TestScenario:
         with pytest.raises(ScenarioFormatError):
             Scenario.load(f)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [
+        lambda d, v: d["nodes"][0]["waypoints"][1].update(x=v),
+        lambda d, v: d["nodes"][0]["waypoints"][0].update(t=v),
+        lambda d, v: d["nodes"][1].update(radius=v),
+        lambda d, v: d["boundaries"][0][1].__setitem__(1, v),
+        lambda d, v: d["start"].__setitem__(0, v),
+        lambda d, v: d["goal"].__setitem__(1, v),
+        lambda d, v: d["ego"].update(speed=v),
+        lambda d, v: d["ego"].update(radius=v),
+        lambda d, v: d.update(time_limit=v),
+    ])
+    def test_from_dict_rejects_non_finite_numbers(self, where, bad):
+        data = simple_scenario().to_dict()
+        where(data, bad)
+        with pytest.raises(ScenarioFormatError):
+            Scenario.from_dict(data)
+
+    def test_load_rejects_nan_in_json(self, tmp_path):
+        # Python's json module reads the NaN literal.
+        f = tmp_path / "nan.json"
+        text = json.dumps(simple_scenario().to_dict()).replace('"radius": 0.3', '"radius": NaN')
+        assert "NaN" in text
+        f.write_text(text)
+        with pytest.raises(ScenarioFormatError):
+            Scenario.load(f)
+
     def test_load_rejects_missing_fields(self, tmp_path):
         f = tmp_path / "partial.json"
         f.write_text(json.dumps({"id": "x", "nodes": []}))
