@@ -54,18 +54,23 @@ def _add_planner_args(parser: argparse.ArgumentParser) -> None:
                         help="replanning cadence (s)")
 
 
-def _sim_config(args: argparse.Namespace) -> SimConfig:
-    planner = SequencerConfig(
-        max_segments=args.max_segments,
-        tau_threshold=args.tau_threshold,
-        transmission_enabled=not args.no_transmission,
-        transmission=TransmissionConfig(alpha=args.alpha, beta=args.beta,
-                                        passes=args.passes),
-        width_threshold=args.width_threshold,
-        sample_resolution=args.sample_resolution,
-        padding=args.padding,
-    )
-    return SimConfig(replan_interval=args.replan_interval, planner=planner)
+def _sim_config(args: argparse.Namespace) -> Optional[SimConfig]:
+    """The run settings from the planner flags; None, logged, when one is invalid."""
+    try:
+        planner = SequencerConfig(
+            max_segments=args.max_segments,
+            tau_threshold=args.tau_threshold,
+            transmission_enabled=not args.no_transmission,
+            transmission=TransmissionConfig(alpha=args.alpha, beta=args.beta,
+                                            passes=args.passes),
+            width_threshold=args.width_threshold,
+            sample_resolution=args.sample_resolution,
+            padding=args.padding,
+        )
+        return SimConfig(replan_interval=args.replan_interval, planner=planner)
+    except ValueError as exc:
+        log.error("invalid planner settings: %s", exc)
+        return None
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -93,12 +98,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_one(task: Tuple[str, str, SimConfig]) -> Metrics:
-    path, method, cfg = task
-    scenario = Scenario.load(Path(path))
-    return run_scenario(scenario, MethodId(method), cfg)
-
-
 def _metrics_row(m: Metrics) -> List:
     return [
         SUMMARY_SCHEMA_VERSION,
@@ -116,23 +115,25 @@ def _metrics_row(m: Metrics) -> List:
 def run_batch(scenario_paths: Sequence[Path], methods: Sequence[MethodId],
               cfg: SimConfig, workers: int = 1
               ) -> Tuple[List[Metrics], List[str]]:
-    """Run every (scenario, method) pair; malformed files are skipped."""
-    valid: List[Path] = []
+    """Run every (scenario, method) pair; malformed files are skipped.
+
+    Each file is read once, here; the tasks carry the loaded scenarios.
+    """
+    scenarios: List[Scenario] = []
     skipped: List[str] = []
     for path in scenario_paths:
         try:
-            Scenario.load(path)
-            valid.append(path)
+            scenarios.append(Scenario.load(path))
         except (ScenarioFormatError, OSError) as exc:
             log.warning("skipping %s: %s", path, exc)
             skipped.append(f"{path}: {exc}")
 
-    tasks = [(str(p), m.value, cfg) for p in valid for m in methods]
+    tasks = [(sc, m, cfg) for sc in scenarios for m in methods]
     if workers > 1 and len(tasks) > 1:
         with Pool(workers) as pool:
-            metrics = pool.map(_run_one, tasks)
+            metrics = pool.starmap(run_scenario, tasks)
     else:
-        metrics = [_run_one(t) for t in tasks]
+        metrics = [run_scenario(*t) for t in tasks]
     metrics.sort(key=lambda m: (m.scenario_id, m.method))
     return metrics, skipped
 
@@ -184,6 +185,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         log.error("unknown method: %s", exc)
         return 2
     cfg = _sim_config(args)
+    if cfg is None:
+        return 2
     existing = [p for p in paths if p.exists()]
     skipped_missing = [f"{p}: no such file" for p in missing]
     for entry in skipped_missing:
@@ -214,8 +217,9 @@ def _format_summary_table(summary: dict) -> str:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    args.methods = ",".join(m.value for m in MethodId)
     cfg = _sim_config(args)
+    if cfg is None:
+        return 2
     paths = [p for p in (Path(s) for s in args.scenarios) if p.exists()]
     if not paths:
         log.error("no readable scenario files")
@@ -235,6 +239,8 @@ def cmd_render(args: argparse.Namespace) -> int:
         log.error("cannot load %s: %s", args.scenario, exc)
         return 2
     cfg = _sim_config(args)
+    if cfg is None:
+        return 2
     try:
         frames = render_run(scenario, MethodId(args.method), Path(args.out_dir),
                             cfg, frame_dt=args.frame_dt)
@@ -269,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--methods", default="proposed,timed_astar,astar")
     run.add_argument("--out-dir", default="results")
     run.add_argument("--workers", type=int, default=1)
-    run.add_argument("--seed", type=int, default=0)
     _add_planner_args(run)
     run.set_defaults(func=cmd_run)
 
@@ -277,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("scenarios", nargs="+")
     cmp_.add_argument("--out-dir", default="results")
     cmp_.add_argument("--workers", type=int, default=1)
-    cmp_.add_argument("--seed", type=int, default=0)
     _add_planner_args(cmp_)
     cmp_.set_defaults(func=cmd_compare)
 

@@ -9,10 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence, Tuple
 
-from .geometry import Point, dist, orient2d
+from .geometry import Point, TrianglePoints, dist, orient2d
 from .mesh import point_in_triangle
-
-TrianglePoints = Tuple[Point, Point, Point]
 
 
 @dataclass

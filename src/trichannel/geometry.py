@@ -11,10 +11,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Tuple
+from typing import Sequence, Tuple
 
 Point = Tuple[float, float]
 Vector = Tuple[float, float]
+TrianglePoints = Tuple[Point, Point, Point]
 
 _EPS = math.ulp(1.0) / 2.0  # 2^-53
 CCW_ERRBOUND = (3.0 + 16.0 * _EPS) * _EPS
@@ -204,3 +205,23 @@ def incircle(a: Point, b: Point, c: Point, p: Point) -> InCircleResult:
 
 def dist(a: Point, b: Point) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
+
+
+def point_along(pts: Sequence[Point], travel: float) -> Point:
+    """Point at arc length ``travel`` along the polyline ``pts``.
+
+    Clamped to the first point for ``travel <= 0`` and to the last point
+    past the end.  Each hop's length is subtracted from the remaining
+    travel rather than summed into a running total; the simulator and the
+    sequencer both depend on the bits of this form.  The remaining travel
+    stays positive, so a hop that holds it is never zero-length.
+    """
+    if travel <= 0:
+        return pts[0]
+    for a, b in zip(pts, pts[1:]):
+        hop = dist(a, b)
+        if travel <= hop:
+            f = travel / hop
+            return (a[0] + f * (b[0] - a[0]), a[1] + f * (b[1] - a[1]))
+        travel -= hop
+    return pts[-1]

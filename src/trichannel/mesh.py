@@ -14,7 +14,8 @@ import numpy as np
 from scipy.spatial import Delaunay as _QhullDelaunay
 from scipy.spatial import QhullError
 
-from .geometry import NodeKind, NodeState, Point, dist, orient2d, position_at
+from .geometry import (NodeKind, NodeState, Point, TrianglePoints, dist, orient2d,
+                       position_at)
 
 EdgeKey = Tuple[int, int]
 
@@ -46,7 +47,7 @@ class Mesh:
     adjacency: Dict[int, List[int]]  # triangle id -> neighbor triangle ids
     edge_to_triangles: Dict[EdgeKey, List[int]]
 
-    def triangle_points(self, tri_id: int) -> Tuple[Point, Point, Point]:
+    def triangle_points(self, tri_id: int) -> TrianglePoints:
         a, b, c = self.triangles[tri_id].vertices
         return (self.positions[a], self.positions[b], self.positions[c])
 
@@ -224,7 +225,7 @@ def generate_virtual_nodes(boundary: Sequence[Point], spacing: float,
     return nodes
 
 
-def point_in_triangle(pts: Tuple[Point, Point, Point], p: Point) -> bool:
+def point_in_triangle(pts: TrianglePoints, p: Point) -> bool:
     """Boundary-inclusive containment for a CCW triangle."""
     a, b, c = pts
     return (

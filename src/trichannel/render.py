@@ -1,21 +1,19 @@
 """SVG frame rendering of a scenario run.
 
-One SVG per frame step: boundary polylines, mesh edges, the active channel
-corridor, the planned polyline, node discs and the ego disc.
+One SVG per frame step of ``simulate.rollout``: boundary polylines, mesh
+edges, the active channel corridor, the planned polyline, node discs and
+the ego disc.
 """
 from __future__ import annotations
 
-import math
 from pathlib import Path as FsPath
 from typing import List, Optional, Sequence, Tuple
 
 from .funnel import PathPolyline
-from .geometry import NodeKind, NodeState, Point
+from .geometry import NodeKind, Point, TrianglePoints
 from .mesh import DegenerateInputError, build_mesh
 from .scenario import Scenario
-from .simulate import MethodId, SimConfig, SimState, plan_detailed, step
-
-TrianglePoints = Tuple[Point, Point, Point]
+from .simulate import MethodId, PlanResult, SimConfig, plan_detailed, rollout
 
 _KIND_FILL = {
     NodeKind.STATIC: "#777777",
@@ -127,28 +125,21 @@ def render_run(scenario: Scenario, method: MethodId, out_dir: FsPath,
     out = FsPath(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    state = SimState(t=0.0, ego=scenario.start)
-    next_replan = 0.0
     next_frame = 0.0
     corridor: List[TrianglePoints] = []
     written: List[FsPath] = []
-    frame = 0
-    while state.t < scenario.time_limit - 1e-9:
-        if state.t >= next_replan - 1e-9:
-            next_replan += cfg.replan_interval
-            result = plan_detailed(scenario, method, state.ego, state.t, seq_cfg)
-            state.path = result.path
-            state.cursor = 0.0
-            corridor = result.corridor if result.path is not None else []
+
+    def replan(ego: Point, t: float) -> PlanResult:
+        return plan_detailed(scenario, method, ego, t, seq_cfg)
+
+    for rec in rollout(scenario, cfg, replan):
+        if rec.planned is not None:
+            corridor = rec.planned.corridor if rec.planned.path is not None else []
+        state = rec.before
         if state.t >= next_frame - 1e-9:
             next_frame += frame_dt
             svg = render_frame(scenario, state.t, state.ego, corridor, state.path)
-            path = out / f"{scenario.id}_{method.value}_{frame:04d}.svg"
+            path = out / f"{scenario.id}_{method.value}_{len(written):04d}.svg"
             path.write_text(svg)
             written.append(path)
-            frame += 1
-        state = step(state, scenario, cfg.dt)
-        if math.hypot(state.ego[0] - scenario.goal[0],
-                      state.ego[1] - scenario.goal[1]) <= scenario.ego_radius:
-            break
     return written

@@ -30,19 +30,6 @@ class Channel:
         return len(self.triangles)
 
 
-def estimate_eta(waypoints: Sequence[Point], ego_position: Point,
-                 ego_speed: float) -> float:
-    """Travel time from the ego position through the dual placements."""
-    if ego_speed <= 0:
-        raise ValueError(f"ego_speed must be positive, got {ego_speed}")
-    if not waypoints:
-        raise ValueError("empty channel prefix")
-    total = dist(ego_position, waypoints[0])
-    for a, b in zip(waypoints, waypoints[1:]):
-        total += dist(a, b)
-    return total / ego_speed
-
-
 def _cumulative_etas(waypoints: Sequence[Point], ego_position: Point,
                      ego_speed: float) -> List[float]:
     # Arrival at triangle i is the time to reach waypoint i-1, the dual

@@ -16,8 +16,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .events import compute_event_time
-from .funnel import funnel
-from .geometry import NodeState, Point, Vector, dist, orient2d
+from .funnel import PathPolyline, funnel
+from .geometry import (NodeState, Point, TrianglePoints, Vector, dist, orient2d,
+                       point_along)
 from .mesh import Mesh, build_dual, build_mesh, locate, point_in_triangle
 from .search import Channel, timed_astar
 from .transmission import TransmissionConfig, transmit
@@ -71,7 +72,7 @@ class ChannelSegment:
     def anchor(self) -> VertexTriple:
         return self.triangles[-1]
 
-    def triangle_points(self, index: int) -> Tuple[Point, Point, Point]:
+    def triangle_points(self, index: int) -> TrianglePoints:
         a, b, c = self.triangles[index]
         return (self.points[a], self.points[b], self.points[c])
 
@@ -128,42 +129,25 @@ def last_triangle_index(e: int, m: int, channel_len: int) -> int:
     return e if e < m else m - 1
 
 
-def _point_along(pts: Sequence[Point], travel: float) -> Point:
-    if travel <= 0:
-        return pts[0]
-    for a, b in zip(pts, pts[1:]):
-        hop = dist(a, b)
-        if travel <= hop:
-            if hop == 0:
-                return b
-            f = travel / hop
-            return (a[0] + f * (b[0] - a[0]), a[1] + f * (b[1] - a[1]))
-        travel -= hop
-    return pts[-1]
+def channel_path(mesh: Mesh, triangle_ids: Sequence[int], start: Point,
+                 target: Point, padding: float) -> Optional[PathPolyline]:
+    """Padded funnel path from ``start`` to ``target`` through mesh triangles.
 
-
-def _point_along_chain(channel: Channel, travel: float) -> Point:
-    return _point_along([channel.start_point] + list(channel.waypoints), travel)
-
-
-def _taut_points(channel: Channel, mesh: Mesh, goal: Point,
-                 cfg: "SequencerConfig") -> Optional[List[Point]]:
-    """Taut funnel polyline through the whole channel, for ego estimation.
-
-    The executed path is a funnel path, so estimating the future ego
-    position along it is tighter than walking the dual node chain; the
-    chain is the fallback when a portal is too narrow to thread.
+    Each vertex is padded by its own node radius on top of ``padding``.
+    None when a portal is too narrow to thread.
     """
-    tris = [mesh.triangle_points(t) for t in channel.triangles]
+    tris = [mesh.triangle_points(t) for t in triangle_ids]
     radius_of = {mesh.positions[v]: mesh.nodes[v].r
-                 for t in channel.triangles
+                 for t in triangle_ids
                  for v in mesh.triangles[t].vertices}
     try:
-        path = funnel(tris, channel.start_point, goal, cfg.effective_padding,
-                      radius_of)
+        return funnel(tris, start, target, padding, radius_of)
     except ValueError:
         return None
-    return None if path is None else path.points
+
+
+def _dual_chain(channel: Channel) -> List[Point]:
+    return [channel.start_point] + list(channel.waypoints)
 
 
 def ego_index_at(channel: Channel, mesh: Mesh, tau: float, ego_speed: float,
@@ -178,10 +162,7 @@ def ego_index_at(channel: Channel, mesh: Mesh, tau: float, ego_speed: float,
     if tau < channel.time:
         raise ValueError(f"tau={tau} precedes channel time {channel.time}")
     travel = ego_speed * (tau - channel.time)
-    if route is not None:
-        p = _point_along(route, travel)
-    else:
-        p = _point_along_chain(channel, travel)
+    p = point_along(route if route is not None else _dual_chain(channel), travel)
     for idx, tri_id in enumerate(channel.triangles):
         if point_in_triangle(mesh.triangle_points(tri_id), p):
             return idx
@@ -198,7 +179,7 @@ def ego_index_at(channel: Channel, mesh: Mesh, tau: float, ego_speed: float,
     return min(idx, len(channel.triangles) - 1)
 
 
-def subgoal(anchor: Tuple[Point, Point, Point], est_ego: Point,
+def subgoal(anchor: TrianglePoints, est_ego: Point,
             vertex_radii: Sequence[float], ego_radius: float,
             grid: int = 48) -> Point:
     """Point inside the anchor closest to ``est_ego`` with vertex clearance.
@@ -387,15 +368,20 @@ def generate_sequence(nodes: Sequence[NodeState], start: Point, goal: Point,
         m = event.triangle_index
         # The ego advance estimate and the anchor index must use the same
         # route, else the anchor can lag behind the estimated position and
-        # drag the subgoal backwards.
-        taut = _taut_points(channel, mesh, goal, cfg)
+        # drag the subgoal backwards.  The executed path is a funnel path,
+        # so walking the taut funnel polyline estimates the ego more
+        # tightly than the dual-node chain, the fallback when a portal is
+        # too narrow to thread.
+        taut = channel_path(mesh, channel.triangles, channel.start_point, goal,
+                            cfg.effective_padding)
+        route = taut.points if taut is not None else _dual_chain(channel)
         # The prediction scans each triangle only until the ego reaches it,
         # so a kept triangle can still flip between its arrival and the cut
         # time.  Re-scan the kept prefix over the full window and pull the
         # cut earlier until it is genuinely unaffected.
         while True:
             e = min(ego_index_at(channel, mesh, tau_next, cfg.ego_speed,
-                                 route=taut), m)
+                                 route=route), m)
             k = last_triangle_index(e, m, len(channel))
             if k >= 0:
                 refined = _prefix_event(channel, mesh, k, tau_next - tau,
@@ -414,10 +400,7 @@ def generate_sequence(nodes: Sequence[NodeState], start: Point, goal: Point,
             tau_next = tau + (tau_next - tau) * 0.5
         offset = tau_next - tau
 
-        if taut is not None:
-            est_ego = _point_along(taut, cfg.ego_speed * offset)
-        else:
-            est_ego = _point_along_chain(channel, cfg.ego_speed * offset)
+        est_ego = point_along(route, cfg.ego_speed * offset)
         # The subgoal targets the ego estimate but must sit inside the
         # anchor as extrapolated to the cut time; when the event hits the
         # ego's own triangle (k < 0) that triangle doubles as the anchor

@@ -3,8 +3,9 @@
 The ego replans at a fixed cadence with the selected method (the proposed
 channel-sequence pipeline, or the Timed A* / A* single-channel baselines),
 follows the resulting polyline, and accrues completion, planning-success
-and collision metrics.  Runs are deterministic for a given scenario,
-method and configuration.
+and collision metrics.  ``rollout`` is the only loop over simulated time;
+``run_scenario`` and the SVG renderer both consume it.  Runs are
+deterministic for a given scenario, method and configuration.
 """
 from __future__ import annotations
 
@@ -12,15 +13,15 @@ import enum
 import math
 import time as _time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .funnel import PathPolyline, funnel
-from .geometry import NodeKind, NodeState, Point, dist
+from .geometry import NodeKind, NodeState, Point, TrianglePoints, dist, point_along
 from .mesh import DegenerateInputError, build_dual, build_mesh, locate
 from .scenario import Scenario
 from .search import astar, timed_astar
 from .sequencer import (ChannelSequence, SequenceFailure, SequencerConfig,
-                        generate_sequence)
+                        channel_path, generate_sequence)
 
 
 class MethodId(str, enum.Enum):
@@ -49,6 +50,13 @@ class SimConfig:
     replan_interval: float = 0.1
     planner: SequencerConfig = field(default_factory=SequencerConfig)
 
+    def __post_init__(self) -> None:
+        if self.dt <= 0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
+        if self.replan_interval <= 0:
+            raise ValueError(
+                f"replan_interval must be positive, got {self.replan_interval}")
+
     def sequencer_for(self, scenario: Scenario) -> SequencerConfig:
         return replace(
             self.planner,
@@ -57,51 +65,13 @@ class SimConfig:
         )
 
 
-def detect_collision(ego: Point, ego_radius: float,
-                     nodes: Sequence[NodeState]) -> bool:
-    """True iff the ego disc overlaps any non-virtual node disc strictly."""
-    return any(
-        dist(ego, n.position) < ego_radius + n.r
-        for n in nodes if n.kind is not NodeKind.VIRTUAL
-    )
-
-
-def _colliding_ids(ego: Point, ego_radius: float,
-                   nodes: Sequence[NodeState]) -> Set[int]:
+def colliding_ids(ego: Point, ego_radius: float,
+                  nodes: Sequence[NodeState]) -> Set[int]:
+    """Ids of the non-virtual nodes whose discs the ego disc overlaps strictly."""
     return {
         n.id for n in nodes
         if n.kind is not NodeKind.VIRTUAL and dist(ego, n.position) < ego_radius + n.r
     }
-
-
-def _advance_along_path(path: PathPolyline, cursor: float, travel: float
-                        ) -> Tuple[Point, float]:
-    """Point after moving ``travel`` from arc position ``cursor``."""
-    target = cursor + travel
-    walked = 0.0
-    pts = path.points
-    for a, b in zip(pts, pts[1:]):
-        hop = dist(a, b)
-        if walked + hop >= target and hop > 0:
-            f = (target - walked) / hop
-            return ((a[0] + f * (b[0] - a[0]), a[1] + f * (b[1] - a[1])), target)
-        walked += hop
-    return (pts[-1], walked)
-
-
-def _funnel_channel(mesh, triangle_ids: Sequence[int], start: Point,
-                    target: Point, padding: float) -> Optional[PathPolyline]:
-    tris = [mesh.triangle_points(t) for t in triangle_ids]
-    radius_of = {mesh.positions[v]: mesh.nodes[v].r
-                 for tri_id in triangle_ids
-                 for v in mesh.triangles[tri_id].vertices}
-    try:
-        return funnel(tris, start, target, padding, radius_of)
-    except ValueError:
-        return None
-
-
-TrianglePoints = Tuple[Point, Point, Point]
 
 
 def _nearest_in_triangle(tri: TrianglePoints, p: Point) -> Point:
@@ -270,8 +240,8 @@ def plan_baseline(scenario: Scenario, ego: Point, t_now: float,
     if channel is None:
         return PlanResult(path=None)
     corridor = [mesh.triangle_points(t) for t in channel.triangles]
-    path = _funnel_channel(mesh, channel.triangles, ego, scenario.goal,
-                           cfg.effective_padding)
+    path = channel_path(mesh, channel.triangles, ego, scenario.goal,
+                        cfg.effective_padding)
     if path is not None:
         path = _clear_polyline(
             path, [n for n in nodes if n.kind is not NodeKind.VIRTUAL],
@@ -291,23 +261,58 @@ def plan(scenario: Scenario, method: MethodId, ego: Point, t_now: float,
     return plan_detailed(scenario, method, ego, t_now, cfg).path
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimState:
     t: float
     ego: Point
     path: Optional[PathPolyline] = None
-    cursor: float = 0.0
+    cursor: float = 0.0  # arc length travelled along ``path``
 
 
 def step(state: SimState, scenario: Scenario, dt: float) -> SimState:
     """Advance the clock: ego follows its path, or holds without one."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    ego, cursor = state.ego, state.cursor
-    if state.path is not None:
-        ego, cursor = _advance_along_path(state.path, cursor,
-                                          scenario.ego_speed * dt)
-    return SimState(t=state.t + dt, ego=ego, path=state.path, cursor=cursor)
+    if state.path is None:
+        return replace(state, t=state.t + dt)
+    cursor = state.cursor + scenario.ego_speed * dt
+    return SimState(t=state.t + dt, ego=point_along(state.path.points, cursor),
+                    path=state.path, cursor=cursor)
+
+
+@dataclass(frozen=True)
+class RolloutStep:
+    """One simulator step of a closed-loop run."""
+
+    before: SimState  # where the step starts, after this step's replan if any
+    planned: Optional[PlanResult]  # this step's replan; None when none was due
+    after: SimState
+    at_goal: bool  # the ego reached the goal; the run ends with this step
+
+
+def rollout(scenario: Scenario, cfg: SimConfig,
+            replan: Callable[[Point, float], PlanResult]) -> Iterator[RolloutStep]:
+    """The closed loop of one run, yielding one record per simulator step.
+
+    ``replan(ego, t)`` runs every ``cfg.replan_interval``, then ``step``
+    advances by ``cfg.dt``, until the ego reaches the goal or the time
+    limit runs out.  A replan always replaces the followed path, with None
+    when planning failed, so the ego holds until a later replan succeeds.
+    """
+    state = SimState(t=0.0, ego=scenario.start)
+    next_replan = 0.0
+    while state.t < scenario.time_limit - 1e-9:
+        planned = None
+        if state.t >= next_replan - 1e-9:
+            next_replan += cfg.replan_interval
+            planned = replan(state.ego, state.t)
+            state = replace(state, path=planned.path, cursor=0.0)
+        after = step(state, scenario, cfg.dt)
+        at_goal = dist(after.ego, scenario.goal) <= scenario.ego_radius
+        yield RolloutStep(state, planned, after, at_goal)
+        if at_goal:
+            return
+        state = after
 
 
 def run_scenario(scenario: Scenario, method: MethodId,
@@ -319,46 +324,34 @@ def run_scenario(scenario: Scenario, method: MethodId,
     """
     cfg = cfg or SimConfig()
     seq_cfg = cfg.sequencer_for(scenario)
-    state = SimState(t=0.0, ego=scenario.start)
+    latencies: List[float] = []
+
+    def timed_plan(ego: Point, t: float) -> PlanResult:
+        t0 = _time.perf_counter()
+        path = plan(scenario, method, ego, t, seq_cfg)
+        latencies.append(_time.perf_counter() - t0)
+        return PlanResult(path=path)
+
     attempted = succeeded = 0
     collision_count = 0
-    latencies: List[float] = []
-    colliding: Set[int] = _colliding_ids(state.ego, scenario.ego_radius,
-                                         scenario.node_states_at(0.0, include_virtual=False))
-    completed = False
+    colliding = colliding_ids(scenario.start, scenario.ego_radius,
+                              scenario.node_states_at(0.0, include_virtual=False))
     completion_time: Optional[float] = None
-    next_replan = 0.0
-
-    while state.t < scenario.time_limit - 1e-9:
-        if state.t >= next_replan - 1e-9:
-            next_replan += cfg.replan_interval
+    for rec in rollout(scenario, cfg, timed_plan):
+        if rec.planned is not None:
             attempted += 1
-            t0 = _time.perf_counter()
-            path = plan(scenario, method, state.ego, state.t, seq_cfg)
-            latencies.append(_time.perf_counter() - t0)
-            if path is not None:
-                succeeded += 1
-                state.path = path
-                state.cursor = 0.0
-            else:
-                state.path = None
-
-        state = step(state, scenario, cfg.dt)
-
-        obstacles = scenario.node_states_at(state.t, include_virtual=False)
-        now_colliding = _colliding_ids(state.ego, scenario.ego_radius, obstacles)
+            succeeded += rec.planned.path is not None
+        obstacles = scenario.node_states_at(rec.after.t, include_virtual=False)
+        now_colliding = colliding_ids(rec.after.ego, scenario.ego_radius, obstacles)
         collision_count += len(now_colliding - colliding)
         colliding = now_colliding
-
-        if dist(state.ego, scenario.goal) <= scenario.ego_radius:
-            completed = True
-            completion_time = state.t
-            break
+        if rec.at_goal:
+            completion_time = rec.after.t
 
     return Metrics(
         scenario_id=scenario.id,
         method=method.value,
-        completed=completed,
+        completed=completion_time is not None,
         completion_time=completion_time,
         cycles_attempted=attempted,
         cycles_succeeded=succeeded,

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from trichannel.cli import CSV_COLUMNS, main
+from trichannel.cli import CSV_COLUMNS, main, run_batch
 from trichannel.geometry import NodeKind
 from trichannel.scenario import ObjectTrack, Scenario
+from trichannel.simulate import MethodId, SimConfig
 
 
 def small_scenario(path: Path, sid="cli-test"):
@@ -118,6 +119,34 @@ class TestRun:
         rc = main(["run", str(scene), "--methods", "dijkstra",
                    "--out-dir", str(tmp_path / "res")])
         assert rc == 2
+
+    def test_each_file_read_once(self, tmp_path, monkeypatch):
+        scene = tmp_path / "s.json"
+        small_scenario(scene)
+        loaded = []
+        load = Scenario.load.__func__
+
+        def counting_load(cls, path):
+            loaded.append(path)
+            return load(cls, path)
+
+        monkeypatch.setattr(Scenario, "load", classmethod(counting_load))
+        metrics, _ = run_batch([scene], [MethodId.ASTAR, MethodId.TIMED_ASTAR],
+                               SimConfig())
+        assert [m.method for m in metrics] == ["astar", "timed_astar"]
+        assert loaded == [scene]
+
+
+@pytest.mark.parametrize("flag", ["--max-segments", "--sample-resolution",
+                                  "--passes", "--replan-interval"])
+def test_non_positive_planner_flag_exit_code(tmp_path, caplog, flag):
+    scene = tmp_path / "s.json"
+    small_scenario(scene)
+    out = tmp_path / "out"
+    for command in ("run", "compare", "render"):
+        assert main([command, str(scene), flag, "0", "--out-dir", str(out)]) == 2
+    assert not out.exists()
+    assert caplog.text.count("invalid planner settings") == 3
 
 
 class TestCompare:

@@ -7,7 +7,7 @@ import pytest
 
 from trichannel.geometry import NodeKind, NodeState, dist
 from trichannel.mesh import build_dual, build_mesh
-from trichannel.search import astar, edge_gap_at, estimate_eta, timed_astar
+from trichannel.search import astar, edge_gap_at, timed_astar
 
 
 def make_nodes(points, r=0.0):
@@ -79,21 +79,6 @@ class TestAstar:
         # Arrival at triangle i+1 is the time to reach waypoint i.
         reach = dist((0.5, 0.5), ch.waypoints[0]) / 2.0
         assert math.isclose(ch.etas[1], reach)
-
-
-class TestEstimateEta:
-    def test_single_leg(self):
-        assert estimate_eta([(3.0, 4.0)], (0.0, 0.0), 5.0) == 1.0
-
-    def test_chain_accumulates(self):
-        eta = estimate_eta([(1.0, 0.0), (1.0, 1.0)], (0.0, 0.0), 1.0)
-        assert math.isclose(eta, 2.0)
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            estimate_eta([(1, 0)], (0, 0), 0.0)
-        with pytest.raises(ValueError):
-            estimate_eta([], (0, 0), 1.0)
 
 
 class TestEdgeGap:

@@ -1,14 +1,16 @@
 """Closed-loop execution: stepping, collision checks, metrics."""
 import math
+import re
 
 import pytest
 
 from trichannel.funnel import PathPolyline
-from trichannel.geometry import NodeKind, NodeState
+from trichannel.geometry import NodeKind, NodeState, point_along
+from trichannel.render import _bounds, render_run
 from trichannel.scenario import (ObjectTrack, Scenario, SyntheticParams,
                                  generate_synthetic)
 from trichannel.simulate import (Metrics, MethodId, SimConfig, SimState,
-                                 aggregate, detect_collision, plan_detailed,
+                                 aggregate, colliding_ids, plan_detailed,
                                  run_scenario, step)
 
 
@@ -36,13 +38,13 @@ class TestDetectCollision:
         ]
 
     def test_overlap_detected(self):
-        assert detect_collision((0.6, 0.0), 0.2, self.nodes())
+        assert colliding_ids((0.6, 0.0), 0.2, self.nodes()) == {0}
 
     def test_touching_is_not_collision(self):
-        assert not detect_collision((0.7, 0.0), 0.2, self.nodes())
+        assert colliding_ids((0.7, 0.0), 0.2, self.nodes()) == set()
 
     def test_virtual_nodes_ignored(self):
-        assert not detect_collision((5.0, 0.0), 0.2, self.nodes())
+        assert colliding_ids((5.0, 0.0), 0.2, self.nodes()) == set()
 
 
 class TestStep:
@@ -71,9 +73,45 @@ class TestStep:
         st = step(st, sc, 5.0)
         assert st.ego == (1.0, 3.0)
 
+    def test_zero_length_hops_skipped(self):
+        sc = empty_road()
+        path = PathPolyline(points=[(0.0, 3.0), (0.0, 3.0), (1.0, 3.0),
+                                    (1.0, 3.0), (3.0, 3.0)],
+                            segment_ids=[0] * 5)
+        st = step(SimState(t=0.0, ego=(0.0, 3.0), path=path), sc, 0.5)
+        assert st.ego == (0.5, 3.0)
+        st = step(st, sc, 1.0)
+        assert st.ego == (1.5, 3.0)
+        assert st.cursor == 1.5
+
+    def test_zero_travel_stays_at_start(self):
+        # ``step`` always travels (dt and ego speed are positive); the
+        # walker it calls holds the first point for zero travel, also when
+        # the path starts with a zero-length hop.
+        pts = [(0.0, 3.0), (0.0, 3.0), (1.0, 3.0)]
+        assert point_along(pts, 0.0) == (0.0, 3.0)
+        assert point_along(pts, 1.0) == (1.0, 3.0)
+
+    def test_holds_path_end_after_overshoot(self):
+        sc = empty_road()
+        path = PathPolyline(points=[(0.0, 3.0), (1.0, 3.0), (1.0, 4.0)],
+                            segment_ids=[0, 0, 0])
+        st = SimState(t=0.0, ego=(0.0, 3.0), path=path, cursor=1.5)
+        for _ in range(3):
+            st = step(st, sc, 0.5)
+            assert st.ego == (1.0, 4.0)
+        assert st.t == 1.5
+
     def test_invalid_dt(self):
         with pytest.raises(ValueError):
             step(SimState(t=0.0, ego=(0, 0)), empty_road(), 0.0)
+
+
+@pytest.mark.parametrize("field", ["dt", "replan_interval"])
+@pytest.mark.parametrize("value", [0.0, -0.1])
+def test_sim_config_rejects_non_positive_times(field, value):
+    with pytest.raises(ValueError, match=field):
+        SimConfig(**{field: value})
 
 
 class TestPlanning:
@@ -142,6 +180,25 @@ class TestRunScenario:
                       time_limit=sc.time_limit)
         m = run_scenario(sc, MethodId.ASTAR)
         assert m.collision_count <= 2
+
+
+@pytest.mark.parametrize("method", [MethodId.ASTAR, MethodId.PROPOSED])
+def test_render_stops_where_run_stops(tmp_path, method):
+    # One frame per step: the frames cover the steps the metrics count,
+    # and the last one shows the ego one step short of the goal.
+    sc = empty_road()
+    cfg = SimConfig()
+    m = run_scenario(sc, method, cfg)
+    assert m.completed
+    frames = render_run(sc, method, tmp_path, cfg, frame_dt=cfg.dt)
+    assert len(frames) == round(m.completion_time / cfg.dt)
+    x0, _, _, y1 = _bounds(sc)
+    cx, cy = map(float, re.findall(
+        r'<circle cx="([-\d.]+)" cy="([-\d.]+)" r="[\d.]+" fill="#cc2222"',
+        frames[-1].read_text())[-1])
+    ego = (x0 + cx / 20.0, y1 - cy / 20.0)
+    gap = math.dist(ego, sc.goal)
+    assert sc.ego_radius < gap <= sc.ego_radius + sc.ego_speed * cfg.dt + 1e-3
 
 
 class TestAggregate:
