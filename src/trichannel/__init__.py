@@ -4,8 +4,8 @@ from .events import EventReport, compute_event_time, neighbors_of
 from .funnel import PathPolyline, funnel
 from .geometry import (InCircleResult, InCircleSide, NodeKind, NodeState,
                        incircle, orient2d, position_at)
-from .mesh import (DegenerateInputError, DualGraph, Mesh, Triangle, build_dual,
-                   build_mesh, generate_virtual_nodes, locate)
+from .mesh import (DegenerateInputError, DualGraph, Mesh, build_dual, build_mesh,
+                   generate_virtual_nodes, locate)
 from .scenario import (ObjectTrack, Scenario, ScenarioFormatError,
                        SyntheticParams, generate_synthetic)
 from .search import Channel, astar, edge_gap_at, timed_astar
@@ -40,7 +40,6 @@ __all__ = [
     "SimConfig",
     "SyntheticParams",
     "TransmissionConfig",
-    "Triangle",
     "aggregate",
     "astar",
     "build_dual",

@@ -241,6 +241,9 @@ def cmd_render(args: argparse.Namespace) -> int:
     cfg = _sim_config(args)
     if cfg is None:
         return 2
+    if not args.frame_dt > 0:
+        log.error("invalid --frame-dt: must be positive, got %s", args.frame_dt)
+        return 2
     try:
         frames = render_run(scenario, MethodId(args.method), Path(args.out_dir),
                             cfg, frame_dt=args.frame_dt)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,15 +47,23 @@ class EventReport:
     node_id: int  # triggering external node
 
 
+def _probe_lists(mesh: Mesh, tri_ids: Sequence[int]) -> List[List[int]]:
+    """``neighbors_of`` for each of ``tri_ids``, in one pass over the tables."""
+    tri_ids = np.asarray(tri_ids, dtype=np.intp)
+    tris = mesh.triangles[tri_ids]
+    across = mesh.neighbors[tri_ids]  # hull entries (-1) are dropped below
+    # A neighbour holds the shared edge and the probe, and the edge is the
+    # triangle less its vertex k, so the probe is a difference of id sums.
+    far = mesh.triangles[across].sum(axis=2) - tris.sum(axis=1, keepdims=True) + tris
+    return [sorted({p for p, n in zip(ps, ns) if n >= 0})
+            for ps, ns in zip(far.tolist(), across.tolist())]
+
+
 def neighbors_of(mesh: Mesh, tri_id: int) -> List[int]:
-    """Opposite vertices of the triangles edge-adjacent to ``tri_id``."""
+    """Opposite vertices of the triangles edge-adjacent to ``tri_id``, sorted."""
     if tri_id < 0 or tri_id >= len(mesh.triangles):
         raise KeyError(f"unknown triangle id {tri_id}")
-    own = set(mesh.triangles[tri_id].vertices)
-    out = set()
-    for neigh in mesh.adjacency[tri_id]:
-        out.update(set(mesh.triangles[neigh].vertices) - own)
-    return sorted(out)
+    return _probe_lists(mesh, [tri_id])[0]
 
 
 def _exact_is_event(pts: np.ndarray, vels: np.ndarray, tau: float) -> bool:
@@ -137,13 +145,14 @@ def compute_event_time(channel: Channel, mesh: Mesh, sample_resolution: float,
 
     ids: List[int] = []  # a, b, c, probe of each pair
     pairs: List[Tuple[int, int, int, float]] = []  # (channel index, probe, samples, eta)
-    for idx, tri_id in enumerate(channel.triangles):
+    rows = zip(mesh.triangles[channel.triangles].tolist(),
+               _probe_lists(mesh, channel.triangles))
+    for idx, (verts, probes) in enumerate(rows):
         eta = channel.etas[idx]
         count = len(np.arange(res, eta, res))
         if count == 0:
             continue
-        verts = mesh.triangles[tri_id].vertices
-        for probe in neighbors_of(mesh, tri_id):
+        for probe in probes:
             ids.extend(verts)
             ids.append(probe)
             pairs.append((idx, probe, count, eta))

@@ -3,39 +3,34 @@
 Construction delegates to Qhull (``scipy.spatial.Delaunay``) with nodes fed
 in id order, so the output is deterministic per input.  The Delaunay
 property is audited elsewhere with the exact ``incircle`` predicate.
+
+The topology is two ``(T, 3)`` tables, built once and read by every stage.
+``triangles[t]`` holds the node ids of triangle ``t``, CCW at the snapshot
+time, with rows ordered by sorted vertex triple.  ``neighbors[t, k]`` is
+the triangle across the edge opposite vertex ``k``, or -1 on the hull, so
+the edges ab, bc, ca of (a, b, c) lie opposite c, a, b.  An edge is written
+(lower id, higher id); edges are walked by triangle id, then ab, bc, ca
+(``mesh_edges``), and dual-graph neighbours are sorted by triangle id.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial import Delaunay as _QhullDelaunay
 from scipy.spatial import QhullError
 
-from .geometry import (NodeKind, NodeState, Point, TrianglePoints, dist, orient2d,
-                       position_at)
+from .geometry import (CCW_ERRBOUND, NodeKind, NodeState, Point, TrianglePoints,
+                       dist, orient2d, position_at)
 
-EdgeKey = Tuple[int, int]
+# Column of the vertex opposite each of the edges ab, bc and ca.
+_AB_BC_CA = [2, 0, 1]
 
 
 class DegenerateInputError(ValueError):
     """Fewer than three nodes, or all nodes collinear."""
-
-
-def edge_key(u: int, v: int) -> EdgeKey:
-    return (u, v) if u < v else (v, u)
-
-
-@dataclass(frozen=True)
-class Triangle:
-    id: int
-    vertices: Tuple[int, int, int]  # node ids, CCW at the snapshot time
-
-    def edges(self) -> List[EdgeKey]:
-        a, b, c = self.vertices
-        return [edge_key(a, b), edge_key(b, c), edge_key(c, a)]
 
 
 @dataclass
@@ -43,20 +38,12 @@ class Mesh:
     time: float
     nodes: Dict[int, NodeState]
     positions: Dict[int, Point]  # node positions at ``time``
-    triangles: List[Triangle]
-    adjacency: Dict[int, List[int]]  # triangle id -> neighbor triangle ids
-    edge_to_triangles: Dict[EdgeKey, List[int]]
+    triangles: np.ndarray  # (T, 3) node ids, CCW; rows ordered by sorted triple
+    neighbors: np.ndarray  # (T, 3) triangle across the edge opposite each vertex, or -1
 
     def triangle_points(self, tri_id: int) -> TrianglePoints:
-        a, b, c = self.triangles[tri_id].vertices
+        a, b, c = self.triangles[tri_id].tolist()
         return (self.positions[a], self.positions[b], self.positions[c])
-
-    def shared_edge(self, tri_a: int, tri_b: int) -> EdgeKey:
-        common = set(self.triangles[tri_a].vertices) & set(self.triangles[tri_b].vertices)
-        if len(common) != 2:
-            raise ValueError(f"triangles {tri_a} and {tri_b} share no edge")
-        u, v = sorted(common)
-        return (u, v)
 
 
 def build_mesh(nodes: Iterable[NodeState], t: float) -> Mesh:
@@ -80,38 +67,56 @@ def build_mesh(nodes: Iterable[NodeState], t: float) -> Mesh:
     if qhull.simplices.shape[0] == 0:
         raise DegenerateInputError("all nodes collinear")
 
-    ids = [n.id for n in node_list]
-    # Deterministic triangle ids: sort by the sorted vertex-id triple.
-    raw: List[Tuple[int, int, int]] = []
-    for simplex in qhull.simplices:
-        va, vb, vc = (ids[simplex[0]], ids[simplex[1]], ids[simplex[2]])
-        if orient2d(positions[va], positions[vb], positions[vc]) < 0:
-            vb, vc = vc, vb
-        raw.append((va, vb, vc))
-    raw.sort(key=lambda tri: tuple(sorted(tri)))
+    triangles = np.array([n.id for n in node_list])[qhull.simplices]
+    neighbors = qhull.neighbors.astype(np.intp)
+    # Orient every triangle CCW: the float filter of ``orient2d`` decides
+    # all rows at once, and only the rows inside its error bound go to the
+    # exact predicate.
+    a, b, c = (pts[qhull.simplices[:, k]] for k in range(3))
+    detleft = (a[:, 0] - c[:, 0]) * (b[:, 1] - c[:, 1])
+    detright = (a[:, 1] - c[:, 1]) * (b[:, 0] - c[:, 0])
+    det = detleft - detright
+    clockwise = det < 0
+    uncertain = ~(np.abs(det) > CCW_ERRBOUND * (np.abs(detleft) + np.abs(detright)))
+    for row in np.flatnonzero(uncertain):
+        va, vb, vc = triangles[row].tolist()
+        clockwise[row] = orient2d(positions[va], positions[vb], positions[vc]) < 0
+    # Swapping vertices b and c swaps the neighbours opposite them too.
+    triangles[clockwise] = triangles[clockwise][:, [0, 2, 1]]
+    neighbors[clockwise] = neighbors[clockwise][:, [0, 2, 1]]
 
-    triangles = [Triangle(id=i, vertices=v) for i, v in enumerate(raw)]
-    edge_to_triangles: Dict[EdgeKey, List[int]] = {}
-    for tri in triangles:
-        for e in tri.edges():
-            edge_to_triangles.setdefault(e, []).append(tri.id)
-
-    adjacency: Dict[int, List[int]] = {tri.id: [] for tri in triangles}
-    for e, tris in edge_to_triangles.items():
-        if len(tris) == 2:
-            adjacency[tris[0]].append(tris[1])
-            adjacency[tris[1]].append(tris[0])
-    for neigh in adjacency.values():
-        neigh.sort()
-
+    # Deterministic triangle ids: rows ordered by the sorted vertex triple.
+    order = np.lexsort(np.sort(triangles, axis=1).T[::-1])
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    neighbors = neighbors[order]
     return Mesh(
         time=t,
         nodes={n.id: n for n in node_list},
         positions=positions,
-        triangles=triangles,
-        adjacency=adjacency,
-        edge_to_triangles=edge_to_triangles,
+        triangles=triangles[order],
+        neighbors=np.where(neighbors >= 0, rank[neighbors], -1),
     )
+
+
+def mesh_edges(mesh: Mesh) -> np.ndarray:
+    """``(E, 2)`` table of the mesh edges, each once as (lower id, higher id).
+
+    Edges come in first-occurrence order: by triangle id, then ab, bc, ca.
+    An edge first occurs in the lower-id triangle of the two sharing it.
+    """
+    tris = mesh.triangles
+    ends = np.stack([tris, np.roll(tris, -1, axis=1)], axis=2)  # ab, bc, ca
+    across = mesh.neighbors[:, _AB_BC_CA]
+    first = (across < 0) | (across > np.arange(len(tris))[:, None])
+    return np.sort(ends[first], axis=1)
+
+
+def find_triangle(mesh: Mesh, vertices: Sequence[int]) -> Optional[int]:
+    """Id of the triangle with these three vertices in any order, or None."""
+    match = (np.sort(mesh.triangles, axis=1) == sorted(vertices)).all(axis=1)
+    hit = np.flatnonzero(match)
+    return int(hit[0]) if hit.size else None
 
 
 @dataclass
@@ -125,11 +130,11 @@ class DualGraph:
 
     goal: Point
     placements: Dict[int, Point]  # triangle id -> dual node position
-    edges: List[Tuple[int, int, EdgeKey]]  # (tri_a, tri_b, crossed mesh edge)
-    adjacency: Dict[int, List[Tuple[int, EdgeKey]]] = field(default_factory=dict)
+    # Per triangle id: (neighbour id, shared mesh edge), sorted by neighbour.
+    adjacency: List[List[Tuple[int, Tuple[int, int]]]]
 
 
-def _closest_point_on_edge(mesh: Mesh, edge: EdgeKey, goal: Point,
+def _closest_point_on_edge(mesh: Mesh, edge: Tuple[int, int], goal: Point,
                            ego_radius: float) -> Point:
     pa = mesh.positions[edge[0]]
     pb = mesh.positions[edge[1]]
@@ -147,38 +152,36 @@ def _closest_point_on_edge(mesh: Mesh, edge: EdgeKey, goal: Point,
 def build_dual(mesh: Mesh, goal: Point, ego_radius: float = 0.5) -> DualGraph:
     """Dual graph with goal-attracted node placement.
 
-    A triangle with no shared edge (single-triangle mesh) gets its centroid.
+    Shared edges are tried in the order ab, bc, ca and the first nearest
+    candidate wins.  A triangle with no shared edge (single-triangle mesh)
+    gets its centroid.
     """
     placements: Dict[int, Point] = {}
-    for tri in mesh.triangles:
+    adjacency: List[List[Tuple[int, Tuple[int, int]]]] = []
+    rows = zip(mesh.triangles.tolist(), mesh.neighbors[:, _AB_BC_CA].tolist())
+    for tri_id, ((a, b, c), across) in enumerate(rows):
+        links: List[Tuple[int, Tuple[int, int]]] = []
         best: Optional[Point] = None
         best_d = math.inf
-        for e in tri.edges():
-            if len(mesh.edge_to_triangles[e]) != 2:
+        for (u, v), neigh in zip(((a, b), (b, c), (c, a)), across):
+            if neigh < 0:
                 continue
-            candidate = _closest_point_on_edge(mesh, e, goal, ego_radius)
+            edge = (u, v) if u < v else (v, u)
+            links.append((neigh, edge))
+            candidate = _closest_point_on_edge(mesh, edge, goal, ego_radius)
             d = dist(candidate, goal)
             if d < best_d:
                 best, best_d = candidate, d
         if best is None:
-            pts = mesh.triangle_points(tri.id)
+            pts = mesh.triangle_points(tri_id)
             best = (
                 (pts[0][0] + pts[1][0] + pts[2][0]) / 3.0,
                 (pts[0][1] + pts[1][1] + pts[2][1]) / 3.0,
             )
-        placements[tri.id] = best
-
-    edges: List[Tuple[int, int, EdgeKey]] = []
-    adjacency: Dict[int, List[Tuple[int, EdgeKey]]] = {t.id: [] for t in mesh.triangles}
-    for e, tris in sorted(mesh.edge_to_triangles.items()):
-        if len(tris) == 2:
-            a, b = sorted(tris)
-            edges.append((a, b, e))
-            adjacency[a].append((b, e))
-            adjacency[b].append((a, e))
-    for lst in adjacency.values():
-        lst.sort()
-    return DualGraph(goal=goal, placements=placements, edges=edges, adjacency=adjacency)
+        placements[tri_id] = best
+        links.sort()
+        adjacency.append(links)
+    return DualGraph(goal=goal, placements=placements, adjacency=adjacency)
 
 
 def generate_virtual_nodes(boundary: Sequence[Point], spacing: float,
@@ -240,7 +243,8 @@ def locate(mesh: Mesh, p: Point) -> Optional[int]:
 
     Returns None when ``p`` is outside the convex hull.
     """
-    for tri in mesh.triangles:
-        if point_in_triangle(mesh.triangle_points(tri.id), p):
-            return tri.id
+    pos = mesh.positions
+    for tri_id, (a, b, c) in enumerate(mesh.triangles.tolist()):
+        if point_in_triangle((pos[a], pos[b], pos[c]), p):
+            return tri_id
     return None

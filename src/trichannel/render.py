@@ -11,7 +11,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .funnel import PathPolyline
 from .geometry import NodeKind, Point, TrianglePoints
-from .mesh import DegenerateInputError, build_mesh
+from .mesh import DegenerateInputError, build_mesh, mesh_edges
 from .scenario import Scenario
 from .simulate import MethodId, PlanResult, SimConfig, plan_detailed, rollout
 
@@ -95,7 +95,7 @@ def render_frame(scenario: Scenario, t: float, ego: Point,
     # Mesh edges underneath everything else.
     try:
         mesh = build_mesh(nodes, 0.0)
-        for (u, v) in mesh.edge_to_triangles:
+        for u, v in mesh_edges(mesh).tolist():
             canvas.polyline([mesh.positions[u], mesh.positions[v]],
                             stroke="#cccccc", width=0.5)
     except DegenerateInputError:

@@ -9,9 +9,9 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path as FsPath
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from .geometry import NodeKind, NodeState, Point
 from .mesh import generate_virtual_nodes
@@ -101,6 +101,14 @@ class Scenario:
         ids = [n.id for n in self.nodes]
         if len(set(ids)) != len(ids):
             raise ScenarioFormatError("duplicate node ids")
+        # Placed once per scenario; ``dataclasses.replace`` runs this again.
+        next_id = max(ids, default=-1) + 1
+        self._virtual: List[NodeState] = []
+        for boundary in self.boundaries:
+            vns = generate_virtual_nodes(boundary, self.virtual_spacing,
+                                         id_start=next_id)
+            self._virtual.extend(vns)
+            next_id += len(vns)
 
     @property
     def virtual_spacing(self) -> float:
@@ -108,14 +116,7 @@ class Scenario:
         return 2.0 * self.ego_radius * 0.9
 
     def virtual_nodes(self) -> List[NodeState]:
-        next_id = max((n.id for n in self.nodes), default=-1) + 1
-        out: List[NodeState] = []
-        for boundary in self.boundaries:
-            vns = generate_virtual_nodes(boundary, self.virtual_spacing,
-                                         id_start=next_id)
-            out.extend(vns)
-            next_id += len(vns)
-        return out
+        return list(self._virtual)
 
     def node_states_at(self, t: float, include_virtual: bool = True) -> List[NodeState]:
         out: List[NodeState] = []
@@ -125,7 +126,7 @@ class Scenario:
             out.append(NodeState(id=track.id, x=x, y=y, vx=vx, vy=vy,
                                  r=track.radius, kind=track.kind))
         if include_virtual:
-            out.extend(self.virtual_nodes())
+            out.extend(self._virtual)
         return out
 
     def to_dict(self) -> dict:

@@ -1,18 +1,18 @@
 """Channel search on the dual graph: baseline A* and time-aware Timed A*.
 
 Both searches return a ``Channel``: the triangle sequence from the ego's
-triangle to the goal triangle, the mesh edge crossed at each step, and the
-estimated arrival time at each triangle's dual node.
+triangle to the goal triangle and the estimated arrival time at each
+triangle's dual node.
 """
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .geometry import NodeState, Point, Vector, dist
-from .mesh import DualGraph, EdgeKey, Mesh
+from .geometry import Point, Vector, dist
+from .mesh import DualGraph, Mesh
 
 
 @dataclass
@@ -21,7 +21,6 @@ class Channel:
 
     time: float  # topology snapshot time
     triangles: List[int]  # triangle ids, ego first, goal last
-    crossed_edges: List[EdgeKey]  # len(triangles) - 1 mesh edges
     etas: List[float]  # per-triangle arrival offset from ``time``, seconds
     waypoints: List[Point]  # dual node placement per triangle
     start_point: Point
@@ -45,22 +44,17 @@ def _cumulative_etas(waypoints: Sequence[Point], ego_position: Point,
     return etas
 
 
-def _reconstruct(dual: DualGraph, came: Dict[int, Tuple[int, EdgeKey]],
+def _reconstruct(dual: DualGraph, came: Dict[int, int],
                  start_tri: int, goal_tri: int, time: float,
                  ego_position: Point, ego_speed: float) -> Channel:
     tris = [goal_tri]
-    edges: List[EdgeKey] = []
     while tris[-1] != start_tri:
-        prev, edge = came[tris[-1]]
-        edges.append(edge)
-        tris.append(prev)
+        tris.append(came[tris[-1]])
     tris.reverse()
-    edges.reverse()
     waypoints = [dual.placements[t] for t in tris]
     return Channel(
         time=time,
         triangles=tris,
-        crossed_edges=edges,
         etas=_cumulative_etas(waypoints, ego_position, ego_speed),
         waypoints=waypoints,
         start_point=ego_position,
@@ -86,7 +80,7 @@ def astar(dual: DualGraph, start_tri: int, goal_tri: int, *,
         ego_position = dual.placements[start_tri]
 
     g: Dict[int, float] = {start_tri: 0.0}
-    came: Dict[int, Tuple[int, EdgeKey]] = {}
+    came: Dict[int, int] = {}
     h0 = dist(dual.placements[start_tri], dual.goal)
     open_heap: List[Tuple[float, float, int]] = [(h0, h0, start_tri)]
     closed = set()
@@ -98,19 +92,19 @@ def astar(dual: DualGraph, start_tri: int, goal_tri: int, *,
         if tri == goal_tri:
             return _reconstruct(dual, came, start_tri, goal_tri, time,
                                 ego_position, ego_speed)
-        for neigh, edge in dual.adjacency[tri]:
+        for neigh, _ in dual.adjacency[tri]:
             if neigh in closed:
                 continue
             cand = g[tri] + dist(dual.placements[tri], dual.placements[neigh])
             if cand < g.get(neigh, math.inf):
                 g[neigh] = cand
-                came[neigh] = (tri, edge)
+                came[neigh] = tri
                 h = dist(dual.placements[neigh], dual.goal)
                 heapq.heappush(open_heap, (cand + h, h, neigh))
     return None
 
 
-def edge_gap_at(mesh: Mesh, edge: EdgeKey, t: float,
+def edge_gap_at(mesh: Mesh, edge: Tuple[int, int], t: float,
                 velocities: Optional[Dict[int, Vector]] = None) -> float:
     """Clear width of a mesh edge at time offset ``t`` from the snapshot.
 
@@ -147,7 +141,7 @@ def timed_astar(dual: DualGraph, mesh: Mesh, start_tri: int, goal_tri: int, *,
         ego_position = dual.placements[start_tri]
 
     g: Dict[int, float] = {start_tri: dist(ego_position, dual.placements[start_tri]) / ego_speed}
-    came: Dict[int, Tuple[int, EdgeKey]] = {}
+    came: Dict[int, int] = {}
     h0 = dist(dual.placements[start_tri], dual.goal) / ego_speed
     open_heap: List[Tuple[float, float, int]] = [(g[start_tri] + h0, h0, start_tri)]
     closed = set()
@@ -169,7 +163,7 @@ def timed_astar(dual: DualGraph, mesh: Mesh, start_tri: int, goal_tri: int, *,
                 continue
             if t_eta < g.get(neigh, math.inf):
                 g[neigh] = t_eta
-                came[neigh] = (tri, edge)
+                came[neigh] = tri
                 h = dist(dual.placements[neigh], dual.goal) / ego_speed
                 heapq.heappush(open_heap, (t_eta + h, h, neigh))
     return None

@@ -19,7 +19,7 @@ from .events import compute_event_time
 from .funnel import PathPolyline, funnel
 from .geometry import (NodeState, Point, TrianglePoints, Vector, dist, orient2d,
                        point_along)
-from .mesh import Mesh, build_dual, build_mesh, locate, point_in_triangle
+from .mesh import Mesh, build_dual, build_mesh, find_triangle, locate, point_in_triangle
 from .search import Channel, timed_astar
 from .transmission import TransmissionConfig, transmit
 
@@ -139,7 +139,7 @@ def channel_path(mesh: Mesh, triangle_ids: Sequence[int], start: Point,
     tris = [mesh.triangle_points(t) for t in triangle_ids]
     radius_of = {mesh.positions[v]: mesh.nodes[v].r
                  for t in triangle_ids
-                 for v in mesh.triangles[t].vertices}
+                 for v in mesh.triangles[t].tolist()}
     try:
         return funnel(tris, start, target, padding, radius_of)
     except ValueError:
@@ -167,7 +167,6 @@ def ego_index_at(channel: Channel, mesh: Mesh, tau: float, ego_speed: float,
         if point_in_triangle(mesh.triangle_points(tri_id), p):
             return idx
     # Point sits on numerical boundary: fall back to counting passed waypoints.
-    travel = ego_speed * (tau - channel.time)
     cum = 0.0
     prev = channel.start_point
     idx = 0
@@ -259,7 +258,6 @@ def _prefix_event(channel: Channel, mesh: Mesh, k: int, window: float,
     """
     probe = Channel(time=channel.time,
                     triangles=channel.triangles[: k + 1],
-                    crossed_edges=channel.crossed_edges[:k],
                     etas=[window] * (k + 1),
                     waypoints=channel.waypoints[: k + 1],
                     start_point=channel.start_point)
@@ -274,13 +272,12 @@ def _prefix_event(channel: Channel, mesh: Mesh, k: int, window: float,
 def _make_segment(mesh: Mesh, channel: Channel, upto: int, t_start: float,
                   t_end: Optional[float], start_point: Point,
                   seg_subgoal: Point) -> ChannelSegment:
-    tri_ids = channel.triangles[: upto + 1]
-    triples = [mesh.triangles[t].vertices for t in tri_ids]
+    triples = [tuple(v) for v in mesh.triangles[channel.triangles[: upto + 1]].tolist()]
     vertex_ids = sorted({v for tri in triples for v in tri})
     return ChannelSegment(
         t_start=t_start,
         t_end=t_end,
-        triangles=list(triples),
+        triangles=triples,
         subgoal=seg_subgoal,
         start_point=start_point,
         points={v: mesh.positions[v] for v in vertex_ids},
@@ -298,7 +295,7 @@ def generate_sequence(nodes: Sequence[NodeState], start: Point, goal: Point,
     """
     tau = 0.0
     start_pt = start
-    anchor_ids: Optional[frozenset] = None
+    anchor: Optional[VertexTriple] = None
     segments: List[ChannelSegment] = []
     vel_of = {n.id: n.velocity for n in nodes}
 
@@ -311,10 +308,9 @@ def generate_sequence(nodes: Sequence[NodeState], start: Point, goal: Point,
             tnodes = transmit(mesh.nodes, mesh, cfg.transmission)
             velocities = {i: n.velocity for i, n in tnodes.items()}
 
-        by_vertex_set = {frozenset(t.vertices): t.id for t in mesh.triangles}
         start_tri: Optional[int] = None
-        if anchor_ids is not None:
-            start_tri = by_vertex_set.get(anchor_ids)
+        if anchor is not None:
+            start_tri = find_triangle(mesh, anchor)
             while start_tri is None:
                 prev = segments[-1]
                 if len(prev.triangles) > 1:
@@ -326,15 +322,13 @@ def generate_sequence(nodes: Sequence[NodeState], start: Point, goal: Point,
                     # anchor still existed.
                     tau = max(prev.t_start, tau - cfg.sample_resolution)
                     mesh = build_mesh(nodes, tau)
-                    by_vertex_set = {frozenset(t.vertices): t.id
-                                     for t in mesh.triangles}
                 else:
                     break
                 prev.t_end = tau
                 prev.subgoal = _refit_subgoal(prev, vel_of, cfg)
                 start_pt = prev.subgoal
-                anchor_ids = frozenset(prev.anchor)
-                start_tri = by_vertex_set.get(anchor_ids)
+                anchor = prev.anchor
+                start_tri = find_triangle(mesh, anchor)
         if start_tri is None:
             start_tri = locate(mesh, start_pt)
         if start_tri is None:
@@ -393,7 +387,7 @@ def generate_sequence(nodes: Sequence[NodeState], start: Point, goal: Point,
             # The anchor can collapse between samples; a subgoal inside an
             # inverted triangle is meaningless, so halve the window until
             # the anchor is properly oriented at the cut time.
-            verts = mesh.triangles[channel.triangles[max(k, 0)]].vertices
+            verts = mesh.triangles[channel.triangles[max(k, 0)]].tolist()
             a, b, c = (_extrapolate(mesh, v, tau_next - tau) for v in verts)
             if orient2d(a, b, c) > 0:
                 break
@@ -406,7 +400,7 @@ def generate_sequence(nodes: Sequence[NodeState], start: Point, goal: Point,
         # ego's own triangle (k < 0) that triangle doubles as the anchor
         # and the segment just holds until the replan.
         anchor_tri = channel.triangles[max(k, 0)]
-        verts = mesh.triangles[anchor_tri].vertices
+        verts = mesh.triangles[anchor_tri].tolist()
         anchor_at_next = tuple(_extrapolate(mesh, v, offset) for v in verts)
         # Same safety margin as the funnel padding, so the subgoal never
         # sits at exact contact distance from a vertex disc.
@@ -421,7 +415,7 @@ def generate_sequence(nodes: Sequence[NodeState], start: Point, goal: Point,
             return ChannelSequence(segments=segments, goal=goal,
                                    terminated="max_segments")
 
-        anchor_ids = frozenset(seg.anchor)
+        anchor = seg.anchor
         start_pt = seg.subgoal
         tau = tau_next
         cycle += 1

@@ -17,7 +17,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tupl
 
 from .funnel import PathPolyline, funnel
 from .geometry import NodeKind, NodeState, Point, TrianglePoints, dist, point_along
-from .mesh import DegenerateInputError, build_dual, build_mesh, locate
+from .mesh import DegenerateInputError, build_dual, build_mesh, locate, point_in_triangle
 from .scenario import Scenario
 from .search import astar, timed_astar
 from .sequencer import (ChannelSequence, SequenceFailure, SequencerConfig,
@@ -80,8 +80,6 @@ def _nearest_in_triangle(tri: TrianglePoints, p: Point) -> Point:
     The boundary projection is nudged toward the centroid so the result
     passes an exact point-in-triangle test despite rounding.
     """
-    from .mesh import point_in_triangle
-
     if point_in_triangle(tri, p):
         return p
     best: Optional[Point] = None

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Tuple
+from typing import Dict
+
+import numpy as np
 
 from .geometry import NodeState, Point, Vector
-from .mesh import Mesh
+from .mesh import Mesh, mesh_edges
 
 
 @dataclass(frozen=True)
@@ -55,14 +57,6 @@ def project_velocity(v: Vector, p: Vector, cfg: TransmissionConfig) -> Vector:
     return (factor * vx, factor * vy)
 
 
-def _mesh_directed_edges(mesh: Mesh) -> Tuple[Tuple[int, int], ...]:
-    out = set()
-    for (u, v) in mesh.edge_to_triangles:
-        out.add((u, v))
-        out.add((v, u))
-    return tuple(sorted(out))
-
-
 def transmit(nodes: Dict[int, NodeState], mesh: Mesh,
              cfg: TransmissionConfig) -> Dict[int, NodeState]:
     """Propagate velocities across mesh edges for ``cfg.passes`` sweeps.
@@ -71,7 +65,9 @@ def transmit(nodes: Dict[int, NodeState], mesh: Mesh,
     result is meant only for the current planning cycle (search costs and
     event prediction), never for mutating ground-truth state.
     """
-    edges = _mesh_directed_edges(mesh)
+    undirected = mesh_edges(mesh)
+    directed = np.concatenate([undirected, undirected[:, ::-1]])
+    edges = directed[np.lexsort(directed.T[::-1])].tolist()  # sorted (i, j)
     velocities: Dict[int, Vector] = {i: n.velocity for i, n in nodes.items()}
 
     for _ in range(cfg.passes):

@@ -114,10 +114,10 @@ def test_criterion_2_delaunay_validity():
         except DegenerateInputError:
             continue
         sets += 1
-        for tri in mesh.triangles:
-            a, b, c = (mesh.positions[v] for v in tri.vertices)
+        for verts in mesh.triangles.tolist():
+            a, b, c = (mesh.positions[v] for v in verts)
             for nid, pos in mesh.positions.items():
-                if nid in tri.vertices:
+                if nid in verts:
                     continue
                 if incircle(a, b, c, pos).side is InCircleSide.INSIDE:
                     violations += 1
@@ -152,11 +152,11 @@ def rebuild_first_change(channel, mesh, resolution):
     re-triangulated scene differs from the previous sample, with the sets
     of triangles that disappeared and appeared there."""
     nodes = list(mesh.nodes.values())
-    prev = {frozenset(tr.vertices) for tr in mesh.triangles}
+    prev = {frozenset(v) for v in mesh.triangles.tolist()}
     for tau in np.arange(resolution, max(channel.etas), resolution):
         t = float(tau)
-        cur = {frozenset(tr.vertices)
-               for tr in build_mesh(nodes, t).triangles}
+        cur = {frozenset(v)
+               for v in build_mesh(nodes, t).triangles.tolist()}
         if cur != prev:
             return t, prev - cur, cur - prev
         prev = cur
@@ -207,7 +207,7 @@ def test_criterion_3_event_prediction_oracle():
         touching = None
         if t_star is not None:
             for idx, tri_id in enumerate(ch.triangles):
-                verts = frozenset(mesh.triangles[tri_id].vertices)
+                verts = frozenset(mesh.triangles[tri_id].tolist())
                 if verts in gone and t_star < ch.etas[idx]:
                     touching = idx
                     break
@@ -300,7 +300,7 @@ def _segment_event(nodes, seg):
     from trichannel.transmission import TransmissionConfig, transmit
 
     mesh = build_mesh(nodes, seg.t_start)
-    by_verts = {frozenset(t.vertices): t.id for t in mesh.triangles}
+    by_verts = {frozenset(v): i for i, v in enumerate(mesh.triangles.tolist())}
     ids = []
     for v in seg.triangles:
         tid = by_verts.get(frozenset(v))
@@ -308,7 +308,7 @@ def _segment_event(nodes, seg):
             return None  # triangle gone from this snapshot; skip
         ids.append(tid)
     window = seg.t_end - seg.t_start
-    ch = Channel(time=seg.t_start, triangles=ids, crossed_edges=[],
+    ch = Channel(time=seg.t_start, triangles=ids,
                  etas=[window] * len(ids), waypoints=[(0, 0)] * len(ids),
                  start_point=seg.start_point)
     # Same velocity model the sequencer predicted with.

@@ -183,3 +183,14 @@ class TestRender:
         rc = main(["render", str(tmp_path / "missing.json"),
                    "--out-dir", str(tmp_path / "frames")])
         assert rc == 2
+
+    @pytest.mark.parametrize("frame_dt", ["0", "-0.5", "nan"])
+    def test_non_positive_frame_dt_exit_code(self, tmp_path, caplog, frame_dt):
+        scene = tmp_path / "s.json"
+        small_scenario(scene)
+        out = tmp_path / "frames"
+        rc = main(["render", str(scene), "--out-dir", str(out),
+                   "--frame-dt", frame_dt])
+        assert rc == 2
+        assert not out.exists()
+        assert "invalid --frame-dt" in caplog.text

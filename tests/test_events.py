@@ -118,7 +118,7 @@ def reference_event_time(channel, mesh, sample_resolution, velocities=None):
         taus = np.arange(sample_resolution, eta, sample_resolution)
         if taus.size == 0:
             continue
-        verts = mesh.triangles[tri_id].vertices
+        verts = mesh.triangles[tri_id].tolist()
         tri_pts = np.array([mesh.positions[v] for v in verts], dtype=float)
         tri_vels = np.array([vel(v) for v in verts], dtype=float)
         for probe in neighbors_of(mesh, tri_id):
@@ -153,10 +153,10 @@ class TestNeighborsOf:
         mesh = build_mesh(make_nodes([(0, 0), (2, 0), (2, 2), (0, 2)]), 0.0)
         # Each triangle has exactly one neighbor; its opposite vertex is the
         # one not shared.
-        for tri in mesh.triangles:
-            opp = neighbors_of(mesh, tri.id)
+        for tri_id, verts in enumerate(mesh.triangles.tolist()):
+            opp = neighbors_of(mesh, tri_id)
             assert len(opp) == 1
-            assert opp[0] not in tri.vertices
+            assert opp[0] not in verts
 
     def test_unknown_triangle(self):
         mesh = build_mesh(make_nodes([(0, 0), (2, 0), (0, 2)]), 0.0)
@@ -226,8 +226,8 @@ class TestComputeEventTime:
 
     def test_report_fields(self):
         mesh, dual = crossing_channel()
-        start = next(t.id for t in mesh.triangles if {0, 1, 3} == set(t.vertices))
-        end = next(t.id for t in mesh.triangles if {1, 2, 4} == set(t.vertices))
+        start = next(i for i, v in enumerate(mesh.triangles.tolist()) if {0, 1, 3} == set(v))
+        end = next(i for i, v in enumerate(mesh.triangles.tolist()) if {1, 2, 4} == set(v))
         ch = astar(dual, start, end, ego_position=(2.0, 1.0), ego_speed=0.2)
         report = compute_event_time(ch, mesh, 0.1)
         assert isinstance(report, EventReport)
@@ -240,17 +240,17 @@ class TestComputeEventTime:
         # is reported conservatively, with the flip right after it), and
         # must still exist one step before.
         mesh, dual = crossing_channel()
-        start = next(t.id for t in mesh.triangles if {0, 1, 3} == set(t.vertices))
-        end = next(t.id for t in mesh.triangles if {1, 2, 4} == set(t.vertices))
+        start = next(i for i, v in enumerate(mesh.triangles.tolist()) if {0, 1, 3} == set(v))
+        end = next(i for i, v in enumerate(mesh.triangles.tolist()) if {1, 2, 4} == set(v))
         ch = astar(dual, start, end, ego_position=(2.0, 1.0), ego_speed=0.2)
         report = compute_event_time(ch, mesh, 0.1)
         assert report is not None
         tri_verts = frozenset(
-            mesh.triangles[ch.triangles[report.triangle_index]].vertices)
+            mesh.triangles[ch.triangles[report.triangle_index]].tolist())
 
         def alive(t):
             rebuilt = build_mesh(mesh.nodes.values(), t)
-            return tri_verts in {frozenset(tr.vertices) for tr in rebuilt.triangles}
+            return tri_verts in {frozenset(v) for v in rebuilt.triangles.tolist()}
 
         assert not alive(report.time + 0.1)
         assert alive(report.time - 0.1)
@@ -267,15 +267,15 @@ class TestComputeEventTime:
                                kind=NodeKind.DYNAMIC))  # hits near triangle later
         mesh = build_mesh(nodes, 0.0)
         dual = build_dual(mesh, (11, 2))
-        start = next(t.id for t in mesh.triangles if 0 in t.vertices)
-        end = next(t.id for t in mesh.triangles if 3 in t.vertices)
+        start = next(i for i, v in enumerate(mesh.triangles.tolist()) if 0 in v)
+        end = next(i for i, v in enumerate(mesh.triangles.tolist()) if 3 in v)
         ch = astar(dual, start, end, ego_position=(1.0, 0.5), ego_speed=0.1)
         report = compute_event_time(ch, mesh, 0.1)
         assert report is not None
         assert report.node_id == 7
         # Per-triangle scan of every channel window must not beat it.
         for idx, tri_id in enumerate(ch.triangles):
-            verts = mesh.triangles[tri_id].vertices
+            verts = mesh.triangles[tri_id].tolist()
             tri_pts = np.array([mesh.positions[v] for v in verts])
             tri_vels = np.array([mesh.nodes[v].velocity for v in verts])
             taus = np.arange(0.1, ch.etas[idx], 0.1)
@@ -288,15 +288,15 @@ class TestComputeEventTime:
 
     def test_sampling_window_excludes_zero_and_arrival(self):
         mesh, dual = crossing_channel(walker_speed=50.0)
-        start = next(t.id for t in mesh.triangles if {0, 1, 3} == set(t.vertices))
+        start = next(i for i, v in enumerate(mesh.triangles.tolist()) if {0, 1, 3} == set(v))
         ch = astar(dual, start, start, ego_position=(2.0, 1.0), ego_speed=1.0)
         # Single-triangle channel: arrival offset 0, so no samples, no event.
         assert compute_event_time(ch, mesh, 0.1) is None
 
     def test_velocity_table_overrides_node_motion(self):
         mesh, dual = crossing_channel()
-        start = next(t.id for t in mesh.triangles if {0, 1, 3} == set(t.vertices))
-        end = next(t.id for t in mesh.triangles if {1, 2, 4} == set(t.vertices))
+        start = next(i for i, v in enumerate(mesh.triangles.tolist()) if {0, 1, 3} == set(v))
+        end = next(i for i, v in enumerate(mesh.triangles.tolist()) if {1, 2, 4} == set(v))
         ch = astar(dual, start, end, ego_position=(2.0, 1.0), ego_speed=0.2)
         frozen = {i: (0.0, 0.0) for i in mesh.nodes}
         assert compute_event_time(ch, mesh, 0.1, velocities=frozen) is None
@@ -318,13 +318,12 @@ def moving_nodes(points, velocities):
 
 def channel_of(mesh, tri_ids, etas):
     """A channel over arbitrary triangles; the scan reads only ids and etas."""
-    return Channel(time=mesh.time, triangles=list(tri_ids),
-                   crossed_edges=[(0, 1)] * (len(tri_ids) - 1), etas=list(etas),
+    return Channel(time=mesh.time, triangles=list(tri_ids), etas=list(etas),
                    waypoints=[(0.0, 0.0)] * len(tri_ids), start_point=(0.0, 0.0))
 
 
 def triangle_with(mesh, verts):
-    return next(t.id for t in mesh.triangles if set(t.vertices) == set(verts))
+    return next(i for i, v in enumerate(mesh.triangles.tolist()) if set(v) == set(verts))
 
 
 def count_exact_calls(monkeypatch):
@@ -389,7 +388,7 @@ class TestBatchedScan:
         tri = triangle_with(mesh, (0, 1, 2))
         assert neighbors_of(mesh, tri) == [3, 4]
         ch = channel_of(mesh, [tri], [6.0])
-        verts = mesh.triangles[tri].vertices
+        verts = mesh.triangles[tri].tolist()
         tri_pts = np.array([mesh.positions[v] for v in verts], dtype=float)
         taus = np.arange(0.5, 6.0, 0.5)
         hits = [first_event_offset(tri_pts, np.zeros((3, 2)), mesh.positions[p],

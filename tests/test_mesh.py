@@ -2,12 +2,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
-from trichannel.geometry import NodeKind, NodeState, incircle, dist
+from trichannel import mesh as mesh_module
+from trichannel.geometry import NodeKind, NodeState, dist, incircle, orient2d
 from trichannel.mesh import (DegenerateInputError, build_dual, build_mesh,
-                             edge_key, generate_virtual_nodes, locate,
-                             point_in_triangle)
+                             find_triangle, generate_virtual_nodes, locate,
+                             mesh_edges, point_in_triangle)
 
 
 def make_nodes(points, r=0.0, kind=NodeKind.STATIC):
@@ -23,36 +26,49 @@ def random_nodes(rng, n, span=20.0):
 
 def is_delaunay(mesh):
     """Exact empty-circumcircle audit against every other mesh vertex."""
-    for tri in mesh.triangles:
-        a, b, c = (mesh.positions[v] for v in tri.vertices)
+    for verts in mesh.triangles.tolist():
+        a, b, c = (mesh.positions[v] for v in verts)
         for nid, p in mesh.positions.items():
-            if nid in tri.vertices:
+            if nid in verts:
                 continue
             if incircle(a, b, c, p).gamma < 0:
                 return False
     return True
 
 
+def neighbor_ids(mesh, tri_id):
+    """Edge-adjacent triangle ids of ``tri_id``, sorted."""
+    return sorted(n for n in mesh.neighbors[tri_id].tolist() if n >= 0)
+
+
+def shared_vertices(mesh, a, b):
+    return set(mesh.triangles[a].tolist()) & set(mesh.triangles[b].tolist())
+
+
+def edge_triangle_count(mesh, u, v):
+    """Brute force: how many triangles hold both ``u`` and ``v``."""
+    return sum(1 for verts in mesh.triangles.tolist() if u in verts and v in verts)
+
+
 class TestBuildMesh:
     def test_single_triangle(self):
         mesh = build_mesh(make_nodes([(0, 0), (4, 0), (0, 4)]), 0.0)
         assert len(mesh.triangles) == 1
-        assert mesh.adjacency[0] == []
+        assert neighbor_ids(mesh, 0) == []
 
     def test_square_gives_two_adjacent_triangles(self):
         mesh = build_mesh(make_nodes([(0, 0), (2, 0), (2, 2), (0, 2)]), 0.0)
         assert len(mesh.triangles) == 2
-        assert mesh.adjacency[0] == [1]
-        assert mesh.adjacency[1] == [0]
-        shared = mesh.shared_edge(0, 1)
-        assert len(mesh.edge_to_triangles[shared]) == 2
+        assert neighbor_ids(mesh, 0) == [1]
+        assert neighbor_ids(mesh, 1) == [0]
+        shared = shared_vertices(mesh, 0, 1)
+        assert edge_triangle_count(mesh, *shared) == 2
 
     def test_triangles_are_ccw(self):
         rng = random.Random(7)
         mesh = build_mesh(random_nodes(rng, 30), 0.0)
-        from trichannel.geometry import orient2d
-        for tri in mesh.triangles:
-            a, b, c = mesh.triangle_points(tri.id)
+        for tri_id in range(len(mesh.triangles)):
+            a, b, c = mesh.triangle_points(tri_id)
             assert orient2d(a, b, c) > 0
 
     def test_delaunay_property_random_sets(self):
@@ -74,7 +90,7 @@ class TestBuildMesh:
         nodes = random_nodes(rng, 40)
         m1 = build_mesh(nodes, 0.0)
         m2 = build_mesh(list(reversed(nodes)), 0.0)
-        assert [t.vertices for t in m1.triangles] == [t.vertices for t in m2.triangles]
+        assert m1.triangles.tolist() == m2.triangles.tolist()
 
     def test_too_few_nodes_raises(self):
         with pytest.raises(DegenerateInputError):
@@ -93,9 +109,9 @@ class TestBuildMesh:
     def test_adjacency_is_symmetric(self):
         rng = random.Random(11)
         mesh = build_mesh(random_nodes(rng, 30), 0.0)
-        for tid, neighbors in mesh.adjacency.items():
-            for n in neighbors:
-                assert tid in mesh.adjacency[n]
+        for tid in range(len(mesh.triangles)):
+            for n in neighbor_ids(mesh, tid):
+                assert tid in neighbor_ids(mesh, n)
 
 
 def closest_point_oracle(pa, pb, goal, ego_radius):
@@ -117,8 +133,9 @@ class TestDualGraph:
         for tid, placement in dual.placements.items():
             # The placement must be the best clamp point over the shared edges.
             best = None
-            for e in mesh.triangles[tid].edges():
-                if len(mesh.edge_to_triangles[e]) != 2:
+            a, b, c = mesh.triangles[tid].tolist()
+            for e in (sorted((a, b)), sorted((b, c)), sorted((c, a))):
+                if edge_triangle_count(mesh, *e) != 2:
                     continue
                 cand = closest_point_oracle(mesh.positions[e[0]],
                                             mesh.positions[e[1]], goal, 0.25)
@@ -132,7 +149,7 @@ class TestDualGraph:
         mesh = build_mesh(make_nodes([(0, 0), (2, 0), (2, 2), (0, 2)]), 0.0)
         goal = (100.0, 100.0)
         dual = build_dual(mesh, goal, ego_radius=0.25)
-        shared = mesh.shared_edge(0, 1)
+        shared = sorted(shared_vertices(mesh, 0, 1))
         pa, pb = mesh.positions[shared[0]], mesh.positions[shared[1]]
         edge_len = dist(pa, pb)
         margin = min(0.1 * edge_len, 0.25)
@@ -144,15 +161,120 @@ class TestDualGraph:
         mesh = build_mesh(make_nodes([(0, 0), (3, 0), (0, 3)]), 0.0)
         dual = build_dual(mesh, (10, 10))
         assert dual.placements[0] == (1.0, 1.0)
-        assert dual.edges == []
+        assert dual.adjacency == [[]]
 
     def test_dual_edges_match_interior_mesh_edges(self):
         rng = random.Random(5)
         mesh = build_mesh(random_nodes(rng, 20), 0.0)
         dual = build_dual(mesh, (0, 0))
-        interior = sum(1 for tris in mesh.edge_to_triangles.values()
-                       if len(tris) == 2)
-        assert len(dual.edges) == interior
+        count = len(mesh.triangles)
+        interior = sum(1 for a in range(count) for b in range(a + 1, count)
+                       if len(shared_vertices(mesh, a, b)) == 2)
+        assert sum(len(links) for links in dual.adjacency) == 2 * interior
+
+
+def jittered_grid(rng, k, jitter):
+    return make_nodes([(i + rng.uniform(-jitter, jitter), j + rng.uniform(-jitter, jitter))
+                       for i in range(k) for j in range(k)])
+
+
+# Nearly collinear points on the hull.  Qhull keeps a sliver in the first
+# (the float orientation filter cannot decide it) and a zero-area triangle
+# in the second (the float determinant is negative, the exact one zero).
+SLIVERS = [
+    [(0.001, 0.0001), (0.002, 0.0002), (0.003, 0.00030000000000000003),
+     (-0.9972090777543787, -0.5493769161247686)],
+    [(0.01, 0.003), (0.02, 0.006), (0.03, 0.009), (0.04, 0.012),
+     (-0.8568600069922567, -3.2699259842094905)],
+]
+
+
+def oracle_scenes():
+    """Random sets, jittered grids, exactly cocircular grids and slivers."""
+    rng = random.Random(23)
+    for n in (4, 12, 30, 60):
+        yield random_nodes(rng, n)
+    for k, jitter in ((3, 1e-3), (5, 0.2), (6, 1e-9)):
+        yield jittered_grid(rng, k, jitter)
+    for k in (2, 3, 5, 7):
+        yield make_nodes([(i, j) for i in range(k) for j in range(k)])
+    for pts in SLIVERS:
+        yield make_nodes(pts)
+    # Ids out of position order, so a row index never equals a node id.
+    yield [NodeState(id=1000 - 7 * i, x=n.x, y=n.y, vx=0.0, vy=0.0, r=0.0)
+           for i, n in enumerate(random_nodes(rng, 25))]
+
+
+def reference_triangles(nodes):
+    """Row by row: exact ``orient2d`` on each Qhull simplex, sorted by triple."""
+    nodes = sorted(nodes, key=lambda n: n.id)
+    pos = [n.position for n in nodes]
+    rows = []
+    for a, b, c in Delaunay(np.array(pos)).simplices.tolist():
+        if orient2d(pos[a], pos[b], pos[c]) < 0:
+            b, c = c, b
+        rows.append([nodes[a].id, nodes[b].id, nodes[c].id])
+    return sorted(rows, key=sorted)
+
+
+class TestTopologyTables:
+    """The triangle and neighbour tables against brute-force scans."""
+
+    @pytest.mark.parametrize("nodes", list(oracle_scenes()))
+    def test_tables_match_brute_force(self, nodes):
+        mesh = build_mesh(nodes, 0.0)
+        rows = mesh.triangles.tolist()
+        assert rows == reference_triangles(nodes)
+        assert mesh.triangles.shape == mesh.neighbors.shape == (len(rows), 3)
+        keys = [sorted(v) for v in rows]
+        assert all(a < b for a, b in zip(keys, keys[1:]))  # rows by sorted triple
+        for t, verts in enumerate(rows):
+            assert orient2d(*mesh.triangle_points(t)) >= 0
+            for k, u in enumerate(mesh.neighbors[t].tolist()):
+                edge = set(verts) - {verts[k]}
+                holders = [w for w, other in enumerate(rows)
+                           if w != t and edge <= set(other)]
+                if u < 0:
+                    assert holders == []  # a hull edge lies in no other triangle
+                    continue
+                assert holders == [u]
+                assert shared_vertices(mesh, t, u) == edge
+                assert mesh.neighbors[u].tolist().count(t) == 1  # points back
+
+    @pytest.mark.parametrize("nodes", list(oracle_scenes()))
+    def test_edges_in_first_occurrence_order(self, nodes):
+        mesh = build_mesh(nodes, 0.0)
+        want = []
+        for a, b, c in mesh.triangles.tolist():
+            for e in (sorted((a, b)), sorted((b, c)), sorted((c, a))):
+                if e not in want:
+                    want.append(e)
+        assert mesh_edges(mesh).tolist() == want
+
+    def test_clockwise_qhull_rows_are_flipped(self, monkeypatch):
+        # Qhull hands over CCW triangles; feed them clockwise to exercise
+        # the orientation fix.  (A zero-area row keeps Qhull's order.)
+        scenes = [make_nodes(SLIVERS[0]), random_nodes(random.Random(8), 30)]
+        want = [build_mesh(nodes, 0.0) for nodes in scenes]
+
+        class Clockwise:
+            def __init__(self, pts):
+                q = Delaunay(pts)
+                self.simplices = q.simplices[:, [0, 2, 1]]
+                self.neighbors = q.neighbors[:, [0, 2, 1]]
+
+        monkeypatch.setattr(mesh_module, "_QhullDelaunay", Clockwise)
+        for nodes, expected in zip(scenes, want):
+            got = build_mesh(nodes, 0.0)
+            assert got.triangles.tolist() == expected.triangles.tolist()
+            assert got.neighbors.tolist() == expected.neighbors.tolist()
+
+    def test_find_triangle_ignores_vertex_order(self):
+        mesh = build_mesh(random_nodes(random.Random(4), 20), 0.0)
+        for tri_id, (a, b, c) in enumerate(mesh.triangles.tolist()):
+            assert find_triangle(mesh, (c, a, b)) == tri_id
+            assert find_triangle(mesh, (b, a, c)) == tri_id
+        assert find_triangle(mesh, (0, 1, 999)) is None
 
 
 class TestVirtualNodes:
@@ -201,7 +323,3 @@ class TestLocate:
         assert point_in_triangle(tri, (2, 2))  # on the hypotenuse
         assert not point_in_triangle(tri, (3, 3))
 
-
-def test_edge_key_orders_endpoints():
-    assert edge_key(5, 2) == (2, 5)
-    assert edge_key(2, 5) == (2, 5)

@@ -1,9 +1,11 @@
 """Scenario model, serialization and the synthetic generator."""
+import dataclasses
 import json
 import math
 
 import pytest
 
+from trichannel import scenario as scenario_module
 from trichannel.geometry import NodeKind
 from trichannel.scenario import (ObjectTrack, Scenario, ScenarioFormatError,
                                  SyntheticParams, generate_synthetic)
@@ -93,6 +95,33 @@ class TestScenario:
         states = sc.node_states_at(0.0, include_virtual=False)
         assert all(s.kind is not NodeKind.VIRTUAL for s in states)
         assert len(states) == 2
+
+    def test_virtual_nodes_placed_once(self, monkeypatch):
+        calls = []
+        real = scenario_module.generate_virtual_nodes
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scenario_module, "generate_virtual_nodes", counting)
+        sc = simple_scenario()
+        assert len(calls) == len(sc.boundaries)
+        first = [s for s in sc.node_states_at(0.0) if s.kind is NodeKind.VIRTUAL]
+        for t in (0.0, 1.0, 7.5):
+            again = [s for s in sc.node_states_at(t) if s.kind is NodeKind.VIRTUAL]
+            assert all(a is b for a, b in zip(first, again))
+            assert len(again) == len(first)
+        assert sc.virtual_nodes() == first
+        assert len(calls) == len(sc.boundaries)
+
+    def test_replace_rebuilds_virtual_nodes(self):
+        sc = simple_scenario()
+        wider = dataclasses.replace(sc, boundaries=[[(0, 0), (20, 0)]])
+        assert [n.position for n in wider.virtual_nodes()] != \
+            [n.position for n in sc.virtual_nodes()]
+        fewer = dataclasses.replace(sc, nodes=sc.nodes[:1])
+        assert min(n.id for n in fewer.virtual_nodes()) == 1
 
     def test_roundtrip_through_json(self, tmp_path):
         sc = simple_scenario()

@@ -46,8 +46,8 @@ def straight_strip():
     pts = [(0, 0), (2, 0), (4, 0), (6, 0), (1, 2), (3, 2), (5, 2), (7, 2)]
     mesh = build_mesh(make_nodes(pts), 0.0)
     dual = build_dual(mesh, (7, 1))
-    start = next(t.id for t in mesh.triangles if 0 in t.vertices)
-    end = next(t.id for t in mesh.triangles if 7 in t.vertices)
+    start = next(i for i, v in enumerate(mesh.triangles.tolist()) if 0 in v)
+    end = next(i for i, v in enumerate(mesh.triangles.tolist()) if 7 in v)
     ch = astar(dual, start, end, ego_position=(0.9, 0.6), ego_speed=1.0)
     return mesh, ch
 
@@ -252,15 +252,14 @@ class TestGenerateSequence:
                 continue
             mesh = build_mesh(nodes, seg.t_start)
             ids = []
-            by_verts = {frozenset(t.vertices): t.id for t in mesh.triangles}
+            by_verts = {frozenset(v): i for i, v in enumerate(mesh.triangles.tolist())}
             ok = all(frozenset(v) in by_verts for v in seg.triangles)
             if not ok:
                 continue
             ids = [by_verts[frozenset(v)] for v in seg.triangles]
             window = seg.t_end - seg.t_start
             etas = [window] * len(ids)
-            ch = Channel(time=seg.t_start, triangles=ids,
-                         crossed_edges=[], etas=etas,
+            ch = Channel(time=seg.t_start, triangles=ids, etas=etas,
                          waypoints=[(0, 0)] * len(ids),
                          start_point=seg.start_point)
             report = compute_event_time(ch, mesh, cfg.sample_resolution)
