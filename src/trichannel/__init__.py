@@ -1,9 +1,9 @@
 """Channel-sequence spatial constraints for motion planning in dynamic scenes."""
 
-from .events import EventReport, compute_event_time, neighbors_of
+from .events import EventReport, compute_event_time
 from .funnel import PathPolyline, funnel
-from .geometry import (InCircleResult, InCircleSide, NodeKind, NodeState,
-                       incircle, orient2d, position_at)
+from .geometry import (InCircleSide, NodeKind, NodeState, incircle, orient2d,
+                       position_at)
 from .mesh import (DegenerateInputError, DualGraph, Mesh, build_dual, build_mesh,
                    generate_virtual_nodes, locate)
 from .scenario import (ObjectTrack, Scenario, ScenarioFormatError,
@@ -24,7 +24,6 @@ __all__ = [
     "DegenerateInputError",
     "DualGraph",
     "EventReport",
-    "InCircleResult",
     "InCircleSide",
     "Mesh",
     "Metrics",
@@ -52,7 +51,6 @@ __all__ = [
     "generate_virtual_nodes",
     "incircle",
     "locate",
-    "neighbors_of",
     "orient2d",
     "plan",
     "position_at",

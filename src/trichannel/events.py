@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .geometry import (
     ICC_ERRBOUND,
     DegenerateTriangleError,
     InCircleSide,
-    Vector,
     incircle,
 )
 from .mesh import Mesh
@@ -48,7 +47,11 @@ class EventReport:
 
 
 def _probe_lists(mesh: Mesh, tri_ids: Sequence[int]) -> List[List[int]]:
-    """``neighbors_of`` for each of ``tri_ids``, in one pass over the tables."""
+    """Probes of each of ``tri_ids``, in one pass over the tables.
+
+    The probes of a triangle are the opposite vertices of its edge-adjacent
+    triangles, sorted.
+    """
     tri_ids = np.asarray(tri_ids, dtype=np.intp)
     tris = mesh.triangles[tri_ids]
     across = mesh.neighbors[tri_ids]  # hull entries (-1) are dropped below
@@ -59,21 +62,14 @@ def _probe_lists(mesh: Mesh, tri_ids: Sequence[int]) -> List[List[int]]:
             for ps, ns in zip(far.tolist(), across.tolist())]
 
 
-def neighbors_of(mesh: Mesh, tri_id: int) -> List[int]:
-    """Opposite vertices of the triangles edge-adjacent to ``tri_id``, sorted."""
-    if tri_id < 0 or tri_id >= len(mesh.triangles):
-        raise KeyError(f"unknown triangle id {tri_id}")
-    return _probe_lists(mesh, [tri_id])[0]
-
-
 def _exact_is_event(pts: np.ndarray, vels: np.ndarray, tau: float) -> bool:
     """Exact in-circle test of one pair: (2, 6) x and y of the ``_ROWS``."""
     x, y = pts + vels * tau
     try:
-        res = incircle((x[0], y[0]), (x[1], y[1]), (x[2], y[2]), (x[5], y[5]))
+        side = incircle((x[0], y[0]), (x[1], y[1]), (x[2], y[2]), (x[5], y[5]))
     except DegenerateTriangleError:
         return True  # collapsing triangle: conservative event
-    return res.side is not InCircleSide.OUTSIDE
+    return side is not InCircleSide.OUTSIDE
 
 
 def _filter(pts: np.ndarray, vels: np.ndarray, taus: np.ndarray
@@ -115,20 +111,19 @@ def _filter(pts: np.ndarray, vels: np.ndarray, taus: np.ndarray
     return certain_event, certain_clear
 
 
-def compute_event_time(channel: Channel, mesh: Mesh, sample_resolution: float,
-                       velocities: Optional[Dict[int, Vector]] = None
+def compute_event_time(channel: Channel, mesh: Mesh, sample_resolution: float
                        ) -> Optional[EventReport]:
     """Earliest topological event along the channel.
 
     Triangle ``i`` of the channel is sampled at
     ``np.arange(sample_resolution, channel.etas[i], sample_resolution)``
-    against every probe from ``neighbors_of``.  A cocircular sample or a
-    collapsing triangle counts as an event.  Extrapolation uses the given
-    velocity table (e.g. transmitted velocities) or raw node velocities.
-    A pair whose four nodes share one velocity translates rigidly and is
-    skipped.  The earliest sample wins; a tie goes to the lowest channel
-    index, then to the lowest probe id.  Returns None when no triangle
-    sees an event before the ego reaches it.
+    against every probe: the opposite vertex of each edge-adjacent
+    triangle.  A cocircular sample or a collapsing triangle counts as an
+    event.  Nodes are extrapolated with ``mesh.velocities``.  A pair whose
+    four nodes share one velocity translates rigidly and is skipped.  The
+    earliest sample wins; a tie goes to the lowest channel index, then to
+    the lowest probe id.  Returns None when no triangle sees an event
+    before the ego reaches it.
 
     All pairs are scanned in one array pass, block by block in time; the
     cells the float filter cannot decide go to the exact predicate pair by
@@ -137,11 +132,6 @@ def compute_event_time(channel: Channel, mesh: Mesh, sample_resolution: float,
     if sample_resolution <= 0:
         raise ValueError(f"sample_resolution must be positive, got {sample_resolution}")
     res = sample_resolution
-    if velocities is not None:
-        vel_of = velocities.__getitem__
-    else:
-        def vel_of(node_id: int) -> Vector:
-            return mesh.nodes[node_id].velocity
 
     ids: List[int] = []  # a, b, c, probe of each pair
     pairs: List[Tuple[int, int, int, float]] = []  # (channel index, probe, samples, eta)
@@ -158,8 +148,8 @@ def compute_event_time(channel: Channel, mesh: Mesh, sample_resolution: float,
             pairs.append((idx, probe, count, eta))
     if not pairs:
         return None
-    vels = np.fromiter(chain.from_iterable(map(vel_of, ids)), float,
-                       2 * len(ids)).reshape(-1, 4, 2)
+    vels = np.fromiter(chain.from_iterable(map(mesh.velocities.__getitem__, ids)),
+                       float, 2 * len(ids)).reshape(-1, 4, 2)
     # A shared velocity is a rigid translation: the in-circle sign never
     # changes, so an existing triangle (cocircular neighbors included)
     # stays valid for the whole window.  NaN compares unequal, as in

@@ -18,9 +18,6 @@ class PathPolyline:
     points: List[Point]
     segment_ids: List[int]  # per-point source channel segment id
 
-    def length(self) -> float:
-        return sum(dist(a, b) for a, b in zip(self.points, self.points[1:]))
-
 
 def _triarea2(a: Point, b: Point, c: Point) -> float:
     # Positive when c lies left of the directed line a -> b.

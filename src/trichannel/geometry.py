@@ -69,24 +69,6 @@ class InCircleSide(Enum):
     OUTSIDE = "outside"
 
 
-@dataclass(frozen=True)
-class InCircleResult:
-    """Signed in-circle value plus its exact classification.
-
-    Downstream code must branch on ``side`` only; ``gamma`` is the
-    floating-point product of the two determinants and may round to zero
-    even when the sign is known.
-    """
-
-    gamma: float
-    side: InCircleSide
-
-    @property
-    def is_event(self) -> bool:
-        """Inside or cocircular; cocircular counts as an event (conservative)."""
-        return self.side is not InCircleSide.OUTSIDE
-
-
 def position_at(node: NodeState, t: float) -> Point:
     """Linear motion model: position of ``node`` after ``t`` seconds."""
     return (node.x + node.vx * t, node.y + node.vy * t)
@@ -172,14 +154,15 @@ def _incircle_det_exact(a: Point, b: Point, c: Point, p: Point) -> float:
     return _signed_float(det)
 
 
-def incircle(a: Point, b: Point, c: Point, p: Point) -> InCircleResult:
-    """Test whether ``p`` lies inside the circumcircle of triangle (a, b, c).
+def incircle(a: Point, b: Point, c: Point, p: Point) -> InCircleSide:
+    """Exact side of ``p`` relative to the circumcircle of triangle (a, b, c).
 
-    Returns the signed value gamma = D4 * D2A, the product of the 4x4
-    lifted determinant (columns 1, x, y, x^2+y^2) and the triangle's signed
+    The side is the sign of gamma = D4 * D2A, the product of the 4x4 lifted
+    determinant (columns 1, x, y, x^2+y^2) and the triangle's signed
     doubled area.  The second factor makes the sign insensitive to the
     ordering of (a, b, c): gamma < 0 means inside, 0 cocircular, > 0
-    outside, exactly.
+    outside.  A cocircular point counts as an event (conservative) for
+    callers that predict edge flips.
 
     Raises ``DegenerateTriangleError`` when (a, b, c) are collinear.
     """
@@ -192,15 +175,13 @@ def incircle(a: Point, b: Point, c: Point, p: Point) -> InCircleResult:
         det = _incircle_det_exact(a, b, c, p)
 
     # det is the [[x, y, x^2+y^2, 1]] row order; the column order used by
-    # gamma is an odd permutation of it, hence the negation.
-    gamma = -det * orient
+    # gamma is an odd permutation of it, so gamma < 0 when det and orient
+    # share a sign.
     if det == 0.0:
-        side = InCircleSide.COCIRCULAR
-    elif (det > 0.0) == (orient > 0.0):
-        side = InCircleSide.INSIDE
-    else:
-        side = InCircleSide.OUTSIDE
-    return InCircleResult(gamma=gamma, side=side)
+        return InCircleSide.COCIRCULAR
+    if (det > 0.0) == (orient > 0.0):
+        return InCircleSide.INSIDE
+    return InCircleSide.OUTSIDE
 
 
 def dist(a: Point, b: Point) -> float:

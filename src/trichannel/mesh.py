@@ -11,6 +11,10 @@ the triangle across the edge opposite vertex ``k``, or -1 on the hull, so
 the edges ab, bc, ca of (a, b, c) lie opposite c, a, b.  An edge is written
 (lower id, higher id); edges are walked by triangle id, then ab, bc, ca
 (``mesh_edges``), and dual-graph neighbours are sorted by triangle id.
+
+``Mesh.velocities`` is the motion that search and event prediction
+extrapolate with: the raw node velocities from ``build_mesh``, or the
+transmitted ones once ``transmission.transmit`` has run on the snapshot.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ from scipy.spatial import Delaunay as _QhullDelaunay
 from scipy.spatial import QhullError
 
 from .geometry import (CCW_ERRBOUND, NodeKind, NodeState, Point, TrianglePoints,
-                       dist, orient2d, position_at)
+                       Vector, dist, orient2d, position_at)
 
 # Column of the vertex opposite each of the edges ab, bc and ca.
 _AB_BC_CA = [2, 0, 1]
@@ -40,6 +44,7 @@ class Mesh:
     positions: Dict[int, Point]  # node positions at ``time``
     triangles: np.ndarray  # (T, 3) node ids, CCW; rows ordered by sorted triple
     neighbors: np.ndarray  # (T, 3) triangle across the edge opposite each vertex, or -1
+    velocities: Dict[int, Vector]  # planning motion of each node
 
     def triangle_points(self, tri_id: int) -> TrianglePoints:
         a, b, c = self.triangles[tri_id].tolist()
@@ -96,6 +101,7 @@ def build_mesh(nodes: Iterable[NodeState], t: float) -> Mesh:
         positions=positions,
         triangles=triangles[order],
         neighbors=np.where(neighbors >= 0, rank[neighbors], -1),
+        velocities={n.id: n.velocity for n in node_list},
     )
 
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .geometry import Point, Vector, dist
+from .geometry import Point, dist
 from .mesh import DualGraph, Mesh
 
 
@@ -104,35 +104,30 @@ def astar(dual: DualGraph, start_tri: int, goal_tri: int, *,
     return None
 
 
-def edge_gap_at(mesh: Mesh, edge: Tuple[int, int], t: float,
-                velocities: Optional[Dict[int, Vector]] = None) -> float:
+def edge_gap_at(mesh: Mesh, edge: Tuple[int, int], t: float) -> float:
     """Clear width of a mesh edge at time offset ``t`` from the snapshot.
 
-    Distance between the two endpoint nodes at extrapolated positions,
-    minus both node radii.
+    Distance between the two endpoint nodes, extrapolated with
+    ``mesh.velocities``, minus both node radii.
     """
     u, v = edge
     pu, pv = mesh.positions[u], mesh.positions[v]
-    vu = velocities[u] if velocities else mesh.nodes[u].velocity
-    vv = velocities[v] if velocities else mesh.nodes[v].velocity
+    vu, vv = mesh.velocities[u], mesh.velocities[v]
     ax, ay = pu[0] + vu[0] * t, pu[1] + vu[1] * t
     bx, by = pv[0] + vv[0] * t, pv[1] + vv[1] * t
     return math.hypot(ax - bx, ay - by) - mesh.nodes[u].r - mesh.nodes[v].r
 
 
 def timed_astar(dual: DualGraph, mesh: Mesh, start_tri: int, goal_tri: int, *,
-                ego_speed: float, width_threshold: float,
-                horizon: float = math.inf, time: float = 0.0,
-                ego_position: Optional[Point] = None,
-                velocities: Optional[Dict[int, Vector]] = None) -> Optional[Channel]:
+                ego_speed: float, width_threshold: float, time: float = 0.0,
+                ego_position: Optional[Point] = None) -> Optional[Channel]:
     """Time-aware channel search.
 
     Costs are travel times at ``ego_speed``; crossing a mesh edge is
     admitted only when the edge's clear width at the arrival time stays at
     or above ``width_threshold``, with node positions extrapolated to that
-    time (transmitted velocities when ``velocities`` is given, raw
-    otherwise).  A triangle is expanded at most once; arrivals past the
-    horizon are pruned.  Returns None when no admissible channel exists.
+    time with ``mesh.velocities``.  A triangle is expanded at most once.
+    Returns None when no admissible channel exists.
     """
     if ego_speed <= 0:
         raise ValueError(f"ego_speed must be positive, got {ego_speed}")
@@ -157,9 +152,7 @@ def timed_astar(dual: DualGraph, mesh: Mesh, start_tri: int, goal_tri: int, *,
             if neigh in closed:
                 continue
             t_eta = g[tri] + dist(dual.placements[tri], dual.placements[neigh]) / ego_speed
-            if t_eta > horizon:
-                continue
-            if edge_gap_at(mesh, edge, t_eta, velocities) < width_threshold:
+            if edge_gap_at(mesh, edge, t_eta) < width_threshold:
                 continue
             if t_eta < g.get(neigh, math.inf):
                 g[neigh] = t_eta

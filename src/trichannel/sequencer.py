@@ -9,8 +9,7 @@ corridor.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -37,7 +36,6 @@ class SequencerConfig:
     width_threshold: Optional[float] = None  # default 2 * ego_radius + 0.2
     sample_resolution: float = 0.1
     padding: Optional[float] = None  # default ego_radius + 0.1
-    search_horizon: float = math.inf
 
     def __post_init__(self) -> None:
         if self.max_segments < 1:
@@ -76,31 +74,12 @@ class ChannelSegment:
         a, b, c = self.triangles[index]
         return (self.points[a], self.points[b], self.points[c])
 
-    def to_dict(self) -> dict:
-        return {
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-            "triangles": [list(t) for t in self.triangles],
-            "anchor": list(self.anchor),
-            "subgoal": list(self.subgoal),
-            "start_point": list(self.start_point),
-            "points": {str(i): list(p) for i, p in self.points.items()},
-            "radii": {str(i): r for i, r in self.radii.items()},
-        }
-
 
 @dataclass
 class ChannelSequence:
     segments: List[ChannelSegment]
     goal: Point
     terminated: str  # "goal" | "threshold" | "max_segments"
-
-    def to_dict(self) -> dict:
-        return {
-            "goal": list(self.goal),
-            "terminated": self.terminated,
-            "segments": [s.to_dict() for s in self.segments],
-        }
 
 
 @dataclass(frozen=True)
@@ -246,9 +225,7 @@ def _extrapolate(mesh: Mesh, node_id: int, offset: float) -> Point:
 
 
 def _prefix_event(channel: Channel, mesh: Mesh, k: int, window: float,
-                  sample_resolution: float,
-                  velocities: Optional[Dict[int, Vector]]
-                  ) -> Optional[Tuple[float, int]]:
+                  sample_resolution: float) -> Optional[Tuple[float, int]]:
     """Earliest event in triangles 0..k scanned over the whole window.
 
     Returns (offset, channel index) when one exists strictly before
@@ -261,8 +238,7 @@ def _prefix_event(channel: Channel, mesh: Mesh, k: int, window: float,
                     etas=[window] * (k + 1),
                     waypoints=channel.waypoints[: k + 1],
                     start_point=channel.start_point)
-    report = compute_event_time(probe, mesh, sample_resolution,
-                                velocities=velocities)
+    report = compute_event_time(probe, mesh, sample_resolution)
     if report is None:
         return None
     offset = report.time - channel.time
@@ -285,6 +261,12 @@ def _make_segment(mesh: Mesh, channel: Channel, upto: int, t_start: float,
     )
 
 
+def _snapshot(nodes: Sequence[NodeState], tau: float, cfg: SequencerConfig) -> Mesh:
+    """The mesh at ``tau`` carrying this cycle's planning velocities."""
+    mesh = build_mesh(nodes, tau)
+    return transmit(mesh, cfg.transmission) if cfg.transmission_enabled else mesh
+
+
 def generate_sequence(nodes: Sequence[NodeState], start: Point, goal: Point,
                       cfg: SequencerConfig) -> SequenceResult:
     """Run the full pipeline from time 0 until a terminal condition.
@@ -299,15 +281,10 @@ def generate_sequence(nodes: Sequence[NodeState], start: Point, goal: Point,
     segments: List[ChannelSegment] = []
     vel_of = {n.id: n.velocity for n in nodes}
 
-    cycle = 0
-    max_cycles = cfg.max_segments + int(cfg.tau_threshold / cfg.sample_resolution) + 8
-    while cycle < max_cycles:
-        mesh = build_mesh(nodes, tau)
-        velocities: Optional[Dict[int, Vector]] = None
-        if cfg.transmission_enabled:
-            tnodes = transmit(mesh.nodes, mesh, cfg.transmission)
-            velocities = {i: n.velocity for i, n in tnodes.items()}
-
+    # Each cycle returns or appends exactly one segment, so the sequence
+    # is full when the loop runs out.
+    for cycle in range(cfg.max_segments):
+        mesh = _snapshot(nodes, tau, cfg)
         start_tri: Optional[int] = None
         if anchor is not None:
             start_tri = find_triangle(mesh, anchor)
@@ -321,7 +298,7 @@ def generate_sequence(nodes: Sequence[NodeState], start: Point, goal: Point,
                     # Nothing left to truncate: hand over earlier, while the
                     # anchor still existed.
                     tau = max(prev.t_start, tau - cfg.sample_resolution)
-                    mesh = build_mesh(nodes, tau)
+                    mesh = replace(build_mesh(nodes, tau), velocities=mesh.velocities)
                 else:
                     break
                 prev.t_end = tau
@@ -342,16 +319,13 @@ def generate_sequence(nodes: Sequence[NodeState], start: Point, goal: Point,
             dual, mesh, start_tri, goal_tri,
             ego_speed=cfg.ego_speed,
             width_threshold=cfg.effective_width_threshold,
-            horizon=cfg.search_horizon,
             time=tau,
             ego_position=start_pt,
-            velocities=velocities,
         )
         if channel is None:
             return SequenceFailure(cycle, tau, "no admissible channel")
 
-        event = compute_event_time(channel, mesh, cfg.sample_resolution,
-                                   velocities=velocities)
+        event = compute_event_time(channel, mesh, cfg.sample_resolution)
         if event is None or event.time > cfg.tau_threshold:
             segments.append(_make_segment(mesh, channel, len(channel) - 1, tau,
                                           None, start_pt, goal))
@@ -379,7 +353,7 @@ def generate_sequence(nodes: Sequence[NodeState], start: Point, goal: Point,
             k = last_triangle_index(e, m, len(channel))
             if k >= 0:
                 refined = _prefix_event(channel, mesh, k, tau_next - tau,
-                                        cfg.sample_resolution, velocities)
+                                        cfg.sample_resolution)
                 if refined is not None:
                     tau_next = tau + refined[0]
                     m = refined[1]
@@ -410,15 +384,9 @@ def generate_sequence(nodes: Sequence[NodeState], start: Point, goal: Point,
         sg = subgoal(anchor_at_next, target, radii, cfg.ego_radius)
         seg = _make_segment(mesh, channel, max(k, 0), tau, tau_next, start_pt, sg)
         segments.append(seg)
-
-        if len(segments) >= cfg.max_segments:
-            return ChannelSequence(segments=segments, goal=goal,
-                                   terminated="max_segments")
-
         anchor = seg.anchor
         start_pt = seg.subgoal
         tau = tau_next
-        cycle += 1
 
     return ChannelSequence(segments=segments, goal=goal, terminated="max_segments")
 

@@ -232,7 +232,6 @@ def plan_baseline(scenario: Scenario, ego: Point, t_now: float,
             dual, mesh, start_tri, goal_tri,
             ego_speed=cfg.ego_speed,
             width_threshold=cfg.effective_width_threshold,
-            horizon=cfg.search_horizon,
             ego_position=ego,
         )
     if channel is None:

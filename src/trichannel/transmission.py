@@ -13,7 +13,7 @@ from typing import Dict
 
 import numpy as np
 
-from .geometry import NodeState, Point, Vector
+from .geometry import Point, Vector
 from .mesh import Mesh, mesh_edges
 
 
@@ -57,18 +57,18 @@ def project_velocity(v: Vector, p: Vector, cfg: TransmissionConfig) -> Vector:
     return (factor * vx, factor * vy)
 
 
-def transmit(nodes: Dict[int, NodeState], mesh: Mesh,
-             cfg: TransmissionConfig) -> Dict[int, NodeState]:
-    """Propagate velocities across mesh edges for ``cfg.passes`` sweeps.
+def transmit(mesh: Mesh, cfg: TransmissionConfig) -> Mesh:
+    """Propagate ``mesh.velocities`` across mesh edges for ``cfg.passes`` sweeps.
 
-    Returns a new node table; positions and kind flags are untouched.  The
-    result is meant only for the current planning cycle (search costs and
-    event prediction), never for mutating ground-truth state.
+    Returns the same snapshot with the transmitted velocities; nodes,
+    positions and topology are shared with ``mesh``.  The result is meant
+    only for the current planning cycle (search costs and event
+    prediction), never for mutating ground-truth state.
     """
     undirected = mesh_edges(mesh)
     directed = np.concatenate([undirected, undirected[:, ::-1]])
     edges = directed[np.lexsort(directed.T[::-1])].tolist()  # sorted (i, j)
-    velocities: Dict[int, Vector] = {i: n.velocity for i, n in nodes.items()}
+    velocities: Dict[int, Vector] = dict(mesh.velocities)
 
     for _ in range(cfg.passes):
         snapshot = dict(velocities)
@@ -91,8 +91,4 @@ def transmit(nodes: Dict[int, NodeState], mesh: Mesh,
                 best[j] = proj
         velocities.update(best)
 
-    return {
-        i: (n if velocities[i] == n.velocity
-            else replace(n, vx=velocities[i][0], vy=velocities[i][1]))
-        for i, n in nodes.items()
-    }
+    return replace(mesh, velocities=velocities)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import trichannel.events as events
 import trichannel.sequencer as sequencer
 
-from trichannel.events import EventReport, compute_event_time, neighbors_of
+from trichannel.events import EventReport, compute_event_time
 from trichannel.geometry import (CCW_ERRBOUND, ICC_ERRBOUND,
                                  DegenerateTriangleError, InCircleSide,
                                  NodeKind, NodeState, incircle)
@@ -27,6 +27,15 @@ def make_nodes(points, r=0.0):
             for i, (x, y) in enumerate(points)]
 
 
+def neighbors_of(mesh, tri_id):
+    """Opposite vertices of the triangles edge-adjacent to ``tri_id``, sorted."""
+    if tri_id < 0 or tri_id >= len(mesh.triangles):
+        raise KeyError(f"unknown triangle id {tri_id}")
+    own = set(mesh.triangles[tri_id].tolist())
+    return sorted({v for n in mesh.neighbors[tri_id].tolist() if n >= 0
+                   for v in mesh.triangles[n].tolist() if v not in own})
+
+
 # Reference scan: one (channel triangle, probe) pair at a time, with the
 # float filter per pair and the exact predicate for undecided samples.
 # ``compute_event_time`` must return exactly what ``reference_event_time``
@@ -36,10 +45,10 @@ def _reference_exact_is_event(tri_pts, tri_vels, probe_pt, probe_vel, tau):
     pts = tri_pts + tri_vels * tau
     p = (probe_pt[0] + probe_vel[0] * tau, probe_pt[1] + probe_vel[1] * tau)
     try:
-        res = incircle(tuple(pts[0]), tuple(pts[1]), tuple(pts[2]), p)
+        side = incircle(tuple(pts[0]), tuple(pts[1]), tuple(pts[2]), p)
     except DegenerateTriangleError:
         return True  # collapsing triangle: conservative event
-    return res.side is not InCircleSide.OUTSIDE
+    return side is not InCircleSide.OUTSIDE
 
 
 def first_event_offset(tri_pts, tri_vels, probe_pt, probe_vel, taus):
@@ -100,15 +109,11 @@ def first_event_offset(tri_pts, tri_vels, probe_pt, probe_vel, taus):
     return None
 
 
-def reference_event_time(channel, mesh, sample_resolution, velocities=None):
+def reference_event_time(channel, mesh, sample_resolution):
     """``compute_event_time`` as a loop over triangles, then probes."""
     if sample_resolution <= 0:
         raise ValueError(f"sample_resolution must be positive, got {sample_resolution}")
-
-    def vel(node_id):
-        if velocities is not None:
-            return velocities[node_id]
-        return mesh.nodes[node_id].velocity
+    vel = mesh.velocities.__getitem__
 
     best = None
     for idx, tri_id in enumerate(channel.triangles):
@@ -139,8 +144,7 @@ def exact_scan_oracle(tri_pts, tri_vels, probe_pt, probe_vel, taus):
                 tri_pts[k][1] + tri_vels[k][1] * tau) for k in range(3)]
         p = (probe_pt[0] + probe_vel[0] * tau, probe_pt[1] + probe_vel[1] * tau)
         try:
-            res = incircle(pts[0], pts[1], pts[2], p)
-            hit = res.side is not InCircleSide.OUTSIDE
+            hit = incircle(pts[0], pts[1], pts[2], p) is not InCircleSide.OUTSIDE
         except Exception:
             hit = True
         if hit:
@@ -299,7 +303,9 @@ class TestComputeEventTime:
         end = next(i for i, v in enumerate(mesh.triangles.tolist()) if {1, 2, 4} == set(v))
         ch = astar(dual, start, end, ego_position=(2.0, 1.0), ego_speed=0.2)
         frozen = {i: (0.0, 0.0) for i in mesh.nodes}
-        assert compute_event_time(ch, mesh, 0.1, velocities=frozen) is None
+        assert compute_event_time(ch, mesh, 0.1) is not None
+        frozen_mesh = dataclasses.replace(mesh, velocities=frozen)
+        assert compute_event_time(ch, frozen_mesh, 0.1) is None
 
     def test_invalid_resolution(self):
         mesh, dual = crossing_channel()
@@ -373,9 +379,10 @@ def test_batched_scan_matches_reference(scene, res, data):
         per_node.map(lambda vs: dict(enumerate(vs))),
         st.tuples(_speeds, _speeds).map(lambda v: dict.fromkeys(range(n), v)),
     ), label="velocities")
+    if table is not None:
+        mesh = dataclasses.replace(mesh, velocities=table)
     ch = channel_of(mesh, tri_ids, etas)
-    assert compute_event_time(ch, mesh, res, table) == \
-        reference_event_time(ch, mesh, res, table)
+    assert compute_event_time(ch, mesh, res) == reference_event_time(ch, mesh, res)
 
 
 class TestBatchedScan:
@@ -420,9 +427,10 @@ class TestBatchedScan:
         # Equal NaN velocities are not a rigid translation (NaN != NaN): the
         # pairs are scanned, and the exact predicate rejects the NaN.
         table = {i: (math.nan, 0.0) for i in range(4)}
+        nan_mesh = dataclasses.replace(mesh, velocities=table)
         for scan in (compute_event_time, reference_event_time):
             with pytest.raises(ValueError):
-                scan(ch, mesh, 0.5, table)
+                scan(ch, nan_mesh, 0.5)
 
     def test_cocircular_sample_goes_to_exact_predicate(self, monkeypatch):
         # At tau = 1 the probe sits on the corner of the square whose other
@@ -467,9 +475,9 @@ class TestBatchedScan:
         scene = dataclasses.replace(generate_synthetic(3), time_limit=4.0)
         calls = []
 
-        def checked(channel, mesh, res, velocities=None):
-            got = compute_event_time(channel, mesh, res, velocities)
-            assert got == reference_event_time(channel, mesh, res, velocities)
+        def checked(channel, mesh, res):
+            got = compute_event_time(channel, mesh, res)
+            assert got == reference_event_time(channel, mesh, res)
             calls.append(got)
             return got
 

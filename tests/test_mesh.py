@@ -7,7 +7,8 @@ import pytest
 from scipy.spatial import Delaunay
 
 from trichannel import mesh as mesh_module
-from trichannel.geometry import NodeKind, NodeState, dist, incircle, orient2d
+from trichannel.geometry import (InCircleSide, NodeKind, NodeState, dist, incircle,
+                                 orient2d)
 from trichannel.mesh import (DegenerateInputError, build_dual, build_mesh,
                              find_triangle, generate_virtual_nodes, locate,
                              mesh_edges, point_in_triangle)
@@ -31,7 +32,7 @@ def is_delaunay(mesh):
         for nid, p in mesh.positions.items():
             if nid in verts:
                 continue
-            if incircle(a, b, c, p).gamma < 0:
+            if incircle(a, b, c, p) is InCircleSide.INSIDE:
                 return False
     return True
 

@@ -94,34 +94,35 @@ class TestTransmit:
     def test_static_neighbor_adopts_projection(self):
         nodes = crossing_scene()
         mesh = build_mesh(nodes, 0.0)
-        out = transmit(mesh.nodes, mesh, TransmissionConfig())
-        assert math.hypot(*out[1].velocity) > 0
+        out = transmit(mesh, TransmissionConfig())
+        assert math.hypot(*out.velocities[1]) > 0
         # Adopted motion keeps the walker's direction.
-        assert out[1].vx > 0
-        assert abs(out[1].vy) < 1e-9
+        assert out.velocities[1][0] > 0
+        assert abs(out.velocities[1][1]) < 1e-9
 
     def test_magnitudes_never_shrink(self):
         nodes = crossing_scene()
         mesh = build_mesh(nodes, 0.0)
-        out = transmit(mesh.nodes, mesh, TransmissionConfig(passes=2))
+        out = transmit(mesh, TransmissionConfig(passes=2))
         for nid, n in mesh.nodes.items():
-            assert math.hypot(*out[nid].velocity) >= math.hypot(*n.velocity) - 1e-12
+            assert math.hypot(*out.velocities[nid]) >= math.hypot(*n.velocity) - 1e-12
 
     def test_positions_and_kinds_untouched(self):
         nodes = crossing_scene()
         mesh = build_mesh(nodes, 0.0)
-        out = transmit(mesh.nodes, mesh, TransmissionConfig())
+        out = transmit(mesh, TransmissionConfig())
         for nid, n in mesh.nodes.items():
-            assert out[nid].position == n.position
-            assert out[nid].kind == n.kind
-            assert out[nid].r == n.r
+            assert out.nodes[nid].position == n.position
+            assert out.nodes[nid].kind == n.kind
+            assert out.nodes[nid].r == n.r
+            assert out.positions[nid] == mesh.positions[nid]
 
     def test_all_static_is_identity(self):
         nodes = [NodeState(id=i, x=float(i % 3), y=float(i // 3), vx=0, vy=0,
                            r=0.1) for i in range(6)]
         mesh = build_mesh(nodes, 0.0)
-        out = transmit(mesh.nodes, mesh, TransmissionConfig())
-        assert all(out[i].velocity == (0.0, 0.0) for i in out)
+        out = transmit(mesh, TransmissionConfig())
+        assert all(v == (0.0, 0.0) for v in out.velocities.values())
 
     def test_sweeps_extend_reach(self):
         # With one pass the far node is untouched; a second pass reaches it
@@ -134,9 +135,9 @@ class TestTransmit:
             NodeState(id=3, x=1.0, y=5.0, vx=0.0, vy=0.0, r=0.1),
         ]
         mesh = build_mesh(nodes, 0.0)
-        one = transmit(mesh.nodes, mesh, TransmissionConfig(passes=1))
-        two = transmit(mesh.nodes, mesh, TransmissionConfig(passes=2))
-        assert math.hypot(*two[2].velocity) >= math.hypot(*one[2].velocity)
+        one = transmit(mesh, TransmissionConfig(passes=1))
+        two = transmit(mesh, TransmissionConfig(passes=2))
+        assert math.hypot(*two.velocities[2]) >= math.hypot(*one.velocities[2])
 
     def test_dominance_rule_keeps_faster_own_motion(self):
         # A node already faster than any projection keeps its velocity.
@@ -148,8 +149,8 @@ class TestTransmit:
             NodeState(id=2, x=0.5, y=2.0, vx=0.0, vy=0.0, r=0.1),
         ]
         mesh = build_mesh(nodes, 0.0)
-        out = transmit(mesh.nodes, mesh, TransmissionConfig())
-        assert out[1].velocity == (3.0, 0.0)
+        out = transmit(mesh, TransmissionConfig())
+        assert out.velocities[1] == (3.0, 0.0)
 
 
 class TestConfig:
