@@ -9,7 +9,7 @@ corridor.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -298,7 +298,7 @@ def generate_sequence(nodes: Sequence[NodeState], start: Point, goal: Point,
                     # Nothing left to truncate: hand over earlier, while the
                     # anchor still existed.
                     tau = max(prev.t_start, tau - cfg.sample_resolution)
-                    mesh = replace(build_mesh(nodes, tau), velocities=mesh.velocities)
+                    mesh = _snapshot(nodes, tau, cfg)
                 else:
                     break
                 prev.t_end = tau

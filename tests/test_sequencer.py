@@ -1,18 +1,24 @@
 """Channel sequence generation: cut indices, subgoals and full pipelines."""
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
 
+import trichannel.sequencer as sequencer
+import trichannel.simulate as simulate
 from trichannel.events import compute_event_time
 from trichannel.geometry import NodeKind, NodeState, dist
 from trichannel.mesh import build_dual, build_mesh, point_in_triangle
+from trichannel.scenario import generate_synthetic
 from trichannel.search import Channel, astar
 from trichannel.sequencer import (ChannelSequence, SequenceFailure,
                                   SequencerConfig, ego_index_at,
                                   generate_sequence, last_triangle_index,
                                   subgoal)
+from trichannel.simulate import MethodId, SimConfig, run_scenario
+from trichannel.transmission import transmit
 
 
 def make_nodes(points, r=0.0):
@@ -281,3 +287,36 @@ class TestGenerateSequence:
         cfg2 = SequencerConfig(ego_radius=0.25, width_threshold=1.0, padding=0.5)
         assert cfg2.effective_width_threshold == 1.0
         assert cfg2.effective_padding == 0.5
+
+
+def test_repair_rebuild_plans_on_its_own_velocities(monkeypatch):
+    # Anchor repair rebuilds the mesh at an earlier time.  Search and event
+    # prediction on every mesh, the rebuilt ones included, must use motion
+    # transmitted along that mesh's own edges.
+    scene = dataclasses.replace(generate_synthetic(2), time_limit=2.0)
+    cfg = SimConfig().planner
+    builds = []  # build times, None where a plan starts
+    predicted = []  # mesh times that event prediction saw
+
+    def recording_build(nodes, t):
+        builds.append(t)
+        return build_mesh(nodes, t)
+
+    def recording_sequence(*args):
+        builds.append(None)
+        return generate_sequence(*args)
+
+    def checked(channel, mesh, res):
+        fresh = transmit(build_mesh(mesh.nodes.values(), mesh.time), cfg.transmission)
+        assert mesh.velocities == fresh.velocities
+        predicted.append(mesh.time)
+        return compute_event_time(channel, mesh, res)
+
+    monkeypatch.setattr(sequencer, "build_mesh", recording_build)
+    monkeypatch.setattr(simulate, "generate_sequence", recording_sequence)
+    monkeypatch.setattr(sequencer, "compute_event_time", checked)
+    run_scenario(scene, MethodId.PROPOSED)
+    # Within one plan the snapshot time only goes back in a repair.
+    repairs = {t for prev, t in zip(builds, builds[1:])
+               if prev is not None and t is not None and t < prev}
+    assert repairs & set(predicted)
