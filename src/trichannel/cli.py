@@ -173,22 +173,18 @@ def _parse_methods(spec: str) -> List[MethodId]:
     return [MethodId(n) for n in names]
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def _run_and_write(args: argparse.Namespace,
+                   methods: Sequence[MethodId]) -> Optional[List[Metrics]]:
+    """Run the batch and write its outputs; None, logged, on an error.
+
+    Missing and malformed files are skipped and listed in ``summary.json``.
+    """
     paths = [Path(p) for p in args.scenarios]
-    missing = [p for p in paths if not p.exists()]
-    if not paths:
-        log.error("no scenario files given")
-        return 2
-    try:
-        methods = _parse_methods(args.methods)
-    except ValueError as exc:
-        log.error("unknown method: %s", exc)
-        return 2
     cfg = _sim_config(args)
     if cfg is None:
-        return 2
+        return None
     existing = [p for p in paths if p.exists()]
-    skipped_missing = [f"{p}: no such file" for p in missing]
+    skipped_missing = [f"{p}: no such file" for p in paths if not p.exists()]
     for entry in skipped_missing:
         log.warning("skipping %s", entry)
     metrics, skipped = run_batch(existing, methods, cfg, workers=args.workers)
@@ -197,9 +193,18 @@ def cmd_run(args: argparse.Namespace) -> int:
                                                Path(args.out_dir))
     except OSError as exc:
         log.error("cannot write outputs: %s", exc)
-        return 2
+        return None
     log.info("wrote %s and %s", csv_path, summary_path)
-    return 0
+    return metrics
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    try:
+        methods = _parse_methods(args.methods)
+    except ValueError as exc:
+        log.error("unknown method: %s", exc)
+        return 2
+    return 0 if _run_and_write(args, methods) is not None else 2
 
 
 def _format_summary_table(summary: dict) -> str:
@@ -217,15 +222,13 @@ def _format_summary_table(summary: dict) -> str:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _sim_config(args)
-    if cfg is None:
+    """``run`` with every method, then the per-method summary table."""
+    metrics = _run_and_write(args, list(MethodId))
+    if metrics is None:
         return 2
-    paths = [p for p in (Path(s) for s in args.scenarios) if p.exists()]
-    if not paths:
-        log.error("no readable scenario files")
+    if not metrics:
+        log.error("no scenario could be run")
         return 2
-    metrics, skipped = run_batch(paths, list(MethodId), cfg, workers=args.workers)
-    write_outputs(metrics, skipped, Path(args.out_dir))
     print(_format_summary_table(aggregate(metrics)))
     return 0
 

@@ -33,7 +33,7 @@ class NodeKind(str, Enum):
     EGO = "ego"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeState:
     """Disc-shaped node: position, velocity and radius.
 

@@ -191,8 +191,8 @@ def build_dual(mesh: Mesh, goal: Point, ego_radius: float = 0.5) -> DualGraph:
 
 
 def generate_virtual_nodes(boundary: Sequence[Point], spacing: float,
-                           id_start: int = 0, radius: float = 0.0) -> List[NodeState]:
-    """Evenly spaced zero-velocity virtual nodes along a polyline.
+                           id_start: int = 0) -> List[NodeState]:
+    """Evenly spaced zero-velocity, zero-radius virtual nodes along a polyline.
 
     Nodes sit at arc-length intervals <= ``spacing`` and include both
     endpoints.  A closed polyline (first point == last point) does not
@@ -225,12 +225,12 @@ def generate_virtual_nodes(boundary: Sequence[Point], spacing: float,
         frac = min(frac, 1.0)
         p = (a[0] + frac * (b[0] - a[0]), a[1] + frac * (b[1] - a[1]))
         nodes.append(NodeState(id=id_start + i, x=p[0], y=p[1], vx=0.0, vy=0.0,
-                               r=radius, kind=NodeKind.VIRTUAL))
+                               r=0.0, kind=NodeKind.VIRTUAL))
     if not closed:
         # Force the exact endpoint: the arc-length walk can round short.
         end = boundary[-1]
         nodes[-1] = NodeState(id=nodes[-1].id, x=end[0], y=end[1], vx=0.0, vy=0.0,
-                              r=radius, kind=NodeKind.VIRTUAL)
+                              r=0.0, kind=NodeKind.VIRTUAL)
     return nodes
 
 

@@ -115,9 +115,6 @@ class Scenario:
         # Narrow enough that an ego disc cannot slip between wall nodes.
         return 2.0 * self.ego_radius * 0.9
 
-    def virtual_nodes(self) -> List[NodeState]:
-        return list(self._virtual)
-
     def node_states_at(self, t: float, include_virtual: bool = True) -> List[NodeState]:
         out: List[NodeState] = []
         for track in self.nodes:

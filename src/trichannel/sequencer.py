@@ -158,8 +158,7 @@ def ego_index_at(channel: Channel, mesh: Mesh, tau: float, ego_speed: float,
 
 
 def subgoal(anchor: TrianglePoints, est_ego: Point,
-            vertex_radii: Sequence[float], ego_radius: float,
-            grid: int = 48) -> Point:
+            vertex_radii: Sequence[float], ego_radius: float) -> Point:
     """Point inside the anchor closest to ``est_ego`` with vertex clearance.
 
     Clearance requires distance >= ego_radius + vertex radius from each
@@ -177,6 +176,7 @@ def subgoal(anchor: TrianglePoints, est_ego: Point,
     if feasible(est_ego):
         return est_ego
 
+    grid = 48  # barycentric steps per triangle side
     ii, jj = np.meshgrid(np.arange(grid + 1), np.arange(grid + 1), indexing="ij")
     mask = ii + jj <= grid
     u = ii[mask] / grid
@@ -347,6 +347,10 @@ def generate_sequence(nodes: Sequence[NodeState], start: Point, goal: Point,
         # so a kept triangle can still flip between its arrival and the cut
         # time.  Re-scan the kept prefix over the full window and pull the
         # cut earlier until it is genuinely unaffected.
+        # Bound: each ``continue`` moves ``tau_next`` to an earlier sample
+        # of the prefix scan's finite grid; each halving halves a positive
+        # window, taking the anchor toward its snapshot row, which
+        # ``build_mesh`` orients CCW.  Only a zero-area row could not pass.
         while True:
             e = min(ego_index_at(channel, mesh, tau_next, cfg.ego_speed,
                                  route=route), m)
@@ -366,22 +370,18 @@ def generate_sequence(nodes: Sequence[NodeState], start: Point, goal: Point,
             if orient2d(a, b, c) > 0:
                 break
             tau_next = tau + (tau_next - tau) * 0.5
-        offset = tau_next - tau
 
-        est_ego = point_along(route, cfg.ego_speed * offset)
+        est_ego = point_along(route, cfg.ego_speed * (tau_next - tau))
         # The subgoal targets the ego estimate but must sit inside the
-        # anchor as extrapolated to the cut time; when the event hits the
-        # ego's own triangle (k < 0) that triangle doubles as the anchor
-        # and the segment just holds until the replan.
-        anchor_tri = channel.triangles[max(k, 0)]
-        verts = mesh.triangles[anchor_tri].tolist()
-        anchor_at_next = tuple(_extrapolate(mesh, v, offset) for v in verts)
+        # anchor (a, b, c) as extrapolated to the cut time; when the event
+        # hits the ego's own triangle (k < 0) that triangle doubles as the
+        # anchor and the segment just holds until the replan.
         # Same safety margin as the funnel padding, so the subgoal never
         # sits at exact contact distance from a vertex disc.
         margin = cfg.effective_padding - cfg.ego_radius
         radii = [mesh.nodes[v].r + margin for v in verts]
         target = start_pt if k < 0 else est_ego
-        sg = subgoal(anchor_at_next, target, radii, cfg.ego_radius)
+        sg = subgoal((a, b, c), target, radii, cfg.ego_radius)
         seg = _make_segment(mesh, channel, max(k, 0), tau, tau_next, start_pt, sg)
         segments.append(seg)
         anchor = seg.anchor

@@ -133,16 +133,17 @@ def _clear_chord(a: Point, b: Point,
 
 
 def _clear_polyline(path: PathPolyline, obstacles: Sequence[NodeState],
-                    ego_radius: float, margin: float = 0.05) -> PathPolyline:
+                    ego_radius: float) -> PathPolyline:
     """Push path chords off the obstacle discs they graze.
 
     The funnel holds its bend points clear of the padded discs, but the
     straight chord wrapping a disc between two bends cuts inside the
     clearance circle; executed verbatim it can graze the obstacle.  The
-    deepest interior graze per chord is pushed out radially and the halves
-    re-checked, leaving a residual penetration well under ``margin``.
+    deepest interior graze per chord is pushed out radially to 0.05 m
+    beyond the clearance circle and the halves re-checked, leaving a
+    residual penetration well under that margin.
     """
-    discs = [((n.x, n.y), n.r + ego_radius + margin) for n in obstacles]
+    discs = [((n.x, n.y), n.r + ego_radius + 0.05) for n in obstacles]
     out_p = [path.points[0]]
     out_i = [path.segment_ids[0]]
     for a, b, sid in zip(path.points, path.points[1:], path.segment_ids[1:]):

@@ -166,6 +166,26 @@ class TestCompare:
                    "--out-dir", str(tmp_path / "res")])
         assert rc == 2
 
+    def test_all_malformed_exit_code(self, tmp_path, caplog):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{broken")
+        out = tmp_path / "res"
+        rc = main(["compare", str(bad), "--out-dir", str(out)])
+        assert rc == 2
+        assert "no scenario could be run" in caplog.text
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["runs"] == 0
+        assert len(summary["skipped"]) == 1
+
+    def test_out_dir_is_a_file_exit_code(self, tmp_path, caplog):
+        scene = tmp_path / "s.json"
+        small_scenario(scene)
+        out = tmp_path / "taken"
+        out.write_text("")
+        rc = main(["compare", str(scene), "--out-dir", str(out)])
+        assert rc == 2
+        assert "cannot write outputs" in caplog.text
+
 
 class TestRender:
     def test_frames_written(self, tmp_path):

@@ -1,7 +1,10 @@
-"""Every name a ``trichannel`` module imports is referenced in that module.
+"""Every name a ``trichannel`` module imports is referenced in that module,
+and every function and class it defines is referenced somewhere in ``src/``.
 
-An AST scan, so it needs no linter.  ``__init__.py`` is exempt: its
-imports are the package's re-exports.
+An AST scan, so it needs no linter.  ``__init__.py`` is exempt from the
+import check: its imports are the package's re-exports.  An import is not
+a reference, so a definition that only the re-exports and the tests reach
+fails the second check.  Dunders are exempt from it.
 """
 import ast
 from pathlib import Path
@@ -10,6 +13,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "trichannel"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 def imported_names(tree):
@@ -61,3 +65,43 @@ def test_scan_finds_an_unused_import():
                      "    return np.abs(x)\n")
     used = referenced_names(tree)
     assert [n for n, _ in imported_names(tree) if n not in used] == ["List"]
+
+
+def defined_names(tree):
+    """Each function and class the module defines, dunders left out, with its line."""
+    return [(node.name, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def used_names(trees):
+    """Every bare name and attribute name that the modules read."""
+    used = set()
+    for tree in trees:
+        used |= referenced_names(tree)
+        used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return used
+
+
+def test_every_definition_referenced_in_src():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+    used = used_names(trees.values())
+    unused = [f"{name}:{line} {d}" for name, tree in trees.items()
+              for d, line in defined_names(tree) if d not in used]
+    assert unused == []
+
+
+def test_scan_finds_a_definition_only_tests_call():
+    lib = ast.parse("class A:\n"
+                    "    def __init__(self):\n"
+                    "        self.used()\n"
+                    "    def used(self):\n"
+                    "        pass\n"
+                    "    def only_tested(self):\n"
+                    "        pass\n"
+                    "def make() -> 'A':\n"
+                    "    return A()\n")
+    caller = ast.parse("from lib import make, only_tested\n"
+                       "make()\n")
+    used = used_names([lib, caller])
+    assert [n for n, _ in defined_names(lib) if n not in used] == ["only_tested"]

@@ -112,16 +112,18 @@ class TestScenario:
             again = [s for s in sc.node_states_at(t) if s.kind is NodeKind.VIRTUAL]
             assert all(a is b for a, b in zip(first, again))
             assert len(again) == len(first)
-        assert sc.virtual_nodes() == first
         assert len(calls) == len(sc.boundaries)
 
     def test_replace_rebuilds_virtual_nodes(self):
+        def virtual(sc):
+            return [n for n in sc.node_states_at(0.0) if n.kind is NodeKind.VIRTUAL]
+
         sc = simple_scenario()
         wider = dataclasses.replace(sc, boundaries=[[(0, 0), (20, 0)]])
-        assert [n.position for n in wider.virtual_nodes()] != \
-            [n.position for n in sc.virtual_nodes()]
+        assert [n.position for n in virtual(wider)] != \
+            [n.position for n in virtual(sc)]
         fewer = dataclasses.replace(sc, nodes=sc.nodes[:1])
-        assert min(n.id for n in fewer.virtual_nodes()) == 1
+        assert min(n.id for n in virtual(fewer)) == 1
 
     def test_roundtrip_through_json(self, tmp_path):
         sc = simple_scenario()

@@ -202,24 +202,22 @@ class TestGenerateSequence:
         assert result.segments[0].t_start == 0.0
 
     def test_subgoal_inside_anchor(self):
-        result = generate_sequence(crossing_scene_nodes(), (0.5, 1.0),
-                                   (9.5, 3.0), self.cfg(ego_speed=0.4))
-        assert isinstance(result, ChannelSequence)
-        for seg in result.segments[:-1]:
-            if seg.t_end is None:
-                continue
-            verts = seg.anchor
-            offset = seg.t_end - seg.t_start
-            # Anchor vertices extrapolated to the segment end time.
-            # Segment points store t_start positions; velocities come from
-            # the scene (static here except the walker).
-            pts = []
-            for v in verts:
-                p = seg.points[v]
-                pts.append(p)
-            # Static anchors: containment holds at stored positions too.
-            assert point_in_triangle(
-                tuple(pts), seg.subgoal) or True  # extrapolated check below
+        # Segment points hold t_start positions; each anchor vertex moves
+        # with its scene velocity to the segment's end time.
+        nodes = crossing_scene_nodes()
+        velocity = {n.id: n.velocity for n in nodes}
+        for speed in (0.2, 0.4, 1.0):
+            result = generate_sequence(nodes, (0.5, 1.0), (9.5, 3.0),
+                                       self.cfg(ego_speed=speed))
+            assert isinstance(result, ChannelSequence)
+            closed = [seg for seg in result.segments if seg.t_end is not None]
+            assert closed
+            for seg in closed:
+                offset = seg.t_end - seg.t_start
+                anchor = tuple((seg.points[v][0] + velocity[v][0] * offset,
+                                seg.points[v][1] + velocity[v][1] * offset)
+                               for v in seg.anchor)
+                assert point_in_triangle(anchor, seg.subgoal)
 
     def test_max_segments_cap(self):
         result = generate_sequence(crossing_scene_nodes(), (0.5, 1.0),
