@@ -4,8 +4,8 @@ from .events import EventReport, compute_event_time
 from .funnel import PathPolyline, funnel
 from .geometry import (InCircleSide, NodeKind, NodeState, incircle, orient2d,
                        position_at)
-from .mesh import (DegenerateInputError, DualGraph, Mesh, build_dual, build_mesh,
-                   generate_virtual_nodes, locate)
+from .mesh import (DegenerateInputError, DualGraph, Mesh, NodeTable, build_dual,
+                   build_mesh, generate_virtual_nodes, locate)
 from .scenario import (ObjectTrack, Scenario, ScenarioFormatError,
                        SyntheticParams, generate_synthetic)
 from .search import Channel, astar, edge_gap_at, timed_astar
@@ -30,6 +30,7 @@ __all__ = [
     "MethodId",
     "NodeKind",
     "NodeState",
+    "NodeTable",
     "ObjectTrack",
     "PathPolyline",
     "Scenario",

@@ -183,6 +183,12 @@ def _run_and_write(args: argparse.Namespace,
     cfg = _sim_config(args)
     if cfg is None:
         return None
+    out_dir = Path(args.out_dir)
+    try:  # before simulating, so that a bad --out-dir costs no runs
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        log.error("cannot write outputs: %s", exc)
+        return None
     existing = [p for p in paths if p.exists()]
     skipped_missing = [f"{p}: no such file" for p in paths if not p.exists()]
     for entry in skipped_missing:
@@ -190,7 +196,7 @@ def _run_and_write(args: argparse.Namespace,
     metrics, skipped = run_batch(existing, methods, cfg, workers=args.workers)
     try:
         csv_path, summary_path = write_outputs(metrics, skipped_missing + skipped,
-                                               Path(args.out_dir))
+                                               out_dir)
     except OSError as exc:
         log.error("cannot write outputs: %s", exc)
         return None

@@ -16,8 +16,7 @@ filter cannot decide go to the exact predicate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -46,20 +45,35 @@ class EventReport:
     node_id: int  # triggering external node
 
 
-def _probe_lists(mesh: Mesh, tri_ids: Sequence[int]) -> List[List[int]]:
-    """Probes of each of ``tri_ids``, in one pass over the tables.
+def _probe_lists(mesh: Mesh) -> Tuple[np.ndarray, np.ndarray]:
+    """Probes of every triangle and which pairs move, cached per mesh.
 
-    The probes of a triangle are the opposite vertices of its edge-adjacent
-    triangles, sorted.
+    Row ``t`` of the first ``(T, 3)`` table holds the probes of triangle
+    ``t`` (opposite vertices of its edge-adjacent triangles), sorted and
+    padded with the node count.  The second marks the pairs that are not
+    a rigid translation: four nodes sharing one velocity keep their
+    in-circle sign, so the triangle (cocircular neighbours included) stays
+    valid.  NaN compares unequal, as in ``np.array_equal``.
     """
-    tri_ids = np.asarray(tri_ids, dtype=np.intp)
-    tris = mesh.triangles[tri_ids]
-    across = mesh.neighbors[tri_ids]  # hull entries (-1) are dropped below
+    cached = mesh.cache.get("probes")
+    if cached is not None:
+        return cached
+    tris, across = mesh.triangles, mesh.neighbors  # hull entries (-1) are masked
     # A neighbour holds the shared edge and the probe, and the edge is the
-    # triangle less its vertex k, so the probe is a difference of id sums.
-    far = mesh.triangles[across].sum(axis=2) - tris.sum(axis=1, keepdims=True) + tris
-    return [sorted({p for p, n in zip(ps, ns) if n >= 0})
-            for ps, ns in zip(far.tolist(), across.tolist())]
+    # triangle less its vertex k, so the probe is a difference of index sums.
+    tsum = tris.sum(axis=1)
+    pad = len(mesh.xy)
+    probes = np.sort(np.where(across >= 0, tsum[across] - tsum[:, None] + tris, pad),
+                     axis=1)
+    # Two neighbours can share a probe (a vertex of degree three).
+    probes[:, 1:][probes[:, 1:] == probes[:, :-1]] = pad
+    probes.sort(axis=1)
+    # Rigid: the triangle's three velocities and the probe's are equal.
+    vt = mesh.vel[tris]  # (T, 3, 2)
+    uniform = ((vt[:, 1] == vt[:, 0]) & (vt[:, 2] == vt[:, 0])).all(axis=1)
+    same = (mesh.vel[np.minimum(probes, pad - 1)] == vt[:, :1]).all(axis=2)
+    cached = mesh.cache["probes"] = (probes, (probes < pad) & ~(uniform[:, None] & same))
+    return cached
 
 
 def _exact_is_event(pts: np.ndarray, vels: np.ndarray, tau: float) -> bool:
@@ -119,7 +133,7 @@ def compute_event_time(channel: Channel, mesh: Mesh, sample_resolution: float
     ``np.arange(sample_resolution, channel.etas[i], sample_resolution)``
     against every probe: the opposite vertex of each edge-adjacent
     triangle.  A cocircular sample or a collapsing triangle counts as an
-    event.  Nodes are extrapolated with ``mesh.velocities``.  A pair whose
+    event.  Nodes are extrapolated with ``mesh.vel``.  A pair whose
     four nodes share one velocity translates rigidly and is skipped.  The
     earliest sample wins; a tie goes to the lowest channel index, then to
     the lowest probe id.  Returns None when no triangle sees an event
@@ -133,46 +147,31 @@ def compute_event_time(channel: Channel, mesh: Mesh, sample_resolution: float
         raise ValueError(f"sample_resolution must be positive, got {sample_resolution}")
     res = sample_resolution
 
-    ids: List[int] = []  # a, b, c, probe of each pair
-    pairs: List[Tuple[int, int, int, float]] = []  # (channel index, probe, samples, eta)
-    rows = zip(mesh.triangles[channel.triangles].tolist(),
-               _probe_lists(mesh, channel.triangles))
-    for idx, (verts, probes) in enumerate(rows):
-        eta = channel.etas[idx]
-        count = len(np.arange(res, eta, res))
-        if count == 0:
-            continue
-        for probe in probes:
-            ids.extend(verts)
-            ids.append(probe)
-            pairs.append((idx, probe, count, eta))
-    if not pairs:
+    # Samples per channel triangle: the length of np.arange(res, eta, res),
+    # computed as numpy does, ceil((eta - res) / res), floored at zero.
+    counts = np.maximum(np.ceil((np.array(channel.etas, dtype=float) - res) / res),
+                        0).astype(np.intp)
+    probes, moving = _probe_lists(mesh)
+    tri_ids = np.asarray(channel.triangles, dtype=np.intp)
+    # Pairs in (channel index, probe id) order.
+    chan, col = np.nonzero(moving[tri_ids] & (counts[:, None] > 0))
+    if chan.size == 0:
         return None
-    vels = np.fromiter(chain.from_iterable(map(mesh.velocities.__getitem__, ids)),
-                       float, 2 * len(ids)).reshape(-1, 4, 2)
-    # A shared velocity is a rigid translation: the in-circle sign never
-    # changes, so an existing triangle (cocircular neighbors included)
-    # stays valid for the whole window.  NaN compares unequal, as in
-    # np.array_equal.
-    live = np.flatnonzero((vels[:, :3] != vels[:, 3:]).reshape(-1, 6).any(axis=1))
-    if live.size == 0:
-        return None
-    pts = np.fromiter(chain.from_iterable(map(mesh.positions.__getitem__, ids)),
-                      float, 2 * len(ids)).reshape(-1, 4, 2)
-    layout = live[:, None], _ROWS
-    pts = np.ascontiguousarray(pts[layout].T)  # (2, 6, pairs)
-    vels = np.ascontiguousarray(vels[layout].T)
-    counts = np.array([pairs[r][2] for r in live])
+    probe = probes[tri_ids[chan], col]
+    rows = np.column_stack([mesh.triangles[tri_ids[chan]], probe])[:, _ROWS]
+    pts = np.ascontiguousarray(mesh.xy[rows].T)  # (2, 6, pairs)
+    vels = np.ascontiguousarray(mesh.vel[rows].T)
+    counts = counts[chan]
     # arange values depend only on the index, so the longest window's grid
     # holds every shorter window's samples as a prefix.
-    grid = np.arange(res, pairs[live[counts.argmax()]][3], res)
+    grid = np.arange(res, channel.etas[chan[counts.argmax()]], res)
 
     start, size = 0, _FIRST_BLOCK
     while start < grid.size:
         stop = min(start + size, grid.size)
         keep = counts > start  # pairs whose window reaches this block
         if not keep.all():
-            live, counts = live[keep], counts[keep]
+            chan, probe, counts = chan[keep], probe[keep], counts[keep]
             pts, vels = pts[..., keep], vels[..., keep]
         certain_event, certain_clear = _filter(pts, vels, grid[start:stop])
         in_window = np.arange(start, stop)[:, None] < counts
@@ -189,8 +188,8 @@ def compute_event_time(channel: Channel, mesh: Mesh, sample_resolution: float
                 best = (int(c), int(r))
         if best[0] < stop - start:
             c, r = best
-            idx, probe = pairs[live[r]][:2]
             return EventReport(time=mesh.time + float(grid[start + c]),
-                               triangle_index=idx, node_id=probe)
+                               triangle_index=int(chan[r]),
+                               node_id=int(mesh.nodes.ids[probe[r]]))
         start, size = stop, size * 2
     return None

@@ -1,70 +1,125 @@
 """Delaunay mesh over node positions at a time snapshot, plus its dual graph.
 
-Construction delegates to Qhull (``scipy.spatial.Delaunay``) with nodes fed
-in id order, so the output is deterministic per input.  The Delaunay
-property is audited elsewhere with the exact ``incircle`` predicate.
+Nodes enter as a ``NodeTable``: ids in ascending order with positions,
+velocities and radii as arrays.  A node's row is its dense index; every
+mesh table holds dense indices, and as the index is monotone in node id,
+index order is id order.  A plan builds one table and all its snapshots
+share it.  Construction delegates to Qhull (``scipy.spatial.Delaunay``)
+with nodes fed in id order, so the output is deterministic per input.
 
 The topology is two ``(T, 3)`` tables, built once and read by every stage.
-``triangles[t]`` holds the node ids of triangle ``t``, CCW at the snapshot
-time, with rows ordered by sorted vertex triple.  ``neighbors[t, k]`` is
-the triangle across the edge opposite vertex ``k``, or -1 on the hull, so
-the edges ab, bc, ca of (a, b, c) lie opposite c, a, b.  An edge is written
-(lower id, higher id); edges are walked by triangle id, then ab, bc, ca
-(``mesh_edges``), and dual-graph neighbours are sorted by triangle id.
+``triangles[t]`` holds the node indices of triangle ``t``, CCW at the
+snapshot time, with rows ordered by sorted vertex triple.
+``neighbors[t, k]`` is the triangle across the edge opposite vertex ``k``,
+or -1 on the hull, so the edges ab, bc, ca of (a, b, c) lie opposite c, a,
+b.  An edge is written (lower index, higher index); edges are walked by
+triangle id, then ab, bc, ca (``mesh_edges``).
 
-``Mesh.velocities`` is the motion that search and event prediction
-extrapolate with: the raw node velocities from ``build_mesh``, or the
-transmitted ones once ``transmission.transmit`` has run on the snapshot.
+``Mesh.xy`` holds the positions at the snapshot time and ``Mesh.vel`` the
+motion that search and event prediction extrapolate with: the raw
+velocities, or the transmitted ones once ``transmission.transmit`` has
+run.  A snapshot's arrays are read-only; scalar code reads the list views
+``xy_list`` and ``vel_list``, built once per snapshot.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 from scipy.spatial import Delaunay as _QhullDelaunay
 from scipy.spatial import QhullError
 
 from .geometry import (CCW_ERRBOUND, NodeKind, NodeState, Point, TrianglePoints,
-                       Vector, dist, orient2d, position_at)
+                       Vector, dist, orient2d)
 
 # Column of the vertex opposite each of the edges ab, bc and ca.
 _AB_BC_CA = [2, 0, 1]
+# Two placement distances closer than this, relative, are compared again
+# with ``math.hypot``: ``np.hypot`` can differ from it in the last bit.
+_TIE_RTOL = 1e-12
 
 
 class DegenerateInputError(ValueError):
     """Fewer than three nodes, or all nodes collinear."""
 
 
-@dataclass
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class NodeTable:
+    """Nodes as arrays in ascending id order; a node's row is its dense index."""
+
+    ids: np.ndarray  # (N,) node ids, ascending
+    xy: np.ndarray  # (N, 2) positions at time 0
+    vel: np.ndarray  # (N, 2) velocities
+    r: np.ndarray  # (N,) radii
+
+    @classmethod
+    def of(cls, nodes: Iterable[NodeState]) -> "NodeTable":
+        node_list = sorted(nodes, key=lambda n: n.id)
+        return cls(
+            ids=_frozen(np.array([n.id for n in node_list], dtype=np.int64)),
+            xy=_frozen(np.array([n.position for n in node_list], dtype=float).reshape(-1, 2)),
+            vel=_frozen(np.array([n.velocity for n in node_list], dtype=float).reshape(-1, 2)),
+            r=_frozen(np.array([n.r for n in node_list], dtype=float)),
+        )
+
+    @cached_property
+    def vel_list(self) -> List[Vector]:
+        return list(zip(*self.vel.T.tolist()))
+
+    @cached_property
+    def r_list(self) -> List[float]:
+        return self.r.tolist()
+
+
+@dataclass(frozen=True, eq=False)
 class Mesh:
     time: float
-    nodes: Dict[int, NodeState]
-    positions: Dict[int, Point]  # node positions at ``time``
-    triangles: np.ndarray  # (T, 3) node ids, CCW; rows ordered by sorted triple
+    nodes: NodeTable
+    xy: np.ndarray  # (N, 2) node positions at ``time``
+    vel: np.ndarray  # (N, 2) planning motion of each node
+    triangles: np.ndarray  # (T, 3) node indices, CCW; rows ordered by sorted triple
     neighbors: np.ndarray  # (T, 3) triangle across the edge opposite each vertex, or -1
-    velocities: Dict[int, Vector]  # planning motion of each node
+    # Tables later stages derive from this snapshot, ``vel`` included, so
+    # ``dataclasses.replace`` starts an empty one.
+    cache: Dict[str, object] = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def xy_list(self) -> List[Point]:
+        return list(zip(*self.xy.T.tolist()))
+
+    @cached_property
+    def vel_list(self) -> List[Vector]:
+        return list(zip(*self.vel.T.tolist()))
 
     def triangle_points(self, tri_id: int) -> TrianglePoints:
+        xy = self.xy_list
         a, b, c = self.triangles[tri_id].tolist()
-        return (self.positions[a], self.positions[b], self.positions[c])
+        return (xy[a], xy[b], xy[c])
 
 
-def build_mesh(nodes: Iterable[NodeState], t: float) -> Mesh:
+def build_mesh(nodes: Union[NodeTable, Iterable[NodeState]], t: float) -> Mesh:
     """Delaunay triangulation of the nodes at positions extrapolated to ``t``.
 
+    ``nodes`` is a ``NodeTable``, or node states to build one from.
+    Positions are ``xy + vel * t``, the operations of ``position_at``.
     Raises ``DegenerateInputError`` for fewer than 3 nodes or an
     all-collinear set.
     """
-    node_list = sorted(nodes, key=lambda n: n.id)
-    if len(node_list) < 3:
-        raise DegenerateInputError(f"need at least 3 nodes, got {len(node_list)}")
-    if len({n.id for n in node_list}) != len(node_list):
+    table = nodes if isinstance(nodes, NodeTable) else NodeTable.of(nodes)
+    if len(table.ids) < 3:
+        raise DegenerateInputError(f"need at least 3 nodes, got {len(table.ids)}")
+    if (table.ids[1:] == table.ids[:-1]).any():
         raise ValueError("duplicate node ids")
 
-    positions = {n.id: position_at(n, t) for n in node_list}
-    pts = np.array([positions[n.id] for n in node_list], dtype=float)
+    pts = table.xy + table.vel * t
     try:
         qhull = _QhullDelaunay(pts)
     except QhullError as exc:
@@ -72,20 +127,19 @@ def build_mesh(nodes: Iterable[NodeState], t: float) -> Mesh:
     if qhull.simplices.shape[0] == 0:
         raise DegenerateInputError("all nodes collinear")
 
-    triangles = np.array([n.id for n in node_list])[qhull.simplices]
+    triangles = qhull.simplices.astype(np.intp)
     neighbors = qhull.neighbors.astype(np.intp)
     # Orient every triangle CCW: the float filter of ``orient2d`` decides
     # all rows at once, and only the rows inside its error bound go to the
     # exact predicate.
-    a, b, c = (pts[qhull.simplices[:, k]] for k in range(3))
+    a, b, c = (pts[triangles[:, k]] for k in range(3))
     detleft = (a[:, 0] - c[:, 0]) * (b[:, 1] - c[:, 1])
     detright = (a[:, 1] - c[:, 1]) * (b[:, 0] - c[:, 0])
     det = detleft - detright
     clockwise = det < 0
     uncertain = ~(np.abs(det) > CCW_ERRBOUND * (np.abs(detleft) + np.abs(detright)))
     for row in np.flatnonzero(uncertain):
-        va, vb, vc = triangles[row].tolist()
-        clockwise[row] = orient2d(positions[va], positions[vb], positions[vc]) < 0
+        clockwise[row] = orient2d(*pts[triangles[row]].tolist()) < 0
     # Swapping vertices b and c swaps the neighbours opposite them too.
     triangles[clockwise] = triangles[clockwise][:, [0, 2, 1]]
     neighbors[clockwise] = neighbors[clockwise][:, [0, 2, 1]]
@@ -97,16 +151,16 @@ def build_mesh(nodes: Iterable[NodeState], t: float) -> Mesh:
     neighbors = neighbors[order]
     return Mesh(
         time=t,
-        nodes={n.id: n for n in node_list},
-        positions=positions,
-        triangles=triangles[order],
-        neighbors=np.where(neighbors >= 0, rank[neighbors], -1),
-        velocities={n.id: n.velocity for n in node_list},
+        nodes=table,
+        xy=_frozen(pts),
+        vel=table.vel,
+        triangles=_frozen(triangles[order]),
+        neighbors=_frozen(np.where(neighbors >= 0, rank[neighbors], -1)),
     )
 
 
 def mesh_edges(mesh: Mesh) -> np.ndarray:
-    """``(E, 2)`` table of the mesh edges, each once as (lower id, higher id).
+    """``(E, 2)`` table of the mesh edges, each once as (lower, higher) index.
 
     Edges come in first-occurrence order: by triangle id, then ab, bc, ca.
     An edge first occurs in the lower-id triangle of the two sharing it.
@@ -119,7 +173,7 @@ def mesh_edges(mesh: Mesh) -> np.ndarray:
 
 
 def find_triangle(mesh: Mesh, vertices: Sequence[int]) -> Optional[int]:
-    """Id of the triangle with these three vertices in any order, or None."""
+    """Id of the triangle with these three node indices in any order, or None."""
     match = (np.sort(mesh.triangles, axis=1) == sorted(vertices)).all(axis=1)
     hit = np.flatnonzero(match)
     return int(hit[0]) if hit.size else None
@@ -136,23 +190,11 @@ class DualGraph:
 
     goal: Point
     placements: Dict[int, Point]  # triangle id -> dual node position
-    # Per triangle id: (neighbour id, shared mesh edge), sorted by neighbour.
-    adjacency: List[List[Tuple[int, Tuple[int, int]]]]
-
-
-def _closest_point_on_edge(mesh: Mesh, edge: Tuple[int, int], goal: Point,
-                           ego_radius: float) -> Point:
-    pa = mesh.positions[edge[0]]
-    pb = mesh.positions[edge[1]]
-    dx, dy = pb[0] - pa[0], pb[1] - pa[1]
-    length_sq = dx * dx + dy * dy
-    length = math.sqrt(length_sq)
-    if length == 0.0:
-        return pa
-    s = ((goal[0] - pa[0]) * dx + (goal[1] - pa[1]) * dy) / length_sq
-    margin = min(0.1 * length, ego_radius) / length
-    s = min(max(s, margin), 1.0 - margin)
-    return (pa[0] + s * dx, pa[1] + s * dy)
+    # Row t: the triangles across t's shared edges, sorted by id, then -1
+    # for each hull edge.  ``portals[t, k]`` is the mesh edge shared with
+    # ``links[t, k]``, as (lower, higher) node index.
+    links: np.ndarray  # (T, 3)
+    portals: np.ndarray  # (T, 3, 2)
 
 
 def build_dual(mesh: Mesh, goal: Point, ego_radius: float = 0.5) -> DualGraph:
@@ -160,34 +202,54 @@ def build_dual(mesh: Mesh, goal: Point, ego_radius: float = 0.5) -> DualGraph:
 
     Shared edges are tried in the order ab, bc, ca and the first nearest
     candidate wins.  A triangle with no shared edge (single-triangle mesh)
-    gets its centroid.
+    gets its centroid.  One array pass places every candidate with the
+    operations of the scalar rule; ``math.hypot`` decides near ties.
     """
-    placements: Dict[int, Point] = {}
-    adjacency: List[List[Tuple[int, Tuple[int, int]]]] = []
-    rows = zip(mesh.triangles.tolist(), mesh.neighbors[:, _AB_BC_CA].tolist())
-    for tri_id, ((a, b, c), across) in enumerate(rows):
-        links: List[Tuple[int, Tuple[int, int]]] = []
-        best: Optional[Point] = None
+    tris = mesh.triangles
+    count = len(tris)
+    across = mesh.neighbors[:, _AB_BC_CA]  # triangle across ab, bc, ca
+    nxt = tris[:, [1, 2, 0]]
+    lo, hi = np.minimum(tris, nxt), np.maximum(tris, nxt)  # edge ends, (T, 3)
+    x, y = mesh.xy.T
+    gx, gy = goal
+    ax, ay = x[lo], y[lo]
+    dx, dy = x[hi] - ax, y[hi] - ay
+    length_sq = dx * dx + dy * dy
+    length = np.sqrt(length_sq)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = ((gx - ax) * dx + (gy - ay) * dy) / length_sq
+        tenth = 0.1 * length
+        margin = np.where(ego_radius < tenth, ego_radius, tenth) / length
+        # min(max(s, margin), 1 - margin) with the builtins' NaN behaviour.
+        s = np.where(margin > s, margin, s)
+        s = np.where(1.0 - margin < s, 1.0 - margin, s)
+        # Qhull never joins coincident nodes, so no edge has zero length.
+        cx, cy = ax + s * dx, ay + s * dy
+        d = np.hypot(cx - gx, cy - gy)
+        d[(across < 0) | np.isnan(d)] = np.inf  # never "< best_d"
+        ranked = np.sort(d, axis=1)
+        # The first of equal minima wins; a near tie is decided below.
+        near = ranked[:, 1] - ranked[:, 0] <= _TIE_RTOL * ranked[:, 0]
+    rows = np.arange(count)
+    pick = rows * 3 + d.argmin(axis=1)  # flat (T, 3) index
+    px, py = cx.ravel()[pick], cy.ravel()[pick]
+    lone = np.isinf(ranked[:, 0])
+    if lone.any():
+        corners = mesh.xy[tris[lone]]
+        px[lone], py[lone] = ((corners[:, 0] + corners[:, 1] + corners[:, 2]) / 3.0).T
+    placements = dict(enumerate(zip(px.tolist(), py.tolist())))
+    for row in np.flatnonzero(near).tolist():
         best_d = math.inf
-        for (u, v), neigh in zip(((a, b), (b, c), (c, a)), across):
-            if neigh < 0:
-                continue
-            edge = (u, v) if u < v else (v, u)
-            links.append((neigh, edge))
-            candidate = _closest_point_on_edge(mesh, edge, goal, ego_radius)
-            d = dist(candidate, goal)
-            if d < best_d:
-                best, best_d = candidate, d
-        if best is None:
-            pts = mesh.triangle_points(tri_id)
-            best = (
-                (pts[0][0] + pts[1][0] + pts[2][0]) / 3.0,
-                (pts[0][1] + pts[1][1] + pts[2][1]) / 3.0,
-            )
-        placements[tri_id] = best
-        links.sort()
-        adjacency.append(links)
-    return DualGraph(goal=goal, placements=placements, adjacency=adjacency)
+        for j, point in enumerate(zip(cx[row].tolist(), cy[row].tolist())):
+            if across[row, j] >= 0 and dist(point, goal) < best_d:
+                placements[row], best_d = point, dist(point, goal)
+
+    order = (np.argsort(np.where(across < 0, count, across), axis=1)
+             + 3 * rows[:, None]).ravel()  # flat index of each sorted link
+    return DualGraph(goal=goal, placements=placements,
+                     links=across.ravel()[order].reshape(-1, 3),
+                     portals=np.stack([lo.ravel()[order], hi.ravel()[order]],
+                                      axis=1).reshape(-1, 3, 2))
 
 
 def generate_virtual_nodes(boundary: Sequence[Point], spacing: float,
@@ -247,10 +309,21 @@ def point_in_triangle(pts: TrianglePoints, p: Point) -> bool:
 def locate(mesh: Mesh, p: Point) -> Optional[int]:
     """Triangle containing ``p`` (boundary-inclusive, lowest id wins).
 
-    Returns None when ``p`` is outside the convex hull.
+    The float filter of ``orient2d`` runs over every edge of every row at
+    once; a row that no edge certainly excludes and not every edge
+    certainly holds goes to the exact ``point_in_triangle``.  Returns None
+    when ``p`` is outside the convex hull.
     """
-    pos = mesh.positions
-    for tri_id, (a, b, c) in enumerate(mesh.triangles.tolist()):
-        if point_in_triangle((pos[a], pos[b], pos[c]), p):
-            return tri_id
+    px, py = p
+    x, y = mesh.xy.T
+    ax, ay = x[mesh.triangles] - px, y[mesh.triangles] - py  # (T, 3) corners
+    # orient2d(a, b, p) of the edges ab, bc, ca
+    detleft = ax * ay[:, [1, 2, 0]]
+    detright = ay * ax[:, [1, 2, 0]]
+    det = detleft - detright
+    err = CCW_ERRBOUND * (np.abs(detleft) + np.abs(detright))
+    inside = (det > err).all(axis=1)
+    for row in np.flatnonzero(~(det < -err).any(axis=1)).tolist():
+        if inside[row] or point_in_triangle(mesh.triangle_points(row), p):
+            return row
     return None

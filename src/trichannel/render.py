@@ -95,8 +95,9 @@ def render_frame(scenario: Scenario, t: float, ego: Point,
     # Mesh edges underneath everything else.
     try:
         mesh = build_mesh(nodes, 0.0)
+        xy = mesh.xy_list
         for u, v in mesh_edges(mesh).tolist():
-            canvas.polyline([mesh.positions[u], mesh.positions[v]],
+            canvas.polyline([xy[u], xy[v]],
                             stroke="#cccccc", width=0.5)
     except DegenerateInputError:
         pass

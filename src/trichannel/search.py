@@ -33,14 +33,15 @@ def edge_gap_at(mesh: Mesh, edge: Tuple[int, int], t: float) -> float:
     """Clear width of a mesh edge at time offset ``t`` from the snapshot.
 
     Distance between the two endpoint nodes, extrapolated with
-    ``mesh.velocities``, minus both node radii.
+    ``mesh.vel``, minus both node radii.
     """
     u, v = edge
-    pu, pv = mesh.positions[u], mesh.positions[v]
-    vu, vv = mesh.velocities[u], mesh.velocities[v]
+    xy, vel, r = mesh.xy_list, mesh.vel_list, mesh.nodes.r_list
+    pu, pv = xy[u], xy[v]
+    vu, vv = vel[u], vel[v]
     ax, ay = pu[0] + vu[0] * t, pu[1] + vu[1] * t
     bx, by = pv[0] + vv[0] * t, pv[1] + vv[1] * t
-    return math.hypot(ax - bx, ay - by) - mesh.nodes[u].r - mesh.nodes[v].r
+    return math.hypot(ax - bx, ay - by) - r[u] - r[v]
 
 
 def _best_first(dual: DualGraph, start_tri: int, goal_tri: int, start_cost: float,
@@ -57,6 +58,9 @@ def _best_first(dual: DualGraph, start_tri: int, goal_tri: int, start_cost: floa
     for tri in (start_tri, goal_tri):
         if tri not in place:
             raise KeyError(f"unknown triangle id {tri}")
+    # Flat views, three slots per triangle: few Python containers to build.
+    links = dual.links.ravel().tolist()
+    lo, hi = dual.portals.reshape(-1, 2).T.tolist()
     g: Dict[int, float] = {start_tri: start_cost}
     came: Dict[int, int] = {}
     h0 = dist(place[start_tri], dual.goal) / speed
@@ -72,12 +76,16 @@ def _best_first(dual: DualGraph, start_tri: int, goal_tri: int, start_cost: floa
             while tris[-1] != start_tri:
                 tris.append(came[tris[-1]])
             return tris[::-1]
-        for neigh, edge in dual.adjacency[tri]:
+        for k in range(3 * tri, 3 * tri + 3):
+            neigh = links[k]
+            if neigh < 0:
+                break  # hull edges come last
             if neigh in closed:
                 continue
             cand = g[tri] + dist(place[tri], place[neigh]) / speed
             # A NaN gap compares false here and is admitted.
-            if mesh is not None and edge_gap_at(mesh, edge, cand) < width_threshold:
+            if (mesh is not None
+                    and edge_gap_at(mesh, (lo[k], hi[k]), cand) < width_threshold):
                 continue
             if cand < g.get(neigh, math.inf):
                 g[neigh] = cand
@@ -127,7 +135,7 @@ def timed_astar(dual: DualGraph, mesh: Mesh, start_tri: int, goal_tri: int, *,
     Costs are travel times at ``ego_speed``; crossing a mesh edge is
     admitted only when the edge's clear width at the arrival time stays at
     or above ``width_threshold``, with node positions extrapolated to that
-    time with ``mesh.velocities``.  A triangle is expanded at most once.
+    time with ``mesh.vel``.  A triangle is expanded at most once.
     Returns None when no admissible channel exists.
     """
     if ego_speed <= 0:

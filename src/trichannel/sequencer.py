@@ -18,7 +18,8 @@ from .events import compute_event_time
 from .funnel import PathPolyline, funnel
 from .geometry import (NodeState, Point, TrianglePoints, Vector, dist, orient2d,
                        point_along)
-from .mesh import Mesh, build_dual, build_mesh, find_triangle, locate, point_in_triangle
+from .mesh import (DualGraph, Mesh, NodeTable, build_dual, build_mesh, find_triangle,
+                   locate, point_in_triangle)
 from .search import Channel, timed_astar
 from .transmission import TransmissionConfig, transmit
 
@@ -116,9 +117,9 @@ def channel_path(mesh: Mesh, triangle_ids: Sequence[int], start: Point,
     None when a portal is too narrow to thread.
     """
     tris = [mesh.triangle_points(t) for t in triangle_ids]
-    radius_of = {mesh.positions[v]: mesh.nodes[v].r
-                 for t in triangle_ids
-                 for v in mesh.triangles[t].tolist()}
+    xy, r = mesh.xy_list, mesh.nodes.r_list
+    radius_of = {xy[v]: r[v]
+                 for v in mesh.triangles[list(triangle_ids)].ravel().tolist()}
     try:
         return funnel(tris, start, target, padding, radius_of)
     except ValueError:
@@ -218,9 +219,9 @@ def subgoal(anchor: TrianglePoints, est_ego: Point,
     return best
 
 
-def _extrapolate(mesh: Mesh, node_id: int, offset: float) -> Point:
-    p = mesh.positions[node_id]
-    v = mesh.nodes[node_id].velocity
+def _extrapolate(mesh: Mesh, node: int, offset: float) -> Point:
+    p = mesh.xy_list[node]
+    v = mesh.nodes.vel_list[node]  # raw motion, not the planning velocity
     return (p[0] + v[0] * offset, p[1] + v[1] * offset)
 
 
@@ -248,23 +249,19 @@ def _prefix_event(channel: Channel, mesh: Mesh, k: int, window: float,
 def _make_segment(mesh: Mesh, channel: Channel, upto: int, t_start: float,
                   t_end: Optional[float], start_point: Point,
                   seg_subgoal: Point) -> ChannelSegment:
-    triples = [tuple(v) for v in mesh.triangles[channel.triangles[: upto + 1]].tolist()]
-    vertex_ids = sorted({v for tri in triples for v in tri})
+    rows = mesh.triangles[channel.triangles[: upto + 1]]
+    vertices = np.unique(rows).tolist()
+    ids = mesh.nodes.ids.tolist()
+    xy, r = mesh.xy_list, mesh.nodes.r_list
     return ChannelSegment(
         t_start=t_start,
         t_end=t_end,
-        triangles=triples,
+        triangles=[tuple(v) for v in mesh.nodes.ids[rows].tolist()],
         subgoal=seg_subgoal,
         start_point=start_point,
-        points={v: mesh.positions[v] for v in vertex_ids},
-        radii={v: mesh.nodes[v].r for v in vertex_ids},
+        points={ids[v]: xy[v] for v in vertices},
+        radii={ids[v]: r[v] for v in vertices},
     )
-
-
-def _snapshot(nodes: Sequence[NodeState], tau: float, cfg: SequencerConfig) -> Mesh:
-    """The mesh at ``tau`` carrying this cycle's planning velocities."""
-    mesh = build_mesh(nodes, tau)
-    return transmit(mesh, cfg.transmission) if cfg.transmission_enabled else mesh
 
 
 def generate_sequence(nodes: Sequence[NodeState], start: Point, goal: Point,
@@ -275,16 +272,29 @@ def generate_sequence(nodes: Sequence[NodeState], start: Point, goal: Point,
     linearly.  Returns the channel sequence, or a failure naming the cycle
     when no admissible channel exists.
     """
+    table = NodeTable.of(nodes)
+    # Snapshot per time: planning mesh, dual graph, goal triangle.  Only the
+    # anchor repair revisits a time: delete this memo with it (ROADMAP item 1).
+    snapshots: Dict[float, Tuple[Mesh, DualGraph, Optional[int]]] = {}
+
+    def snapshot(t: float) -> Tuple[Mesh, DualGraph, Optional[int]]:
+        if t not in snapshots:
+            mesh = build_mesh(table, t)
+            if cfg.transmission_enabled:
+                mesh = transmit(mesh, cfg.transmission)
+            snapshots[t] = (mesh, build_dual(mesh, goal, cfg.ego_radius),
+                            locate(mesh, goal))
+        return snapshots[t]
+
     tau = 0.0
     start_pt = start
-    anchor: Optional[VertexTriple] = None
+    anchor: Optional[VertexTriple] = None  # node indices
     segments: List[ChannelSegment] = []
-    vel_of = {n.id: n.velocity for n in nodes}
 
     # Each cycle returns or appends exactly one segment, so the sequence
     # is full when the loop runs out.
     for cycle in range(cfg.max_segments):
-        mesh = _snapshot(nodes, tau, cfg)
+        mesh, dual, goal_tri = snapshot(tau)
         start_tri: Optional[int] = None
         if anchor is not None:
             start_tri = find_triangle(mesh, anchor)
@@ -298,23 +308,22 @@ def generate_sequence(nodes: Sequence[NodeState], start: Point, goal: Point,
                     # Nothing left to truncate: hand over earlier, while the
                     # anchor still existed.
                     tau = max(prev.t_start, tau - cfg.sample_resolution)
-                    mesh = _snapshot(nodes, tau, cfg)
+                    mesh, dual, goal_tri = snapshot(tau)
                 else:
                     break
                 prev.t_end = tau
-                prev.subgoal = _refit_subgoal(prev, vel_of, cfg)
+                anchor = tuple(np.searchsorted(table.ids, prev.anchor).tolist())
+                prev.subgoal = _refit_subgoal(prev, [table.vel_list[v] for v in anchor],
+                                              cfg)
                 start_pt = prev.subgoal
-                anchor = prev.anchor
                 start_tri = find_triangle(mesh, anchor)
         if start_tri is None:
             start_tri = locate(mesh, start_pt)
         if start_tri is None:
             return SequenceFailure(cycle, tau, "start point outside the mesh")
-        goal_tri = locate(mesh, goal)
         if goal_tri is None:
             return SequenceFailure(cycle, tau, "goal point outside the mesh")
 
-        dual = build_dual(mesh, goal, cfg.ego_radius)
         channel = timed_astar(
             dual, mesh, start_tri, goal_tri,
             ego_speed=cfg.ego_speed,
@@ -379,27 +388,29 @@ def generate_sequence(nodes: Sequence[NodeState], start: Point, goal: Point,
         # Same safety margin as the funnel padding, so the subgoal never
         # sits at exact contact distance from a vertex disc.
         margin = cfg.effective_padding - cfg.ego_radius
-        radii = [mesh.nodes[v].r + margin for v in verts]
+        radii = [mesh.nodes.r_list[v] + margin for v in verts]
         target = start_pt if k < 0 else est_ego
         sg = subgoal((a, b, c), target, radii, cfg.ego_radius)
         seg = _make_segment(mesh, channel, max(k, 0), tau, tau_next, start_pt, sg)
         segments.append(seg)
-        anchor = seg.anchor
+        anchor = tuple(verts)
         start_pt = seg.subgoal
         tau = tau_next
 
     return ChannelSequence(segments=segments, goal=goal, terminated="max_segments")
 
 
-def _refit_subgoal(segment: ChannelSegment, vel_of: Dict[int, Vector],
+def _refit_subgoal(segment: ChannelSegment, anchor_vel: Sequence[Vector],
                    cfg: SequencerConfig) -> Point:
     # Re-place the subgoal inside the (possibly truncated) anchor as
     # extrapolated to the (possibly shortened) window end, staying as
-    # close as clearance allows to the previous target.
+    # close as clearance allows to the previous target.  ``anchor_vel``
+    # is the raw motion of the anchor's vertices.
     off = 0.0 if segment.t_end is None else segment.t_end - segment.t_start
     ids = segment.anchor
-    tri = tuple((segment.points[v][0] + vel_of[v][0] * off,
-                 segment.points[v][1] + vel_of[v][1] * off) for v in ids)
+    tri = tuple((segment.points[v][0] + vel[0] * off,
+                 segment.points[v][1] + vel[1] * off)
+                for v, vel in zip(ids, anchor_vel))
     margin = cfg.effective_padding - cfg.ego_radius
     radii = [segment.radii[v] + margin for v in ids]
     return subgoal(tri, segment.subgoal, radii, cfg.ego_radius)

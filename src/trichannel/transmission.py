@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
-from .geometry import Point, Vector
-from .mesh import Mesh, mesh_edges
+from .geometry import Vector
+from .mesh import Mesh
 
 
 @dataclass(frozen=True)
@@ -58,37 +58,42 @@ def project_velocity(v: Vector, p: Vector, cfg: TransmissionConfig) -> Vector:
 
 
 def transmit(mesh: Mesh, cfg: TransmissionConfig) -> Mesh:
-    """Propagate ``mesh.velocities`` across mesh edges for ``cfg.passes`` sweeps.
+    """Propagate ``mesh.vel`` across mesh edges for ``cfg.passes`` sweeps.
 
-    Returns the same snapshot with the transmitted velocities; nodes,
-    positions and topology are shared with ``mesh``.  The result is meant
-    only for the current planning cycle (search costs and event
-    prediction), never for mutating ground-truth state.
+    Returns the same snapshot with the transmitted velocities, meant only
+    for the current planning cycle, never for ground-truth state.  Each
+    sweep drops in one array pass the directed edges whose source rests or
+    moves away; only the survivors go through the scalar
+    ``project_velocity``, and each target keeps the first strictly largest
+    projection in (source, target) order that beats its own speed.
     """
-    undirected = mesh_edges(mesh)
-    directed = np.concatenate([undirected, undirected[:, ::-1]])
-    edges = directed[np.lexsort(directed.T[::-1])].tolist()  # sorted (i, j)
-    velocities: Dict[int, Vector] = dict(mesh.velocities)
+    n = len(mesh.xy)
+    # Every directed edge, once per triangle side.
+    tail = mesh.triangles[:, [0, 1, 2, 1, 2, 0]].ravel()
+    head = mesh.triangles[:, [1, 2, 0, 0, 1, 2]].ravel()
+    vel = mesh.vel
 
     for _ in range(cfg.passes):
-        snapshot = dict(velocities)
-        best: Dict[int, Vector] = {}
-        for (i, j) in edges:
-            vi = snapshot[i]
-            if vi == (0.0, 0.0):
-                continue
-            pi: Point = mesh.positions[i]
-            pj: Point = mesh.positions[j]
-            pij = (pj[0] - pi[0], pj[1] - pi[1])
-            if vi[0] * pij[0] + vi[1] * pij[1] <= 0.0:
-                continue
-            proj = project_velocity(vi, pij, cfg)
+        live = ~((vel[:, 0] == 0.0) & (vel[:, 1] == 0.0))[tail]
+        # Unique keys i * n + j: the directed edges from moving nodes, sorted.
+        src, dst = np.divmod(np.unique(tail[live] * n + head[live]), n)
+        vs = vel[src]
+        pij = mesh.xy[dst] - mesh.xy[src]
+        toward = np.flatnonzero(~(vs[:, 0] * pij[:, 0] + vs[:, 1] * pij[:, 1] <= 0.0))
+        dst = dst[toward]
+        best: Dict[int, Tuple[float, Vector]] = {}
+        # Every projection reads the start-of-sweep velocities.
+        for j, vi, vj, p in zip(dst.tolist(), vs[toward].tolist(),
+                                vel[dst].tolist(), pij[toward].tolist()):
+            proj = project_velocity(vi, p, cfg)
             mag = math.hypot(*proj)
-            if mag <= math.hypot(*snapshot[j]):
+            if mag <= math.hypot(*vj):
                 continue
-            prev = best.get(j)
-            if prev is None or mag > math.hypot(*prev):
-                best[j] = proj
-        velocities.update(best)
+            if j not in best or mag > best[j][0]:
+                best[j] = (mag, proj)
+        if best:
+            vel = vel.copy()
+            vel[list(best)] = [proj for _, proj in best.values()]
+            vel.flags.writeable = False
 
-    return replace(mesh, velocities=velocities)
+    return replace(mesh, vel=vel)

@@ -4,8 +4,10 @@ One test per release criterion; each prints a single PASS/FAIL line with
 its headline numbers.  The heavy batch experiment (criteria 6 and 8) runs
 once per session through a module-scoped fixture.
 """
+import hashlib
 import math
 import os
+import platform
 import random
 import time
 from fractions import Fraction
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from trichannel.cli import run_batch, write_outputs
 from trichannel.events import compute_event_time
@@ -115,8 +118,8 @@ def test_criterion_2_delaunay_validity():
             continue
         sets += 1
         for verts in mesh.triangles.tolist():
-            a, b, c = (mesh.positions[v] for v in verts)
-            for nid, pos in mesh.positions.items():
+            a, b, c = (mesh.xy_list[v] for v in verts)
+            for nid, pos in enumerate(mesh.xy_list):
                 if nid in verts:
                     continue
                 if incircle(a, b, c, pos) is InCircleSide.INSIDE:
@@ -151,7 +154,7 @@ def rebuild_first_change(channel, mesh, resolution):
     """Brute-force rebuild-and-diff: first sampled time at which the
     re-triangulated scene differs from the previous sample, with the sets
     of triangles that disappeared and appeared there."""
-    nodes = list(mesh.nodes.values())
+    nodes = mesh.nodes
     prev = {frozenset(v) for v in mesh.triangles.tolist()}
     for tau in np.arange(resolution, max(channel.etas), resolution):
         t = float(tau)
@@ -168,8 +171,8 @@ def build_channel(nodes, rng):
         mesh = build_mesh(nodes, 0.0)
     except DegenerateInputError:
         return None, None
-    hull_x = [p[0] for p in mesh.positions.values()]
-    hull_y = [p[1] for p in mesh.positions.values()]
+    hull_x = [p[0] for p in mesh.xy_list]
+    hull_y = [p[1] for p in mesh.xy_list]
     for _ in range(20):
         start = (rng.uniform(min(hull_x), max(hull_x)),
                  rng.uniform(min(hull_y), max(hull_y)))
@@ -491,4 +494,28 @@ def test_criterion_8_determinism(experiment, tmp_path):
     same = csv_path.read_bytes() == experiment["csv"].read_bytes()
     report(8, "byte-identical rerun", same,
            f"{csv_path.stat().st_size} byte CSV")
+    assert same
+
+
+# The experiment's metrics.csv, hashed on the toolchain below.  Float
+# results can move in the last bit with another numpy, scipy or Python, so
+# the hash holds only there.  A deliberate behaviour change records the
+# new hash here and says so in CHANGES.md.
+GOLDEN_METRICS_CSV = {
+    "sha256": "ff702345e8393b6faa34667fbee02f6e2ece9f212e5e27768584ed4b4b4c749f",
+    "python": "3.11.7",
+    "numpy": "2.4.6",
+    "scipy": "1.17.1",
+}
+
+
+def test_criterion_8_golden_metrics_csv(experiment):
+    toolchain = {"python": platform.python_version(), "numpy": np.__version__,
+                 "scipy": scipy.__version__}
+    recorded = {k: GOLDEN_METRICS_CSV[k] for k in toolchain}
+    if toolchain != recorded:
+        pytest.skip(f"golden hash recorded on {recorded}, running {toolchain}")
+    digest = hashlib.sha256(experiment["csv"].read_bytes()).hexdigest()
+    same = digest == GOLDEN_METRICS_CSV["sha256"]
+    report(8, "golden metrics.csv", same, f"sha256 {digest[:12]}")
     assert same

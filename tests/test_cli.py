@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from trichannel import cli
 from trichannel.cli import CSV_COLUMNS, main, run_batch
 from trichannel.geometry import NodeKind
 from trichannel.scenario import ObjectTrack, Scenario
@@ -185,6 +186,20 @@ class TestCompare:
         rc = main(["compare", str(scene), "--out-dir", str(out)])
         assert rc == 2
         assert "cannot write outputs" in caplog.text
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_unwritable_out_dir_simulates_nothing(self, tmp_path, caplog,
+                                                  monkeypatch, command):
+        scene = tmp_path / "s.json"
+        small_scenario(scene)
+        out = tmp_path / "taken"
+        out.write_text("")
+        calls = []
+        monkeypatch.setattr(cli, "run_scenario", lambda *a: calls.append(a))
+        rc = main([command, str(scene), "--out-dir", str(out / "sub")])
+        assert rc == 2
+        assert "cannot write outputs" in caplog.text
+        assert calls == []
 
 
 class TestRender:

@@ -20,6 +20,7 @@ from trichannel.mesh import DegenerateInputError, build_dual, build_mesh
 from trichannel.scenario import generate_synthetic
 from trichannel.search import Channel, astar
 from trichannel.simulate import MethodId, run_scenario
+from trichannel.transmission import TransmissionConfig, transmit
 
 
 def make_nodes(points, r=0.0):
@@ -113,7 +114,7 @@ def reference_event_time(channel, mesh, sample_resolution):
     """``compute_event_time`` as a loop over triangles, then probes."""
     if sample_resolution <= 0:
         raise ValueError(f"sample_resolution must be positive, got {sample_resolution}")
-    vel = mesh.velocities.__getitem__
+    vel = mesh.vel_list.__getitem__
 
     best = None
     for idx, tri_id in enumerate(channel.triangles):
@@ -124,16 +125,16 @@ def reference_event_time(channel, mesh, sample_resolution):
         if taus.size == 0:
             continue
         verts = mesh.triangles[tri_id].tolist()
-        tri_pts = np.array([mesh.positions[v] for v in verts], dtype=float)
+        tri_pts = np.array([mesh.xy_list[v] for v in verts], dtype=float)
         tri_vels = np.array([vel(v) for v in verts], dtype=float)
         for probe in neighbors_of(mesh, tri_id):
-            tau = first_event_offset(tri_pts, tri_vels, mesh.positions[probe],
+            tau = first_event_offset(tri_pts, tri_vels, mesh.xy_list[probe],
                                      vel(probe), taus)
             if tau is not None and (best is None or tau < best[0]):
                 best = (tau, idx, probe)
     if best is not None:
         return EventReport(time=mesh.time + best[0], triangle_index=best[1],
-                           node_id=best[2])
+                           node_id=int(mesh.nodes.ids[best[2]]))
     return None
 
 
@@ -253,7 +254,7 @@ class TestComputeEventTime:
             mesh.triangles[ch.triangles[report.triangle_index]].tolist())
 
         def alive(t):
-            rebuilt = build_mesh(mesh.nodes.values(), t)
+            rebuilt = build_mesh(mesh.nodes, t)
             return tri_verts in {frozenset(v) for v in rebuilt.triangles.tolist()}
 
         assert not alive(report.time + 0.1)
@@ -280,13 +281,13 @@ class TestComputeEventTime:
         # Per-triangle scan of every channel window must not beat it.
         for idx, tri_id in enumerate(ch.triangles):
             verts = mesh.triangles[tri_id].tolist()
-            tri_pts = np.array([mesh.positions[v] for v in verts])
-            tri_vels = np.array([mesh.nodes[v].velocity for v in verts])
+            tri_pts = np.array([mesh.xy_list[v] for v in verts])
+            tri_vels = np.array([mesh.nodes.vel_list[v] for v in verts])
             taus = np.arange(0.1, ch.etas[idx], 0.1)
             for probe in neighbors_of(mesh, tri_id):
                 tau = first_event_offset(tri_pts, tri_vels,
-                                         mesh.positions[probe],
-                                         mesh.nodes[probe].velocity, taus)
+                                         mesh.xy_list[probe],
+                                         mesh.nodes.vel_list[probe], taus)
                 if tau is not None:
                     assert tau >= report.time - 1e-9
 
@@ -302,9 +303,8 @@ class TestComputeEventTime:
         start = next(i for i, v in enumerate(mesh.triangles.tolist()) if {0, 1, 3} == set(v))
         end = next(i for i, v in enumerate(mesh.triangles.tolist()) if {1, 2, 4} == set(v))
         ch = astar(dual, start, end, ego_position=(2.0, 1.0), ego_speed=0.2)
-        frozen = {i: (0.0, 0.0) for i in mesh.nodes}
         assert compute_event_time(ch, mesh, 0.1) is not None
-        frozen_mesh = dataclasses.replace(mesh, velocities=frozen)
+        frozen_mesh = dataclasses.replace(mesh, vel=np.zeros_like(mesh.vel))
         assert compute_event_time(ch, frozen_mesh, 0.1) is None
 
     def test_invalid_resolution(self):
@@ -376,11 +376,11 @@ def test_batched_scan_matches_reference(scene, res, data):
     per_node = st.lists(st.tuples(_speeds, _speeds), min_size=n, max_size=n)
     table = data.draw(st.one_of(
         st.none(),
-        per_node.map(lambda vs: dict(enumerate(vs))),
-        st.tuples(_speeds, _speeds).map(lambda v: dict.fromkeys(range(n), v)),
+        per_node,
+        st.tuples(_speeds, _speeds).map(lambda v: [v] * n),
     ), label="velocities")
     if table is not None:
-        mesh = dataclasses.replace(mesh, velocities=table)
+        mesh = dataclasses.replace(mesh, vel=np.array(table, dtype=float))
     ch = channel_of(mesh, tri_ids, etas)
     assert compute_event_time(ch, mesh, res) == reference_event_time(ch, mesh, res)
 
@@ -396,9 +396,9 @@ class TestBatchedScan:
         assert neighbors_of(mesh, tri) == [3, 4]
         ch = channel_of(mesh, [tri], [6.0])
         verts = mesh.triangles[tri].tolist()
-        tri_pts = np.array([mesh.positions[v] for v in verts], dtype=float)
+        tri_pts = np.array([mesh.xy_list[v] for v in verts], dtype=float)
         taus = np.arange(0.5, 6.0, 0.5)
-        hits = [first_event_offset(tri_pts, np.zeros((3, 2)), mesh.positions[p],
+        hits = [first_event_offset(tri_pts, np.zeros((3, 2)), mesh.xy_list[p],
                                    vels[p], taus) for p in (3, 4)]
         assert hits[0] is not None and hits[0] == hits[1]
         report = compute_event_time(ch, mesh, 0.5)
@@ -426,8 +426,7 @@ class TestBatchedScan:
         assert reference_event_time(ch, mesh, 0.1) is None
         # Equal NaN velocities are not a rigid translation (NaN != NaN): the
         # pairs are scanned, and the exact predicate rejects the NaN.
-        table = {i: (math.nan, 0.0) for i in range(4)}
-        nan_mesh = dataclasses.replace(mesh, velocities=table)
+        nan_mesh = dataclasses.replace(mesh, vel=np.array([(math.nan, 0.0)] * 4))
         for scan in (compute_event_time, reference_event_time):
             with pytest.raises(ValueError):
                 scan(ch, nan_mesh, 0.5)
@@ -468,6 +467,22 @@ class TestBatchedScan:
             report = compute_event_time(ch, mesh, 0.5)
             assert report == reference_event_time(ch, mesh, 0.5)
             assert (report and report.time) == want
+
+    def test_probe_cache_follows_transmitted_velocities(self):
+        # The per-mesh probe table marks rigid pairs from ``mesh.vel``.  The
+        # static triangle and its static probe form a rigid pair of the raw
+        # snapshot; transmission hands the probe the walker's motion, and
+        # the transmitted snapshot, which shares the raw one's topology,
+        # must scan the pair instead of reusing the raw table.
+        pts = [(0, 0), (2, 0), (1, 1.8), (1, -1.5), (1, -3)]
+        vels = [(0, 0), (0, 0), (0, 0), (0, 0), (0, 2)]
+        raw = build_mesh(moving_nodes(pts, vels), 0.0)
+        ch = channel_of(raw, [triangle_with(raw, (0, 1, 2))], [3.0])
+        assert compute_event_time(ch, raw, 0.1) is None
+        moved = transmit(raw, TransmissionConfig())
+        report = compute_event_time(ch, moved, 0.1)
+        assert report is not None and report.node_id == 3
+        assert report == reference_event_time(ch, moved, 0.1)
 
     def test_closed_loop_replay_matches_reference(self, monkeypatch):
         # Every call the sequencer makes (main scan and prefix re-scan) on

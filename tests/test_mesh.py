@@ -1,4 +1,5 @@
 """Mesh construction, dual graph placement and virtual node tests."""
+import dataclasses
 import math
 import random
 
@@ -28,8 +29,8 @@ def random_nodes(rng, n, span=20.0):
 def is_delaunay(mesh):
     """Exact empty-circumcircle audit against every other mesh vertex."""
     for verts in mesh.triangles.tolist():
-        a, b, c = (mesh.positions[v] for v in verts)
-        for nid, p in mesh.positions.items():
+        a, b, c = (mesh.xy_list[v] for v in verts)
+        for nid, p in enumerate(mesh.xy_list):
             if nid in verts:
                 continue
             if incircle(a, b, c, p) is InCircleSide.INSIDE:
@@ -83,7 +84,7 @@ class TestBuildMesh:
         mover = NodeState(id=3, x=1.0, y=1.0, vx=1.0, vy=0.0, r=0.1,
                           kind=NodeKind.DYNAMIC)
         mesh = build_mesh(nodes + [mover], 2.0)
-        assert mesh.positions[3] == (3.0, 1.0)
+        assert mesh.xy_list[3] == (3.0, 1.0)
         assert mesh.time == 2.0
 
     def test_deterministic_triangle_ordering(self):
@@ -106,6 +107,16 @@ class TestBuildMesh:
         dup = NodeState(id=0, x=9, y=9, vx=0, vy=0, r=0)
         with pytest.raises(ValueError):
             build_mesh(nodes + [dup], 0.0)
+
+    def test_snapshot_is_immutable(self):
+        # A plan reuses the snapshot built at a time, so nothing may edit it.
+        mesh = build_mesh(make_nodes([(0, 0), (4, 0), (0, 4)]), 0.0)
+        for table in (mesh.xy, mesh.vel, mesh.triangles, mesh.neighbors,
+                      mesh.nodes.ids, mesh.nodes.r):
+            with pytest.raises(ValueError):
+                table[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mesh.time = 1.0
 
     def test_adjacency_is_symmetric(self):
         rng = random.Random(11)
@@ -138,8 +149,8 @@ class TestDualGraph:
             for e in (sorted((a, b)), sorted((b, c)), sorted((c, a))):
                 if edge_triangle_count(mesh, *e) != 2:
                     continue
-                cand = closest_point_oracle(mesh.positions[e[0]],
-                                            mesh.positions[e[1]], goal, 0.25)
+                cand = closest_point_oracle(mesh.xy_list[e[0]],
+                                            mesh.xy_list[e[1]], goal, 0.25)
                 if best is None or dist(cand, goal) < dist(best, goal):
                     best = cand
             assert best is not None
@@ -151,7 +162,7 @@ class TestDualGraph:
         goal = (100.0, 100.0)
         dual = build_dual(mesh, goal, ego_radius=0.25)
         shared = sorted(shared_vertices(mesh, 0, 1))
-        pa, pb = mesh.positions[shared[0]], mesh.positions[shared[1]]
+        pa, pb = mesh.xy_list[shared[0]], mesh.xy_list[shared[1]]
         edge_len = dist(pa, pb)
         margin = min(0.1 * edge_len, 0.25)
         for placement in dual.placements.values():
@@ -162,7 +173,7 @@ class TestDualGraph:
         mesh = build_mesh(make_nodes([(0, 0), (3, 0), (0, 3)]), 0.0)
         dual = build_dual(mesh, (10, 10))
         assert dual.placements[0] == (1.0, 1.0)
-        assert dual.adjacency == [[]]
+        assert dual.links.tolist() == [[-1, -1, -1]]
 
     def test_dual_edges_match_interior_mesh_edges(self):
         rng = random.Random(5)
@@ -171,7 +182,7 @@ class TestDualGraph:
         count = len(mesh.triangles)
         interior = sum(1 for a in range(count) for b in range(a + 1, count)
                        if len(shared_vertices(mesh, a, b)) == 2)
-        assert sum(len(links) for links in dual.adjacency) == 2 * interior
+        assert (dual.links >= 0).sum() == 2 * interior
 
 
 def jittered_grid(rng, k, jitter):
@@ -207,14 +218,17 @@ def oracle_scenes():
 
 
 def reference_triangles(nodes):
-    """Row by row: exact ``orient2d`` on each Qhull simplex, sorted by triple."""
+    """Row by row: exact ``orient2d`` on each Qhull simplex, sorted by triple.
+
+    Vertices are node indices: positions in the nodes sorted by id.
+    """
     nodes = sorted(nodes, key=lambda n: n.id)
     pos = [n.position for n in nodes]
     rows = []
     for a, b, c in Delaunay(np.array(pos)).simplices.tolist():
         if orient2d(pos[a], pos[b], pos[c]) < 0:
             b, c = c, b
-        rows.append([nodes[a].id, nodes[b].id, nodes[c].id])
+        rows.append([a, b, c])
     return sorted(rows, key=sorted)
 
 
@@ -226,6 +240,7 @@ class TestTopologyTables:
         mesh = build_mesh(nodes, 0.0)
         rows = mesh.triangles.tolist()
         assert rows == reference_triangles(nodes)
+        assert mesh.nodes.ids.tolist() == sorted(n.id for n in nodes)
         assert mesh.triangles.shape == mesh.neighbors.shape == (len(rows), 3)
         keys = [sorted(v) for v in rows]
         assert all(a < b for a, b in zip(keys, keys[1:]))  # rows by sorted triple

@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from trichannel.geometry import NodeKind, NodeState, dist
@@ -114,9 +115,9 @@ class TestEdgeGap:
             NodeState(id=2, x=2, y=3, vx=0, vy=0, r=0.0),
         ]
         mesh = build_mesh(nodes, 0.0)
-        frozen = {0: (0.0, 0.0), 1: (0.0, 0.0), 2: (0.0, 0.0)}
+        frozen = np.zeros((3, 2))
         assert math.isclose(
-            edge_gap_at(replace(mesh, velocities=frozen), (0, 1), 5.0), 4.0)
+            edge_gap_at(replace(mesh, vel=frozen), (0, 1), 5.0), 4.0)
 
 
 class TestTimedAstar:

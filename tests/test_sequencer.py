@@ -12,7 +12,7 @@ from trichannel.events import compute_event_time
 from trichannel.geometry import NodeKind, NodeState, dist
 from trichannel.mesh import build_dual, build_mesh, point_in_triangle
 from trichannel.scenario import generate_synthetic
-from trichannel.search import Channel, astar
+from trichannel.search import Channel, astar, timed_astar
 from trichannel.sequencer import (ChannelSequence, SequenceFailure,
                                   SequencerConfig, ego_index_at,
                                   generate_sequence, last_triangle_index,
@@ -305,8 +305,8 @@ def test_repair_rebuild_plans_on_its_own_velocities(monkeypatch):
         return generate_sequence(*args)
 
     def checked(channel, mesh, res):
-        fresh = transmit(build_mesh(mesh.nodes.values(), mesh.time), cfg.transmission)
-        assert mesh.velocities == fresh.velocities
+        fresh = transmit(build_mesh(mesh.nodes, mesh.time), cfg.transmission)
+        assert np.array_equal(mesh.vel, fresh.vel)
         predicted.append(mesh.time)
         return compute_event_time(channel, mesh, res)
 
@@ -318,3 +318,33 @@ def test_repair_rebuild_plans_on_its_own_velocities(monkeypatch):
     repairs = {t for prev, t in zip(builds, builds[1:])
                if prev is not None and t is not None and t < prev}
     assert repairs & set(predicted)
+
+
+def test_one_build_per_snapshot_time(monkeypatch):
+    # Within one plan each snapshot time is built once: when the anchor
+    # repair steps back to an earlier cycle's time, that cycle's snapshot
+    # is searched again instead of being rebuilt.
+    scene = dataclasses.replace(generate_synthetic(2), time_limit=4.0)
+    builds, searched = [], []  # per plan: build times, meshes searched
+
+    def recording_build(nodes, t):
+        builds[-1].append(t)
+        return build_mesh(nodes, t)
+
+    def recording_search(dual, mesh, *args, **kwargs):
+        searched[-1].append(mesh)
+        return timed_astar(dual, mesh, *args, **kwargs)
+
+    def recording_sequence(*args):
+        builds.append([])
+        searched.append([])
+        return generate_sequence(*args)
+
+    monkeypatch.setattr(sequencer, "build_mesh", recording_build)
+    monkeypatch.setattr(sequencer, "timed_astar", recording_search)
+    monkeypatch.setattr(simulate, "generate_sequence", recording_sequence)
+    run_scenario(scene, MethodId.PROPOSED)
+    # Builds per plan equal the plan's distinct snapshot times.
+    assert all(len(times) == len(set(times)) for times in builds)
+    reused = sum(len(meshes) - len({id(m) for m in meshes}) for meshes in searched)
+    assert reused > 0

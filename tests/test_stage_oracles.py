@@ -1,0 +1,255 @@
+"""Snapshot stages against their scalar reference loops, bit for bit.
+
+``transmit``, ``build_dual`` and ``locate`` run as array passes over the
+dense node index.  The references below are the per-edge, per-triangle and
+per-row loops they replace, written over dicts keyed by node id; every
+stage must return exactly what its reference returns, down to the last
+bit of every float.
+"""
+import math
+import random
+
+import numpy as np
+import pytest
+
+from trichannel.geometry import NodeKind, NodeState, dist
+from trichannel.mesh import (DegenerateInputError, build_dual, build_mesh, locate,
+                             mesh_edges, point_in_triangle)
+from trichannel.scenario import generate_synthetic
+from trichannel.transmission import TransmissionConfig, project_velocity, transmit
+
+
+# -- reference loops ---------------------------------------------------------
+
+def _by_id(mesh):
+    """Node ids, and positions and planning velocities keyed by node id."""
+    ids = mesh.nodes.ids.tolist()
+    return (ids, dict(zip(ids, map(tuple, mesh.xy.tolist()))),
+            dict(zip(ids, map(tuple, mesh.vel.tolist()))))
+
+
+def reference_transmit(mesh, cfg):
+    """Jacobi sweeps over every directed edge in (i, j) id order."""
+    ids, positions, velocities = _by_id(mesh)
+    undirected = [(ids[u], ids[v]) for u, v in mesh_edges(mesh).tolist()]
+    edges = sorted(undirected + [(v, u) for u, v in undirected])
+    for _ in range(cfg.passes):
+        snapshot = dict(velocities)
+        best = {}
+        for i, j in edges:
+            vi = snapshot[i]
+            if vi == (0.0, 0.0):
+                continue
+            pi, pj = positions[i], positions[j]
+            pij = (pj[0] - pi[0], pj[1] - pi[1])
+            if vi[0] * pij[0] + vi[1] * pij[1] <= 0.0:
+                continue
+            proj = project_velocity(vi, pij, cfg)
+            mag = math.hypot(*proj)
+            if mag <= math.hypot(*snapshot[j]):
+                continue
+            prev = best.get(j)
+            if prev is None or mag > math.hypot(*prev):
+                best[j] = proj
+        velocities.update(best)
+    return [velocities[i] for i in ids]
+
+
+def _closest_point_on_edge(positions, edge, goal, ego_radius):
+    pa, pb = positions[edge[0]], positions[edge[1]]
+    dx, dy = pb[0] - pa[0], pb[1] - pa[1]
+    length_sq = dx * dx + dy * dy
+    length = math.sqrt(length_sq)
+    if length == 0.0:
+        return pa
+    s = ((goal[0] - pa[0]) * dx + (goal[1] - pa[1]) * dy) / length_sq
+    margin = min(0.1 * length, ego_radius) / length
+    s = min(max(s, margin), 1.0 - margin)
+    return (pa[0] + s * dx, pa[1] + s * dy)
+
+
+def reference_dual(mesh, goal, ego_radius):
+    """Placements and id-keyed adjacency, one triangle at a time."""
+    ids, positions, _ = _by_id(mesh)
+    placements, adjacency = {}, []
+    rows = zip(mesh.triangles.tolist(), mesh.neighbors[:, [2, 0, 1]].tolist())
+    for tri_id, (verts, across) in enumerate(rows):
+        a, b, c = (ids[v] for v in verts)
+        links, best, best_d = [], None, math.inf
+        for (u, v), neigh in zip(((a, b), (b, c), (c, a)), across):
+            if neigh < 0:
+                continue
+            edge = (u, v) if u < v else (v, u)
+            links.append((neigh, edge))
+            candidate = _closest_point_on_edge(positions, edge, goal, ego_radius)
+            d = dist(candidate, goal)
+            if d < best_d:
+                best, best_d = candidate, d
+        if best is None:
+            pts = [positions[a], positions[b], positions[c]]
+            best = ((pts[0][0] + pts[1][0] + pts[2][0]) / 3.0,
+                    (pts[0][1] + pts[1][1] + pts[2][1]) / 3.0)
+        placements[tri_id] = best
+        links.sort()
+        adjacency.append(links)
+    return placements, adjacency
+
+
+def reference_locate(mesh, p):
+    """Lowest triangle id whose closed triangle holds ``p``."""
+    for tri_id in range(len(mesh.triangles)):
+        if point_in_triangle(mesh.triangle_points(tri_id), p):
+            return tri_id
+    return None
+
+
+def bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+# -- scene corpus ------------------------------------------------------------
+
+def _node(i, x, y, vx=0.0, vy=0.0, r=0.0):
+    kind = NodeKind.STATIC if vx == vy == 0.0 else NodeKind.DYNAMIC
+    return NodeState(id=i, x=x, y=y, vx=vx, vy=vy, r=r, kind=kind)
+
+
+def _velocities(rng, n, integer=False):
+    """About a third of the nodes move; integer grids get exact speeds."""
+    out = []
+    for _ in range(n):
+        if rng.random() < 0.65:
+            out.append((0.0, 0.0))
+        elif integer:
+            out.append((float(rng.randint(-2, 2)), float(rng.randint(-2, 2))))
+        else:
+            out.append((rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)))
+    return out
+
+
+def _scene(points, vels, ids=None, r=0.0):
+    ids = ids if ids is not None else range(len(points))
+    return [_node(i, x, y, vx, vy, r) for i, (x, y), (vx, vy) in zip(ids, points, vels)]
+
+
+def corpus():
+    """(label, nodes, mesh time): 300 scenes and more."""
+    rng = random.Random(77)
+    for k in range(100):  # random sets
+        n = rng.randint(4, 60)
+        pts = [(rng.uniform(0, 20), rng.uniform(0, 12)) for _ in range(n)]
+        yield f"random-{k}", _scene(pts, _velocities(rng, n)), rng.choice([0.0, 0.7])
+    for k in range(50):  # jittered grids
+        side, jitter = rng.randint(2, 7), rng.choice([1e-9, 1e-3, 0.2])
+        pts = [(i + rng.uniform(-jitter, jitter), j + rng.uniform(-jitter, jitter))
+               for i in range(side) for j in range(side)]
+        yield f"jitter-{k}", _scene(pts, _velocities(rng, len(pts))), 0.0
+    for k in range(60):  # exactly cocircular integer grids, exact speeds
+        side = rng.randint(2, 7)
+        pts = [(float(i), float(j)) for i in range(side) for j in range(side)]
+        yield f"grid-{k}", _scene(pts, _velocities(rng, len(pts), integer=True)), 0.0
+    for k in range(60):  # ids out of position order and not contiguous
+        n = rng.randint(4, 50)
+        pts = [(rng.uniform(0, 20), rng.uniform(0, 12)) for _ in range(n)]
+        ids = rng.sample(range(10, 5000), n)
+        yield f"scrambled-{k}", _scene(pts, _velocities(rng, n), ids), rng.choice([0.0, 1.3])
+    # Two mirrored walkers reach the node between them with equal
+    # projections, so only the first maximum in (i, j) order may win.
+    for k, speed in enumerate((0.5, 1.0, 2.0)):
+        pts = [(0.0, 0.0), (-1.0, 0.5), (1.0, 0.5), (0.0, 3.0), (0.0, -3.0)]
+        vels = [(0.0, 0.0), (speed, -0.5 * speed), (-speed, -0.5 * speed),
+                (0.0, 0.0), (0.0, 0.0)]
+        yield f"mirror-{k}", _scene(pts, vels, ids=[5, 1, 9, 3, 7], r=0.1), 0.0
+    for seed in range(12):
+        sc = generate_synthetic(seed)
+        for t in (0.0, 7.9, 16.3):
+            yield f"synthetic-{seed}@{t}", sc.node_states_at(t), 0.0
+
+
+def meshes():
+    out = []
+    for label, nodes, t in corpus():
+        try:
+            out.append((label, build_mesh(nodes, t)))
+        except DegenerateInputError:
+            continue
+    return out
+
+
+MESHES = meshes()
+
+
+def test_corpus_size():
+    assert len(MESHES) >= 300
+    assert sum(label.startswith("scrambled") for label, _ in MESHES) >= 50
+
+
+# -- stages against references -----------------------------------------------
+
+@pytest.mark.parametrize("passes", [1, 2, 3])
+def test_transmit_matches_reference(passes):
+    cfg = TransmissionConfig(passes=passes)
+    adopted = 0
+    for label, mesh in MESHES:
+        got = transmit(mesh, cfg)
+        want = reference_transmit(mesh, cfg)
+        assert got.vel.tobytes() == bits(want), label
+        adopted += int((got.vel != mesh.vel).any(axis=1).sum())
+    assert adopted > 1000  # the sweeps did move many nodes
+
+
+def test_first_strict_maximum_wins():
+    # Node 5 sits between two walkers whose projections onto it are equal;
+    # the walker with the lower id (1) supplies its velocity.
+    label, mesh = next(m for m in MESHES if m[0] == "mirror-1")
+    got = transmit(mesh, TransmissionConfig())
+    first = project_velocity((1.0, -0.5), (1.0, -0.5), TransmissionConfig())
+    assert got.vel_list[mesh.nodes.ids.tolist().index(5)] == first
+    assert got.vel.tobytes() == bits(reference_transmit(mesh, TransmissionConfig()))
+
+
+def test_build_dual_matches_reference():
+    rng = random.Random(5)
+    duals = 0
+    for label, mesh in MESHES:
+        lo, hi = mesh.xy.min(axis=0), mesh.xy.max(axis=0)
+        goals = [tuple(mesh.xy[rng.randrange(len(mesh.xy))].tolist()),
+                 (rng.uniform(lo[0], hi[0]), rng.uniform(lo[1], hi[1])),
+                 (hi[0] + 5.0, rng.uniform(lo[1], hi[1]))]
+        for goal, ego_radius in zip(goals, (0.25, 0.5, 3.0)):
+            for m in (mesh, transmit(mesh, TransmissionConfig())):
+                dual = build_dual(m, goal, ego_radius)
+                placements, adjacency = reference_dual(m, goal, ego_radius)
+                assert sorted(dual.placements) == sorted(placements), label
+                assert (bits([dual.placements[t] for t in sorted(placements)])
+                        == bits([placements[t] for t in sorted(placements)])), label
+                ids = m.nodes.ids.tolist()
+                got = [[(n, (ids[u], ids[v])) for n, (u, v) in zip(ns, es) if n >= 0]
+                       for ns, es in zip(dual.links.tolist(), dual.portals.tolist())]
+                assert got == adjacency, label
+                duals += 1
+    assert duals >= 900
+
+
+def _probe_points(rng, mesh):
+    """Vertices, edge midpoints, centroids, and points inside and outside."""
+    pts = list(mesh.xy_list)
+    pts += [((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+            for a, b in (map(tuple, mesh.xy[e].tolist()) for e in mesh_edges(mesh))]
+    pts += [tuple(mesh.xy[t].mean(axis=0).tolist()) for t in mesh.triangles]
+    lo, hi = mesh.xy.min(axis=0) - 1.0, mesh.xy.max(axis=0) + 1.0
+    pts += [(rng.uniform(lo[0], hi[0]), rng.uniform(lo[1], hi[1])) for _ in range(10)]
+    pts += [(lo[0] - 50.0, lo[1]), (hi[0], hi[1] + 1e-9)]
+    return rng.sample(pts, min(len(pts), 40))
+
+
+def test_locate_matches_reference():
+    rng = random.Random(9)
+    located = outside = 0
+    for label, mesh in MESHES:
+        for p in _probe_points(rng, mesh) + list(mesh.xy_list[:3]):
+            want = reference_locate(mesh, p)
+            assert locate(mesh, p) == want, (label, p)
+            located += want is not None
+            outside += want is None
+    assert located >= 5000 and outside >= 500
