@@ -8,7 +8,7 @@ import logging
 import sys
 from multiprocessing import Pool
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .scenario import Scenario, ScenarioFormatError, SyntheticParams, generate_synthetic
 from .sequencer import SequencerConfig
@@ -112,12 +112,22 @@ def _metrics_row(m: Metrics) -> List:
     ]
 
 
+def _run_task(scenario: Scenario, method: MethodId, cfg: SimConfig) -> Union[Metrics, str]:
+    """The run's metrics, or ``scenario_id/method: ExcType: msg`` if it raised."""
+    try:
+        return run_scenario(scenario, method, cfg)
+    except Exception as exc:  # one failed run must not lose the batch
+        log.exception("run %s/%s failed", scenario.id, method.value)
+        return f"{scenario.id}/{method.value}: {type(exc).__name__}: {exc}"
+
+
 def run_batch(scenario_paths: Sequence[Path], methods: Sequence[MethodId],
               cfg: SimConfig, workers: int = 1
-              ) -> Tuple[List[Metrics], List[str]]:
+              ) -> Tuple[List[Metrics], List[str], List[str]]:
     """Run every (scenario, method) pair; malformed files are skipped.
 
     Each file is read once, here; the tasks carry the loaded scenarios.
+    Returns the metrics, the skipped files and the runs that raised.
     """
     scenarios: List[Scenario] = []
     skipped: List[str] = []
@@ -131,15 +141,17 @@ def run_batch(scenario_paths: Sequence[Path], methods: Sequence[MethodId],
     tasks = [(sc, m, cfg) for sc in scenarios for m in methods]
     if workers > 1 and len(tasks) > 1:
         with Pool(workers) as pool:
-            metrics = pool.starmap(run_scenario, tasks)
+            results = pool.starmap(_run_task, tasks)
     else:
-        metrics = [run_scenario(*t) for t in tasks]
-    metrics.sort(key=lambda m: (m.scenario_id, m.method))
-    return metrics, skipped
+        results = [_run_task(*t) for t in tasks]
+    metrics = sorted((r for r in results if isinstance(r, Metrics)),
+                     key=lambda m: (m.scenario_id, m.method))
+    errors = [r for r in results if isinstance(r, str)]
+    return metrics, skipped, errors
 
 
 def write_outputs(metrics: List[Metrics], skipped: List[str],
-                  out_dir: Path) -> Tuple[Path, Path]:
+                  out_dir: Path, errors: Sequence[str] = ()) -> Tuple[Path, Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "metrics.csv"
     with csv_path.open("w", newline="") as fh:
@@ -152,6 +164,7 @@ def write_outputs(metrics: List[Metrics], skipped: List[str],
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "methods": aggregate(metrics) if metrics else {},
         "skipped": skipped,
+        "errors": list(errors),
         "runs": len(metrics),
         "planner_latency": {
             m: {
@@ -193,10 +206,10 @@ def _run_and_write(args: argparse.Namespace,
     skipped_missing = [f"{p}: no such file" for p in paths if not p.exists()]
     for entry in skipped_missing:
         log.warning("skipping %s", entry)
-    metrics, skipped = run_batch(existing, methods, cfg, workers=args.workers)
+    metrics, skipped, errors = run_batch(existing, methods, cfg, workers=args.workers)
     try:
         csv_path, summary_path = write_outputs(metrics, skipped_missing + skipped,
-                                               out_dir)
+                                               out_dir, errors)
     except OSError as exc:
         log.error("cannot write outputs: %s", exc)
         return None

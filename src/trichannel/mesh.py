@@ -71,10 +71,6 @@ class NodeTable:
         )
 
     @cached_property
-    def vel_list(self) -> List[Vector]:
-        return list(zip(*self.vel.T.tolist()))
-
-    @cached_property
     def r_list(self) -> List[float]:
         return self.r.tolist()
 

@@ -5,7 +5,8 @@ predict the first topological event, cut the unaffected prefix (anchored at
 its last triangle), then repeat from the anchor at the event time with all
 nodes advanced by the linear model.  Consecutive segments overlap on the
 anchor triangle, so the union forms one spatially and temporally connected
-corridor.
+corridor.  The cut settles that the anchor survives into the next snapshot,
+so each cycle builds one snapshot, later than the last.
 """
 from __future__ import annotations
 
@@ -14,12 +15,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .events import compute_event_time
+from .events import anchor_survives, compute_event_time
 from .funnel import PathPolyline, funnel
-from .geometry import (NodeState, Point, TrianglePoints, Vector, dist, orient2d,
-                       point_along)
-from .mesh import (DualGraph, Mesh, NodeTable, build_dual, build_mesh, find_triangle,
-                   locate, point_in_triangle)
+from .geometry import NodeState, Point, TrianglePoints, dist, orient2d, point_along
+from .mesh import (Mesh, NodeTable, build_dual, build_mesh, find_triangle, locate,
+                   point_in_triangle)
 from .search import Channel, timed_astar
 from .transmission import TransmissionConfig, transmit
 
@@ -80,7 +80,7 @@ class ChannelSegment:
 class ChannelSequence:
     segments: List[ChannelSegment]
     goal: Point
-    terminated: str  # "goal" | "threshold" | "max_segments"
+    terminated: str  # "goal" | "threshold" | "max_segments" | "anchor_lost"
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,8 @@ def last_triangle_index(e: int, m: int, channel_len: int) -> int:
     ``e`` is where the ego is estimated to be at the event time, ``m`` where
     the event hits.  k = e when the ego is behind the event triangle, m - 1
     when the event hits the ego's own triangle; e > m never occurs by
-    construction and is rejected.  k = -1 signals an empty (degenerate)
-    segment.
+    construction and is rejected.  k = -1 (e = m = 0) is not an empty
+    segment: it holds the ego's own triangle, ``max(k, 0)``.
     """
     if not (0 <= e < channel_len and 0 <= m < channel_len):
         raise ValueError(f"indices out of range: e={e}, m={m}, len={channel_len}")
@@ -219,12 +219,6 @@ def subgoal(anchor: TrianglePoints, est_ego: Point,
     return best
 
 
-def _extrapolate(mesh: Mesh, node: int, offset: float) -> Point:
-    p = mesh.xy_list[node]
-    v = mesh.nodes.vel_list[node]  # raw motion, not the planning velocity
-    return (p[0] + v[0] * offset, p[1] + v[1] * offset)
-
-
 def _prefix_event(channel: Channel, mesh: Mesh, k: int, window: float,
                   sample_resolution: float) -> Optional[Tuple[float, int]]:
     """Earliest event in triangles 0..k scanned over the whole window.
@@ -270,57 +264,28 @@ def generate_sequence(nodes: Sequence[NodeState], start: Point, goal: Point,
 
     ``nodes`` are the states at time 0; later cycles extrapolate them
     linearly.  Returns the channel sequence, or a failure naming the cycle
-    when no admissible channel exists.
+    and its reason.
     """
     table = NodeTable.of(nodes)
-    # Snapshot per time: planning mesh, dual graph, goal triangle.  Only the
-    # anchor repair revisits a time: delete this memo with it (ROADMAP item 1).
-    snapshots: Dict[float, Tuple[Mesh, DualGraph, Optional[int]]] = {}
-
-    def snapshot(t: float) -> Tuple[Mesh, DualGraph, Optional[int]]:
-        if t not in snapshots:
-            mesh = build_mesh(table, t)
-            if cfg.transmission_enabled:
-                mesh = transmit(mesh, cfg.transmission)
-            snapshots[t] = (mesh, build_dual(mesh, goal, cfg.ego_radius),
-                            locate(mesh, goal))
-        return snapshots[t]
-
     tau = 0.0
     start_pt = start
     anchor: Optional[VertexTriple] = None  # node indices
     segments: List[ChannelSegment] = []
 
-    # Each cycle returns or appends exactly one segment, so the sequence
-    # is full when the loop runs out.
+    # Each cycle builds one snapshot and returns or appends exactly one
+    # segment, so the sequence is full when the loop runs out.
     for cycle in range(cfg.max_segments):
-        mesh, dual, goal_tri = snapshot(tau)
-        start_tri: Optional[int] = None
-        if anchor is not None:
-            start_tri = find_triangle(mesh, anchor)
-            while start_tri is None:
-                prev = segments[-1]
-                if len(prev.triangles) > 1:
-                    # Anchor vanished in the rebuilt mesh (non-channel flip
-                    # elsewhere): truncate the previous segment and retry.
-                    prev.triangles.pop()
-                elif tau > prev.t_start:
-                    # Nothing left to truncate: hand over earlier, while the
-                    # anchor still existed.
-                    tau = max(prev.t_start, tau - cfg.sample_resolution)
-                    mesh, dual, goal_tri = snapshot(tau)
-                else:
-                    break
-                prev.t_end = tau
-                anchor = tuple(np.searchsorted(table.ids, prev.anchor).tolist())
-                prev.subgoal = _refit_subgoal(prev, [table.vel_list[v] for v in anchor],
-                                              cfg)
-                start_pt = prev.subgoal
-                start_tri = find_triangle(mesh, anchor)
+        mesh = build_mesh(table, tau)
+        if cfg.transmission_enabled:
+            mesh = transmit(mesh, cfg.transmission)
+        dual = build_dual(mesh, goal, cfg.ego_radius)
+        goal_tri = locate(mesh, goal)
+        if anchor is None:
+            start_tri, missing = locate(mesh, start_pt), "start point outside the mesh"
+        else:  # the cut found it surviving; only Qhull rounding can drop it
+            start_tri, missing = find_triangle(mesh, anchor), "anchor missing from snapshot"
         if start_tri is None:
-            start_tri = locate(mesh, start_pt)
-        if start_tri is None:
-            return SequenceFailure(cycle, tau, "start point outside the mesh")
+            return SequenceFailure(cycle, tau, missing)
         if goal_tri is None:
             return SequenceFailure(cycle, tau, "goal point outside the mesh")
 
@@ -356,10 +321,11 @@ def generate_sequence(nodes: Sequence[NodeState], start: Point, goal: Point,
         # so a kept triangle can still flip between its arrival and the cut
         # time.  Re-scan the kept prefix over the full window and pull the
         # cut earlier until it is genuinely unaffected.
-        # Bound: each ``continue`` moves ``tau_next`` to an earlier sample
-        # of the prefix scan's finite grid; each halving halves a positive
-        # window, taking the anchor toward its snapshot row, which
-        # ``build_mesh`` orients CCW.  Only a zero-area row could not pass.
+        # Bound: each repeat lowers ``m`` (and so ``k``), moves ``tau_next``
+        # to an earlier sample of the prefix scan's finite grid or one
+        # sample earlier, or halves a positive window, taking the
+        # anchor toward its snapshot row, which ``build_mesh`` orients CCW.
+        # Only a zero-area row could not pass.
         while True:
             e = min(ego_index_at(channel, mesh, tau_next, cfg.ego_speed,
                                  route=route), m)
@@ -375,10 +341,23 @@ def generate_sequence(nodes: Sequence[NodeState], start: Point, goal: Point,
             # inverted triangle is meaningless, so halve the window until
             # the anchor is properly oriented at the cut time.
             verts = mesh.triangles[channel.triangles[max(k, 0)]].tolist()
-            a, b, c = (_extrapolate(mesh, v, tau_next - tau) for v in verts)
-            if orient2d(a, b, c) > 0:
+            # Raw motion, not the planning velocity.
+            a, b, c = map(tuple, (mesh.xy[verts] + mesh.nodes.vel[verts]
+                                  * (tau_next - tau)).tolist())
+            if orient2d(a, b, c) <= 0:
+                tau_next = tau + (tau_next - tau) * 0.5
+                continue
+            # The next snapshot must hold the anchor.  A lost one flipped in
+            # the last sample, which the prediction does not test: keep one
+            # triangle fewer, else hand over one sample earlier if more than
+            # one is left (cut times sit on the grid up to rounding), else end.
+            lost = not anchor_survives(table, tau_next, verts)
+            if lost and k > 0:
+                m = k
+            elif lost and tau_next - tau > 1.5 * cfg.sample_resolution:
+                tau_next -= cfg.sample_resolution
+            else:
                 break
-            tau_next = tau + (tau_next - tau) * 0.5
 
         est_ego = point_along(route, cfg.ego_speed * (tau_next - tau))
         # The subgoal targets the ego estimate but must sit inside the
@@ -393,24 +372,11 @@ def generate_sequence(nodes: Sequence[NodeState], start: Point, goal: Point,
         sg = subgoal((a, b, c), target, radii, cfg.ego_radius)
         seg = _make_segment(mesh, channel, max(k, 0), tau, tau_next, start_pt, sg)
         segments.append(seg)
+        if lost:
+            return ChannelSequence(segments=segments, goal=goal, terminated="anchor_lost")
         anchor = tuple(verts)
         start_pt = seg.subgoal
         tau = tau_next
 
     return ChannelSequence(segments=segments, goal=goal, terminated="max_segments")
 
-
-def _refit_subgoal(segment: ChannelSegment, anchor_vel: Sequence[Vector],
-                   cfg: SequencerConfig) -> Point:
-    # Re-place the subgoal inside the (possibly truncated) anchor as
-    # extrapolated to the (possibly shortened) window end, staying as
-    # close as clearance allows to the previous target.  ``anchor_vel``
-    # is the raw motion of the anchor's vertices.
-    off = 0.0 if segment.t_end is None else segment.t_end - segment.t_start
-    ids = segment.anchor
-    tri = tuple((segment.points[v][0] + vel[0] * off,
-                 segment.points[v][1] + vel[1] * off)
-                for v, vel in zip(ids, anchor_vel))
-    margin = cfg.effective_padding - cfg.ego_radius
-    radii = [segment.radii[v] + margin for v in ids]
-    return subgoal(tri, segment.subgoal, radii, cfg.ego_radius)

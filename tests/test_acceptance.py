@@ -245,7 +245,7 @@ def test_criterion_3_event_prediction_oracle():
 def test_criterion_4_sequence_invariants():
     rng = random.Random(404)
     cfg = SequencerConfig(ego_radius=0.2, ego_speed=1.0)
-    sequences = violations = 0
+    sequences = violations = closed = 0
     details = []
     attempts = 0
     while sequences < 200 and attempts < 2000:
@@ -273,6 +273,10 @@ def test_criterion_4_sequence_invariants():
         for seg in segs:
             if seg.t_end is None:
                 continue
+            closed += 1
+            if seg.t_end <= seg.t_start:
+                violations += 1
+                details.append("empty window")
             # Subgoal containment against the anchor extrapolated to the
             # end of the validity window.
             offset = seg.t_end - seg.t_start
@@ -292,7 +296,7 @@ def test_criterion_4_sequence_invariants():
                 details.append("unaffectedness")
     ok = violations == 0 and sequences >= 100
     report(4, "sequence invariants", ok,
-           f"{sequences} sequences, {violations} violations"
+           f"{sequences} sequences, {closed} closed segments, {violations} violations"
            + (f" ({sorted(set(details))})" if details else ""))
     assert sequences >= 100
     assert violations == 0
@@ -417,8 +421,9 @@ def experiment(tmp_path_factory):
         sc.save(p)
         paths.append(p)
     t0 = time.perf_counter()
-    metrics, skipped = run_batch(paths, list(MethodId), SimConfig(),
-                                 workers=WORKERS)
+    metrics, skipped, errors = run_batch(paths, list(MethodId), SimConfig(),
+                                         workers=WORKERS)
+    assert errors == []
     elapsed = time.perf_counter() - t0
     out_dir = base / "run1"
     csv_path, _ = write_outputs(metrics, skipped, out_dir)
@@ -472,7 +477,8 @@ def test_criterion_7_static_reduction(tmp_path):
         p = scene_dir / f"{sc2.id}.json"
         sc2.save(p)
         paths.append(p)
-    metrics, _ = run_batch(paths, list(MethodId), SimConfig(), workers=WORKERS)
+    metrics, _, errors = run_batch(paths, list(MethodId), SimConfig(), workers=WORKERS)
+    assert errors == []
     outcomes = {}
     for m in metrics:
         outcomes.setdefault(m.scenario_id, {})[m.method] = m.completed
@@ -488,8 +494,9 @@ def test_criterion_7_static_reduction(tmp_path):
 
 
 def test_criterion_8_determinism(experiment, tmp_path):
-    metrics, skipped = run_batch(experiment["paths"], list(MethodId),
-                                 SimConfig(), workers=WORKERS)
+    metrics, skipped, errors = run_batch(experiment["paths"], list(MethodId),
+                                         SimConfig(), workers=WORKERS)
+    assert errors == []
     csv_path, _ = write_outputs(metrics, skipped, tmp_path / "run2")
     same = csv_path.read_bytes() == experiment["csv"].read_bytes()
     report(8, "byte-identical rerun", same,
@@ -502,7 +509,7 @@ def test_criterion_8_determinism(experiment, tmp_path):
 # the hash holds only there.  A deliberate behaviour change records the
 # new hash here and says so in CHANGES.md.
 GOLDEN_METRICS_CSV = {
-    "sha256": "ff702345e8393b6faa34667fbee02f6e2ece9f212e5e27768584ed4b4b4c749f",
+    "sha256": "5afcfd635c0cf73559a3d42618d6f288217793ca5e09c690f4ec30b69124ff51",
     "python": "3.11.7",
     "numpy": "2.4.6",
     "scipy": "1.17.1",

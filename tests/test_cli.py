@@ -1,5 +1,6 @@
 """Command-line interface: argument handling, outputs, reproducibility."""
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -132,10 +133,44 @@ class TestRun:
             return load(cls, path)
 
         monkeypatch.setattr(Scenario, "load", classmethod(counting_load))
-        metrics, _ = run_batch([scene], [MethodId.ASTAR, MethodId.TIMED_ASTAR],
-                               SimConfig())
+        metrics, _, _ = run_batch([scene], [MethodId.ASTAR, MethodId.TIMED_ASTAR],
+                                  SimConfig())
         assert [m.method for m in metrics] == ["astar", "timed_astar"]
         assert loaded == [scene]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raising_run_spares_the_batch(self, tmp_path, monkeypatch, workers):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        small_scenario(good, "good")
+        small_scenario(bad, "bad")
+        alone = tmp_path / "alone"
+        assert main(["run", str(good), "--methods", "astar",
+                     "--out-dir", str(alone)]) == 0
+        load = Scenario.load.__func__
+
+        def poisoning_load(cls, path):
+            sc = load(cls, path)
+            if path != bad:
+                return sc
+            return PoisonedScenario(**{f.name: getattr(sc, f.name)
+                                       for f in dataclasses.fields(sc) if f.init})
+
+        monkeypatch.setattr(Scenario, "load", classmethod(poisoning_load))
+        out = tmp_path / "res"
+        assert main(["run", str(good), str(bad), "--methods", "astar",
+                     "--workers", str(workers), "--out-dir", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["errors"] == ["bad/astar: RuntimeError: poisoned scene"]
+        assert summary["runs"] == 1
+        assert (out / "metrics.csv").read_bytes() == \
+            (alone / "metrics.csv").read_bytes()
+
+
+class PoisonedScenario(Scenario):
+    """Loads like any scenario; every run of it raises."""
+
+    def node_states_at(self, t, include_virtual=True):
+        raise RuntimeError("poisoned scene")
 
 
 @pytest.mark.parametrize("flag", ["--max-segments", "--sample-resolution",

@@ -15,8 +15,9 @@ import trichannel.sequencer as sequencer
 from trichannel.events import EventReport, compute_event_time
 from trichannel.geometry import (CCW_ERRBOUND, ICC_ERRBOUND,
                                  DegenerateTriangleError, InCircleSide,
-                                 NodeKind, NodeState, incircle)
-from trichannel.mesh import DegenerateInputError, build_dual, build_mesh
+                                 NodeKind, NodeState, incircle, orient2d)
+from trichannel.mesh import (DegenerateInputError, NodeTable, build_dual, build_mesh,
+                             find_triangle)
 from trichannel.scenario import generate_synthetic
 from trichannel.search import Channel, astar
 from trichannel.simulate import MethodId, run_scenario
@@ -282,12 +283,12 @@ class TestComputeEventTime:
         for idx, tri_id in enumerate(ch.triangles):
             verts = mesh.triangles[tri_id].tolist()
             tri_pts = np.array([mesh.xy_list[v] for v in verts])
-            tri_vels = np.array([mesh.nodes.vel_list[v] for v in verts])
+            tri_vels = np.array([mesh.vel_list[v] for v in verts])
             taus = np.arange(0.1, ch.etas[idx], 0.1)
             for probe in neighbors_of(mesh, tri_id):
                 tau = first_event_offset(tri_pts, tri_vels,
                                          mesh.xy_list[probe],
-                                         mesh.nodes.vel_list[probe], taus)
+                                         mesh.vel_list[probe], taus)
                 if tau is not None:
                     assert tau >= report.time - 1e-9
 
@@ -500,3 +501,72 @@ class TestBatchedScan:
         run_scenario(scene, MethodId.PROPOSED)
         assert len(calls) > 50
         assert any(c is not None for c in calls)
+
+
+# Anchor survival into a later snapshot, against a brute-force scan.
+
+def survives_oracle(table, t, tri):
+    """No other node inside or on the circumcircle of ``tri`` at ``t``."""
+    xy = [tuple(p) for p in (table.xy + table.vel * t).tolist()]
+    a, b, c = (xy[v] for v in tri)
+    if orient2d(a, b, c) == 0.0:
+        return False
+    return all(incircle(a, b, c, p) is InCircleSide.OUTSIDE
+               for i, p in enumerate(xy) if i not in tri)
+
+
+def survival_scenes():
+    """(nodes, mesh time, later times, triangle stride)."""
+    rng = random.Random(31)
+    for _ in range(40):  # random sets
+        n = rng.randint(4, 40)
+        pts = [(rng.uniform(0, 20), rng.uniform(0, 12)) for _ in range(n)]
+        vels = [(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+                if rng.random() < 0.4 else (0.0, 0.0) for _ in range(n)]
+        yield moving_nodes(pts, vels), 0.0, (0.3, 1.0), 1
+    for _ in range(30):  # exactly cocircular integer grids, integer speeds
+        side = rng.randint(2, 6)
+        pts = [(float(i), float(j)) for i in range(side) for j in range(side)]
+        vels = [(float(rng.randint(-1, 1)), float(rng.randint(-1, 1)))
+                if rng.random() < 0.3 else (0.0, 0.0) for _ in pts]
+        yield moving_nodes(pts, vels), 0.0, (0.0, 0.5, 1.0), 1
+    for seed in range(6):
+        nodes = generate_synthetic(seed).node_states_at(0.0)
+        for t0 in (0.0, 6.0, 12.0):
+            yield nodes, t0, (t0 + 0.1, t0 + 0.5), 7
+
+
+class TestAnchorSurvives:
+    def test_matches_brute_force_and_rebuild(self):
+        outcomes = {True: 0, False: 0}
+        for nodes, t0, later, stride in survival_scenes():
+            table = NodeTable.of(nodes)
+            try:
+                tris = build_mesh(table, t0).triangles[::stride].tolist()
+            except DegenerateInputError:
+                continue
+            for t in later:
+                rebuilt = None
+                for tri in tris:
+                    got = events.anchor_survives(table, t, tri)
+                    assert got == survives_oracle(table, t, tri), (t, tri)
+                    outcomes[got] += 1
+                    if got:
+                        rebuilt = rebuilt or build_mesh(table, t)
+                        assert find_triangle(rebuilt, tri) is not None, (t, tri)
+        assert min(outcomes.values()) >= 100, outcomes
+
+    def test_node_on_circle_is_a_loss(self):
+        square = NodeTable.of(make_nodes([(0, 0), (1, 0), (1, 1), (0, 1)]))
+        assert not events.anchor_survives(square, 0.0, [0, 1, 2])
+        # Node 3 moves off the circle, outward and then inward.
+        moving = NodeTable.of(moving_nodes([(0, 0), (1, 0), (1, 1), (0, 1)],
+                                           [(0, 0), (0, 0), (0, 0), (-1, 1)]))
+        assert events.anchor_survives(moving, 0.5, [0, 1, 2])
+        assert not events.anchor_survives(moving, -0.25, [0, 1, 2])
+
+    def test_collinear_and_coincident_are_losses(self):
+        line = NodeTable.of(make_nodes([(0, 0), (1, 0), (2, 0), (1, 5)]))
+        assert not events.anchor_survives(line, 0.0, [0, 1, 2])
+        twin = NodeTable.of(make_nodes([(0, 0), (4, 0), (0, 4), (0, 0)]))
+        assert not events.anchor_survives(twin, 0.0, [0, 1, 2])

@@ -12,7 +12,7 @@ from trichannel.events import compute_event_time
 from trichannel.geometry import NodeKind, NodeState, dist
 from trichannel.mesh import build_dual, build_mesh, point_in_triangle
 from trichannel.scenario import generate_synthetic
-from trichannel.search import Channel, astar, timed_astar
+from trichannel.search import Channel, astar
 from trichannel.sequencer import (ChannelSequence, SequenceFailure,
                                   SequencerConfig, ego_index_at,
                                   generate_sequence, last_triangle_index,
@@ -200,6 +200,9 @@ class TestGenerateSequence:
         for cur, nxt in zip(result.segments, result.segments[1:]):
             assert cur.t_end == nxt.t_start
         assert result.segments[0].t_start == 0.0
+        # Every closed window is non-empty: the sequence moves forward.
+        assert all(seg.t_end > seg.t_start for seg in result.segments
+                   if seg.t_end is not None)
 
     def test_subgoal_inside_anchor(self):
         # Segment points hold t_start positions; each anchor vertex moves
@@ -225,7 +228,8 @@ class TestGenerateSequence:
                                    self.cfg(ego_speed=0.4, max_segments=1))
         assert isinstance(result, ChannelSequence)
         assert len(result.segments) == 1
-        assert result.terminated in ("max_segments", "goal", "threshold")
+        assert result.terminated in ("max_segments", "goal", "threshold",
+                                     "anchor_lost")
 
     def test_failure_names_cycle(self):
         # Goal outside the convex hull of the nodes: no goal triangle.
@@ -287,64 +291,62 @@ class TestGenerateSequence:
         assert cfg2.effective_padding == 0.5
 
 
-def test_repair_rebuild_plans_on_its_own_velocities(monkeypatch):
-    # Anchor repair rebuilds the mesh at an earlier time.  Search and event
-    # prediction on every mesh, the rebuilt ones included, must use motion
-    # transmitted along that mesh's own edges.
-    scene = dataclasses.replace(generate_synthetic(2), time_limit=2.0)
+def test_one_snapshot_per_cycle_on_its_own_velocities(monkeypatch):
+    # Each cycle builds one snapshot, later than the last: the cut settles
+    # that the anchor survives into it, so no cycle goes back in time.
+    # Search and event prediction on every mesh use motion transmitted
+    # along that mesh's own edges.
+    scene = dataclasses.replace(generate_synthetic(0), time_limit=4.0)
     cfg = SimConfig().planner
-    builds = []  # build times, None where a plan starts
-    predicted = []  # mesh times that event prediction saw
+    builds, results = [], []  # per plan: build times, the sequence result
 
     def recording_build(nodes, t):
-        builds.append(t)
+        builds[-1].append(t)
         return build_mesh(nodes, t)
 
     def recording_sequence(*args):
-        builds.append(None)
-        return generate_sequence(*args)
+        builds.append([])
+        results.append(generate_sequence(*args))
+        return results[-1]
 
     def checked(channel, mesh, res):
         fresh = transmit(build_mesh(mesh.nodes, mesh.time), cfg.transmission)
         assert np.array_equal(mesh.vel, fresh.vel)
-        predicted.append(mesh.time)
         return compute_event_time(channel, mesh, res)
 
     monkeypatch.setattr(sequencer, "build_mesh", recording_build)
     monkeypatch.setattr(simulate, "generate_sequence", recording_sequence)
     monkeypatch.setattr(sequencer, "compute_event_time", checked)
     run_scenario(scene, MethodId.PROPOSED)
-    # Within one plan the snapshot time only goes back in a repair.
-    repairs = {t for prev, t in zip(builds, builds[1:])
-               if prev is not None and t is not None and t < prev}
-    assert repairs & set(predicted)
+    failures = [r.reason for r in results if isinstance(r, SequenceFailure)]
+    assert "anchor missing from snapshot" not in failures
+    cycles = [r.cycle + 1 if isinstance(r, SequenceFailure) else len(r.segments)
+              for r in results]
+    assert any(n > 1 for n in cycles)
+    assert [len(times) for times in builds] == cycles
+    for times in builds:
+        assert all(a < b for a, b in zip(times, times[1:])), times
+    # A sequence ends on a lost anchor only once the handover cannot move
+    # one sample earlier and still leave a window.
+    lost = [r.segments[-1] for r in results
+            if not isinstance(r, SequenceFailure) and r.terminated == "anchor_lost"]
+    assert lost
+    assert all(seg.t_end - seg.t_start <= 1.5 * cfg.sample_resolution for seg in lost)
+    # No closed window is a rounding artifact of the sample grid.
+    assert all(seg.t_end - seg.t_start > 1e-9 for r in results
+               if not isinstance(r, SequenceFailure)
+               for seg in r.segments if seg.t_end is not None)
 
 
-def test_one_build_per_snapshot_time(monkeypatch):
-    # Within one plan each snapshot time is built once: when the anchor
-    # repair steps back to an earlier cycle's time, that cycle's snapshot
-    # is searched again instead of being rebuilt.
-    scene = dataclasses.replace(generate_synthetic(2), time_limit=4.0)
-    builds, searched = [], []  # per plan: build times, meshes searched
+def test_anchor_missing_from_snapshot_fails(monkeypatch):
+    # Qhull could still drop an anchor that the cut found surviving; the
+    # sequence then fails with its own reason instead of looping.
+    def no_anchor(mesh, vertices):
+        return None
 
-    def recording_build(nodes, t):
-        builds[-1].append(t)
-        return build_mesh(nodes, t)
-
-    def recording_search(dual, mesh, *args, **kwargs):
-        searched[-1].append(mesh)
-        return timed_astar(dual, mesh, *args, **kwargs)
-
-    def recording_sequence(*args):
-        builds.append([])
-        searched.append([])
-        return generate_sequence(*args)
-
-    monkeypatch.setattr(sequencer, "build_mesh", recording_build)
-    monkeypatch.setattr(sequencer, "timed_astar", recording_search)
-    monkeypatch.setattr(simulate, "generate_sequence", recording_sequence)
-    run_scenario(scene, MethodId.PROPOSED)
-    # Builds per plan equal the plan's distinct snapshot times.
-    assert all(len(times) == len(set(times)) for times in builds)
-    reused = sum(len(meshes) - len({id(m) for m in meshes}) for meshes in searched)
-    assert reused > 0
+    monkeypatch.setattr(sequencer, "find_triangle", no_anchor)
+    result = generate_sequence(crossing_scene_nodes(), (0.5, 1.0), (9.5, 3.0),
+                               SequencerConfig(ego_radius=0.2, ego_speed=0.4))
+    assert isinstance(result, SequenceFailure)
+    assert result.cycle == 1
+    assert result.reason == "anchor missing from snapshot"
