@@ -8,7 +8,7 @@ import pytest
 
 import trichannel.sequencer as sequencer
 import trichannel.simulate as simulate
-from trichannel.events import compute_event_time
+from trichannel.events import anchor_survives, compute_event_time
 from trichannel.geometry import NodeKind, NodeState, dist
 from trichannel.mesh import build_dual, build_mesh, point_in_triangle
 from trichannel.scenario import generate_synthetic
@@ -291,11 +291,60 @@ class TestGenerateSequence:
         assert cfg2.effective_padding == 0.5
 
 
-def test_one_snapshot_per_cycle_on_its_own_velocities(monkeypatch):
-    # Each cycle builds one snapshot, later than the last: the cut settles
-    # that the anchor survives into it, so no cycle goes back in time.
-    # Search and event prediction on every mesh use motion transmitted
-    # along that mesh's own edges.
+def test_repair_rebuild_plans_on_its_own_velocities(monkeypatch):
+    # When the next snapshot would lose the anchor, the cut is repaired
+    # (one triangle fewer, or one sample earlier) before that snapshot is
+    # built.  Search and event prediction on every mesh, those rebuilt at a
+    # repaired cut included, must use motion transmitted along that mesh's
+    # own edges.
+    scene = dataclasses.replace(generate_synthetic(0), time_limit=4.0)
+    cfg = SimConfig().planner
+    log = []  # ("check", t, survives), ("build", t) or ("plan",) in order
+    predicted = []  # mesh times that event prediction saw
+
+    def recording_survives(table, t, verts):
+        ok = anchor_survives(table, t, verts)
+        log.append(("check", t, ok))
+        return ok
+
+    def recording_build(nodes, t):
+        log.append(("build", t))
+        return build_mesh(nodes, t)
+
+    def recording_sequence(*args):
+        log.append(("plan",))
+        return generate_sequence(*args)
+
+    def checked(channel, mesh, res):
+        fresh = transmit(build_mesh(mesh.nodes, mesh.time), cfg.transmission)
+        assert np.array_equal(mesh.vel, fresh.vel)
+        predicted.append(mesh.time)
+        return compute_event_time(channel, mesh, res)
+
+    monkeypatch.setattr(sequencer, "anchor_survives", recording_survives)
+    monkeypatch.setattr(sequencer, "build_mesh", recording_build)
+    monkeypatch.setattr(simulate, "generate_sequence", recording_sequence)
+    monkeypatch.setattr(sequencer, "compute_event_time", checked)
+    run_scenario(scene, MethodId.PROPOSED)
+    # A rebuild follows a repaired cut when a survival check failed since
+    # the plan's previous build.
+    repaired, failed = set(), False
+    for entry in log:
+        if entry[0] == "plan":
+            failed = False
+        elif entry[0] == "check":
+            failed = failed or not entry[2]
+        else:
+            if failed:
+                repaired.add(entry[1])
+            failed = False
+    assert repaired & set(predicted)
+
+
+def test_one_build_per_snapshot_time(monkeypatch):
+    # Within one plan each cycle builds one snapshot, later than the last:
+    # the cut settles that the anchor survives into it, so no cycle steps
+    # back to an earlier snapshot time.
     scene = dataclasses.replace(generate_synthetic(0), time_limit=4.0)
     cfg = SimConfig().planner
     builds, results = [], []  # per plan: build times, the sequence result
@@ -309,14 +358,8 @@ def test_one_snapshot_per_cycle_on_its_own_velocities(monkeypatch):
         results.append(generate_sequence(*args))
         return results[-1]
 
-    def checked(channel, mesh, res):
-        fresh = transmit(build_mesh(mesh.nodes, mesh.time), cfg.transmission)
-        assert np.array_equal(mesh.vel, fresh.vel)
-        return compute_event_time(channel, mesh, res)
-
     monkeypatch.setattr(sequencer, "build_mesh", recording_build)
     monkeypatch.setattr(simulate, "generate_sequence", recording_sequence)
-    monkeypatch.setattr(sequencer, "compute_event_time", checked)
     run_scenario(scene, MethodId.PROPOSED)
     failures = [r.reason for r in results if isinstance(r, SequenceFailure)]
     assert "anchor missing from snapshot" not in failures
