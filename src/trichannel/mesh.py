@@ -9,7 +9,8 @@ with nodes fed in id order, so the output is deterministic per input.
 
 The topology is two ``(T, 3)`` tables, built once and read by every stage.
 ``triangles[t]`` holds the node indices of triangle ``t``, CCW at the
-snapshot time, with rows ordered by sorted vertex triple.
+snapshot time and starting at the lowest index, with rows ordered by sorted
+vertex triple, so the tables depend only on the set of triangles.
 ``neighbors[t, k]`` is the triangle across the edge opposite vertex ``k``,
 or -1 on the hull, so the edges ab, bc, ca of (a, b, c) lie opposite c, a,
 b.  An edge is written (lower index, higher index); edges are walked by
@@ -81,7 +82,7 @@ class Mesh:
     nodes: NodeTable
     xy: np.ndarray  # (N, 2) node positions at ``time``
     vel: np.ndarray  # (N, 2) planning motion of each node
-    triangles: np.ndarray  # (T, 3) node indices, CCW; rows ordered by sorted triple
+    triangles: np.ndarray  # (T, 3) node indices, CCW from the lowest; rows by sorted triple
     neighbors: np.ndarray  # (T, 3) triangle across the edge opposite each vertex, or -1
     # Tables later stages derive from this snapshot, ``vel`` included, so
     # ``dataclasses.replace`` starts an empty one.
@@ -139,6 +140,11 @@ def build_mesh(nodes: Union[NodeTable, Iterable[NodeState]], t: float) -> Mesh:
     # Swapping vertices b and c swaps the neighbours opposite them too.
     triangles[clockwise] = triangles[clockwise][:, [0, 2, 1]]
     neighbors[clockwise] = neighbors[clockwise][:, [0, 2, 1]]
+    # Qhull's choice of first vertex is not reproducible between snapshots:
+    # start every row at its lowest index, neighbour columns rolled along.
+    roll = (triangles.argmin(axis=1)[:, None] + np.arange(3)) % 3
+    triangles = np.take_along_axis(triangles, roll, axis=1)
+    neighbors = np.take_along_axis(neighbors, roll, axis=1)
 
     # Deterministic triangle ids: rows ordered by the sorted vertex triple.
     order = np.lexsort(np.sort(triangles, axis=1).T[::-1])

@@ -218,7 +218,8 @@ def oracle_scenes():
 
 
 def reference_triangles(nodes):
-    """Row by row: exact ``orient2d`` on each Qhull simplex, sorted by triple.
+    """Row by row: exact ``orient2d`` on each Qhull simplex, rolled to start
+    at its lowest index, sorted by triple.
 
     Vertices are node indices: positions in the nodes sorted by id.
     """
@@ -228,7 +229,8 @@ def reference_triangles(nodes):
     for a, b, c in Delaunay(np.array(pos)).simplices.tolist():
         if orient2d(pos[a], pos[b], pos[c]) < 0:
             b, c = c, b
-        rows.append([a, b, c])
+        low = [a, b, c].index(min(a, b, c))
+        rows.append([a, b, c][low:] + [a, b, c][:low])
     return sorted(rows, key=sorted)
 
 
@@ -246,6 +248,7 @@ class TestTopologyTables:
         assert all(a < b for a, b in zip(keys, keys[1:]))  # rows by sorted triple
         for t, verts in enumerate(rows):
             assert orient2d(*mesh.triangle_points(t)) >= 0
+            assert verts[0] == min(verts)  # every row starts at its lowest index
             for k, u in enumerate(mesh.neighbors[t].tolist()):
                 edge = set(verts) - {verts[k]}
                 holders = [w for w, other in enumerate(rows)
