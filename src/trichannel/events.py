@@ -26,6 +26,7 @@ from .geometry import (
     DegenerateTriangleError,
     InCircleSide,
     incircle,
+    incircle_filter,
     orient2d,
 )
 from .mesh import Mesh, NodeTable
@@ -87,18 +88,6 @@ def _exact_is_event(pts: np.ndarray, vels: np.ndarray, tau: float) -> bool:
     return side is not InCircleSide.OUTSIDE
 
 
-def _incircle_filter(dx: np.ndarray, dy: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``incircle``'s float determinant and error bound; ``dx``/``dy`` are
-    (5, ...), rows a, b, c, a, b relative to the point tested."""
-    lift = dx[:3] * dx[:3] + dy[:3] * dy[:3]
-    # Row k: the minor of rows k+1 and k+2, e.g. bdx*cdy - cdx*bdy for a.
-    left = dx[1:4] * dy[2:5]
-    right = dx[2:5] * dy[1:4]
-    terms = lift * (left - right)
-    perms = (np.abs(left) + np.abs(right)) * lift
-    return terms[0] + terms[1] + terms[2], ICC_ERRBOUND * (perms[0] + perms[1] + perms[2])
-
-
 def _filter(pts: np.ndarray, vels: np.ndarray, taus: np.ndarray
             ) -> Tuple[np.ndarray, np.ndarray]:
     """Certain-event and certain-clear masks of the (samples, pairs) grid.
@@ -111,7 +100,8 @@ def _filter(pts: np.ndarray, vels: np.ndarray, taus: np.ndarray
     t = taus[:, None]
     x = pts[0, :, None] + vels[0, :, None] * t  # (6, S, P)
     y = pts[1, :, None] + vels[1, :, None] * t
-    det, det_err = _incircle_filter(x[:5] - x[5], y[:5] - y[5])
+    det, det_perm = incircle_filter(x[:5] - x[5], y[:5] - y[5])
+    det_err = ICC_ERRBOUND * det_perm
 
     ox, oy = x[:2] - x[2], y[:2] - y[2]  # a - c and b - c
     oleft = ox[0] * oy[1]
@@ -203,15 +193,17 @@ def compute_event_time(channel: Channel, mesh: Mesh, sample_resolution: float
 def anchor_survives(nodes: NodeTable, t: float, tri: Sequence[int]) -> bool:
     """Whether no node lies inside or on the circumcircle of ``tri`` at ``t``.
 
-    If so, ``build_mesh(nodes, t)`` holds it: an empty circumcircle puts a
-    triangle in every Delaunay triangulation.  A collinear one is lost.
+    If so, ``build_mesh`` holds it at ``t``, advanced or built by Qhull: an
+    empty circumcircle puts a triangle in every Delaunay triangulation.  A
+    collinear one is lost.
     """
     xy = nodes.xy + nodes.vel * t
     verts = list(tri)
     a, b, c = map(tuple, xy[verts].tolist())
     orient = orient2d(a, b, c)
     rows = xy[verts + verts[:2]]  # a, b, c, a, b
-    det, err = _incircle_filter(rows[:, :1] - xy[:, 0], rows[:, 1:] - xy[:, 1])
+    det, perm = incircle_filter(rows[:, :1] - xy[:, 0], rows[:, 1:] - xy[:, 1])
+    err = ICC_ERRBOUND * perm
     # Certainly outside: det and orient differ in sign (see ``incircle``).
     clear = det < -err if orient > 0 else det > err
     clear[verts] = True  # the triangle's own vertices

@@ -106,8 +106,12 @@ def orient2d(a: Point, b: Point, c: Point) -> float:
     return _orient2d_exact(a, b, c)
 
 
-def _incircle_det_fast(a: Point, b: Point, c: Point, p: Point) -> Tuple[float, bool]:
-    """det[[x, y, x^2+y^2, 1]] over rows (a, b, c, p) and a certainty flag."""
+def incircle_det(a: Point, b: Point, c: Point, p: Point) -> Tuple[float, float]:
+    """Float det[[x, y, x^2+y^2, 1]] over rows (a, b, c, p) and its permanent.
+
+    The sign of the determinant is certain when its magnitude exceeds
+    ``ICC_ERRBOUND`` times the permanent.
+    """
     adx = a[0] - p[0]
     ady = a[1] - p[1]
     bdx = b[0] - p[0]
@@ -135,7 +139,19 @@ def _incircle_det_fast(a: Point, b: Point, c: Point, p: Point) -> Tuple[float, b
         + (abs(cdxady) + abs(adxcdy)) * blift
         + (abs(adxbdy) + abs(bdxady)) * clift
     )
-    return det, abs(det) > ICC_ERRBOUND * permanent
+    return det, permanent
+
+
+def incircle_filter(dx, dy):
+    """``incircle_det`` over arrays: ``dx``/``dy`` are (5, ...), rows a, b,
+    c, a, b relative to the point tested."""
+    lift = dx[:3] * dx[:3] + dy[:3] * dy[:3]
+    # Row k: the minor of rows k+1 and k+2, e.g. bdx*cdy - cdx*bdy for a.
+    left = dx[1:4] * dy[2:5]
+    right = dx[2:5] * dy[1:4]
+    terms = lift * (left - right)
+    perms = (abs(left) + abs(right)) * lift
+    return terms[0] + terms[1] + terms[2], perms[0] + perms[1] + perms[2]
 
 
 def _incircle_det_exact(a: Point, b: Point, c: Point, p: Point) -> float:
@@ -170,8 +186,8 @@ def incircle(a: Point, b: Point, c: Point, p: Point) -> InCircleSide:
     if orient == 0.0:
         raise DegenerateTriangleError(f"collinear triangle {a}, {b}, {c}")
 
-    det, certain = _incircle_det_fast(a, b, c, p)
-    if not certain:
+    det, permanent = incircle_det(a, b, c, p)
+    if not abs(det) > ICC_ERRBOUND * permanent:
         det = _incircle_det_exact(a, b, c, p)
 
     # det is the [[x, y, x^2+y^2, 1]] row order; the column order used by

@@ -6,6 +6,11 @@ mesh table holds dense indices, and as the index is monotone in node id,
 index order is id order.  A plan builds one table and all its snapshots
 share it.  Construction delegates to Qhull (``scipy.spatial.Delaunay``)
 with nodes fed in id order, so the output is deterministic per input.
+Later snapshots of a plan are advanced from the one before instead: its
+tables, taken to the new positions, are Lawson-flipped until every edge is
+certainly locally Delaunay, and on any doubt Qhull builds them (``_advance``
+lists when).  Either way the tables are the unique Delaunay triangulation,
+so they are equal.
 
 The topology is two ``(T, 3)`` tables, built once and read by every stage.
 ``triangles[t]`` holds the node indices of triangle ``t``, CCW at the
@@ -27,20 +32,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.spatial import Delaunay as _QhullDelaunay
 from scipy.spatial import QhullError
 
 from .geometry import (CCW_ERRBOUND, NodeKind, NodeState, Point, TrianglePoints,
-                       Vector, dist, orient2d)
+                       Vector, dist, incircle_det, incircle_filter, orient2d)
 
 # Column of the vertex opposite each of the edges ab, bc and ca.
 _AB_BC_CA = [2, 0, 1]
 # Two placement distances closer than this, relative, are compared again
 # with ``math.hypot``: ``np.hypot`` can differ from it in the last bit.
 _TIE_RTOL = 1e-12
+# ``_advance`` accepts an orientation or in-circle value only when it exceeds
+# this share of its permanent, far above the float error bounds (~1e-15):
+# Qhull can pick another diagonal than the exact in-circle sign at 1e-13.
+_ADVANCE_RTOL = 1e-9
+# Past this many flips, a Qhull build costs about as much.
+_MAX_FLIPS = 64
 
 
 class DegenerateInputError(ValueError):
@@ -102,21 +113,17 @@ class Mesh:
         return (xy[a], xy[b], xy[c])
 
 
-def build_mesh(nodes: Union[NodeTable, Iterable[NodeState]], t: float) -> Mesh:
-    """Delaunay triangulation of the nodes at positions extrapolated to ``t``.
+def _orientation(pts: np.ndarray, tris: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``orient2d``'s float determinant of every row, and the sum of the
+    magnitudes of its two products, which its error bound scales."""
+    a, b, c = (pts[tris[:, k]] for k in range(3))
+    detleft = (a[:, 0] - c[:, 0]) * (b[:, 1] - c[:, 1])
+    detright = (a[:, 1] - c[:, 1]) * (b[:, 0] - c[:, 0])
+    return detleft - detright, np.abs(detleft) + np.abs(detright)
 
-    ``nodes`` is a ``NodeTable``, or node states to build one from.
-    Positions are ``xy + vel * t``, the operations of ``position_at``.
-    Raises ``DegenerateInputError`` for fewer than 3 nodes or an
-    all-collinear set.
-    """
-    table = nodes if isinstance(nodes, NodeTable) else NodeTable.of(nodes)
-    if len(table.ids) < 3:
-        raise DegenerateInputError(f"need at least 3 nodes, got {len(table.ids)}")
-    if (table.ids[1:] == table.ids[:-1]).any():
-        raise ValueError("duplicate node ids")
 
-    pts = table.xy + table.vel * t
+def _qhull_tables(pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Qhull's triangle and neighbour tables, every row CCW from its lowest index."""
     try:
         qhull = _QhullDelaunay(pts)
     except QhullError as exc:
@@ -129,13 +136,9 @@ def build_mesh(nodes: Union[NodeTable, Iterable[NodeState]], t: float) -> Mesh:
     # Orient every triangle CCW: the float filter of ``orient2d`` decides
     # all rows at once, and only the rows inside its error bound go to the
     # exact predicate.
-    a, b, c = (pts[triangles[:, k]] for k in range(3))
-    detleft = (a[:, 0] - c[:, 0]) * (b[:, 1] - c[:, 1])
-    detright = (a[:, 1] - c[:, 1]) * (b[:, 0] - c[:, 0])
-    det = detleft - detright
+    det, size = _orientation(pts, triangles)
     clockwise = det < 0
-    uncertain = ~(np.abs(det) > CCW_ERRBOUND * (np.abs(detleft) + np.abs(detright)))
-    for row in np.flatnonzero(uncertain):
+    for row in np.flatnonzero(~(np.abs(det) > CCW_ERRBOUND * size)):
         clockwise[row] = orient2d(*pts[triangles[row]].tolist()) < 0
     # Swapping vertices b and c swaps the neighbours opposite them too.
     triangles[clockwise] = triangles[clockwise][:, [0, 2, 1]]
@@ -143,9 +146,96 @@ def build_mesh(nodes: Union[NodeTable, Iterable[NodeState]], t: float) -> Mesh:
     # Qhull's choice of first vertex is not reproducible between snapshots:
     # start every row at its lowest index, neighbour columns rolled along.
     roll = (triangles.argmin(axis=1)[:, None] + np.arange(3)) % 3
-    triangles = np.take_along_axis(triangles, roll, axis=1)
-    neighbors = np.take_along_axis(neighbors, roll, axis=1)
+    return (np.take_along_axis(triangles, roll, axis=1),
+            np.take_along_axis(neighbors, roll, axis=1))
 
+
+def _advance(prior: Mesh, pts: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``prior``'s tables taken to the positions ``pts`` by Lawson flips.
+
+    None, for Qhull to build the tables instead, when a node is missing
+    from ``prior`` (Qhull drops duplicates), a hull vertex moves, a prior
+    triangle is not CCW at ``pts`` or an in-circle value is not nonzero by
+    more than ``_ADVANCE_RTOL`` of its permanent, or more than
+    ``_MAX_FLIPS`` edges flip.  So a flip happens only where the opposite
+    vertex is certainly inside, which keeps both new triangles CCW, and
+    every edge of the result is certainly locally Delaunay: it is the
+    unique Delaunay triangulation, Qhull's.
+    """
+    tris, nbrs = prior.triangles, prior.neighbors
+    # Every hull vertex starts one hull edge: ab, bc or ca with no triangle across.
+    if (not np.bincount(tris.ravel(), minlength=len(pts)).all()
+            or prior.nodes.vel[tris[nbrs[:, _AB_BC_CA] < 0]].any()):
+        return None
+    det, size = _orientation(pts, tris)
+    if not (det > _ADVANCE_RTOL * size).all():
+        return None
+    # Every interior edge once, from its lower-id triangle t.  The edge is
+    # t less its vertex k, so the neighbour's vertex across it is the
+    # difference of the two rows' index sums plus vertex k.
+    t, k = np.nonzero(nbrs > np.arange(len(tris))[:, None])
+    tsum = tris.sum(axis=1)
+    probe = pts[tsum[nbrs[t, k]] - tsum[t] + tris[t, k]]
+    rows = pts[tris[t][:, [0, 1, 2, 0, 1]]].T  # (2, 5, E): a, b, c, a, b
+    det, perm = incircle_filter(rows[0] - probe[:, 0], rows[1] - probe[:, 1])
+    if not (np.abs(det) > _ADVANCE_RTOL * perm).all():
+        return None
+    stack = np.column_stack([t, k])[det > 0].tolist()
+    tris, nbrs, xy = tris.copy(), nbrs.copy(), pts.tolist()
+    flips = 0
+    while stack:
+        t, k = stack.pop()
+        u = nbrs[t, k]
+        if u < 0:
+            continue
+        # t = (a, b, c) and u = (d, c, b) share the edge bc.
+        a, b, c = (tris[t].tolist() * 2)[k:k + 3]
+        _, across_ca, across_ab = (nbrs[t].tolist() * 2)[k:k + 3]
+        j = nbrs[u].tolist().index(t)
+        d = tris[u, j]
+        _, across_bd, across_dc = (nbrs[u].tolist() * 2)[j:j + 3]
+        det, perm = incircle_det(xy[a], xy[b], xy[c], xy[d])
+        if not abs(det) > _ADVANCE_RTOL * perm:
+            return None
+        if det < 0:
+            continue
+        flips += 1
+        if flips > _MAX_FLIPS:
+            return None
+        # Flip bc to ad: t = (a, b, d) and u = (d, c, a), both CCW, each
+        # rolled to start at its lowest index; then test their outer edges.
+        for row, tri, nbr in ((t, [a, b, d], [across_bd, u, across_ab]),
+                              (u, [d, c, a], [across_ca, t, across_dc])):
+            i = tri.index(min(tri))
+            tris[row], nbrs[row] = tri[i:] + tri[:i], nbr[i:] + nbr[:i]
+            stack += [[row, -i % 3], [row, (2 - i) % 3]]
+        for w, old, new in ((across_bd, u, t), (across_ca, t, u)):
+            if w >= 0:
+                nbrs[w, nbrs[w].tolist().index(old)] = new
+    return tris, nbrs
+
+
+def build_mesh(nodes: Union[NodeTable, Iterable[NodeState]], t: float,
+               prior: Optional[Mesh] = None) -> Mesh:
+    """Delaunay triangulation of the nodes at positions extrapolated to ``t``.
+
+    ``nodes`` is a ``NodeTable``, or node states to build one from.
+    Positions are ``xy + vel * t``, the operations of ``position_at``.
+    Given ``prior``, a snapshot of the same ``NodeTable``, its tables are
+    advanced to ``t`` by edge flips wherever that certainly gives Qhull's
+    (``_advance``); otherwise Qhull builds them.  Raises
+    ``DegenerateInputError`` for fewer than 3 nodes or an all-collinear set.
+    """
+    table = nodes if isinstance(nodes, NodeTable) else NodeTable.of(nodes)
+    if len(table.ids) < 3:
+        raise DegenerateInputError(f"need at least 3 nodes, got {len(table.ids)}")
+    if (table.ids[1:] == table.ids[:-1]).any():
+        raise ValueError("duplicate node ids")
+
+    pts = table.xy + table.vel * t
+    advanced = (_advance(prior, pts) if prior is not None and prior.nodes is table
+                else None)
+    triangles, neighbors = advanced if advanced is not None else _qhull_tables(pts)
     # Deterministic triangle ids: rows ordered by the sorted vertex triple.
     order = np.lexsort(np.sort(triangles, axis=1).T[::-1])
     rank = np.empty_like(order)

@@ -6,7 +6,9 @@ its last triangle), then repeat from the anchor at the event time with all
 nodes advanced by the linear model.  Consecutive segments overlap on the
 anchor triangle, so the union forms one spatially and temporally connected
 corridor.  The cut settles that the anchor survives into the next snapshot,
-so each cycle builds one snapshot, later than the last.
+so each cycle builds one snapshot, later than the last, and hands it to
+``build_mesh`` to advance by edge flips into the next: Qhull runs for the
+first snapshot of a plan and on fallback only.
 """
 from __future__ import annotations
 
@@ -271,11 +273,12 @@ def generate_sequence(nodes: Sequence[NodeState], start: Point, goal: Point,
     start_pt = start
     anchor: Optional[VertexTriple] = None  # node indices
     segments: List[ChannelSegment] = []
+    mesh: Optional[Mesh] = None  # the previous cycle's snapshot
 
     # Each cycle builds one snapshot and returns or appends exactly one
     # segment, so the sequence is full when the loop runs out.
     for cycle in range(cfg.max_segments):
-        mesh = build_mesh(table, tau)
+        mesh = build_mesh(table, tau, mesh)
         if cfg.transmission_enabled:
             mesh = transmit(mesh, cfg.transmission)
         dual = build_dual(mesh, goal, cfg.ego_radius)

@@ -5,14 +5,20 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import Delaunay
 
+from test_stage_oracles import corpus
 from trichannel import mesh as mesh_module
+from trichannel import sequencer
 from trichannel.geometry import (InCircleSide, NodeKind, NodeState, dist, incircle,
                                  orient2d)
-from trichannel.mesh import (DegenerateInputError, build_dual, build_mesh,
+from trichannel.mesh import (DegenerateInputError, NodeTable, build_dual, build_mesh,
                              find_triangle, generate_virtual_nodes, locate,
                              mesh_edges, point_in_triangle)
+from trichannel.scenario import generate_synthetic
+from trichannel.simulate import MethodId, run_scenario
 
 
 def make_nodes(points, r=0.0, kind=NodeKind.STATIC):
@@ -294,6 +300,124 @@ class TestTopologyTables:
             assert find_triangle(mesh, (c, a, b)) == tri_id
             assert find_triangle(mesh, (b, a, c)) == tri_id
         assert find_triangle(mesh, (0, 1, 999)) is None
+
+
+def count_qhull(monkeypatch):
+    """List that gains the node count of every Qhull build from now on."""
+    calls = []
+    real = mesh_module._QhullDelaunay
+
+    def counting(pts):
+        calls.append(len(pts))
+        return real(pts)
+
+    monkeypatch.setattr(mesh_module, "_QhullDelaunay", counting)
+    return calls
+
+
+def assert_same_tables(got, want):
+    assert got.triangles.tolist() == want.triangles.tolist()
+    assert got.neighbors.tolist() == want.neighbors.tolist()
+
+
+def advance_or_raise(table, t0, t1):
+    """``build_mesh(table, t1, prior)`` against a plain build, both raising alike."""
+    try:
+        want = build_mesh(table, t1)
+    except DegenerateInputError:
+        with pytest.raises(DegenerateInputError):
+            build_mesh(table, t1, build_mesh(table, t0))
+        return
+    assert_same_tables(build_mesh(table, t1, build_mesh(table, t0)), want)
+
+
+_speed = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+
+
+class TestAdvance:
+    """``build_mesh(table, t, prior)`` equals a Qhull build at ``t``."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_closed_loop_snapshots_equal_qhull(self, seed, monkeypatch):
+        scene = dataclasses.replace(generate_synthetic(seed), time_limit=6.0)
+        calls = count_qhull(monkeypatch)
+        advanced = []  # per advance: whether it ran without Qhull
+
+        def checking_build(nodes, t, prior=None):
+            built = len(calls)
+            got = build_mesh(nodes, t, prior)
+            if prior is not None:
+                advanced.append(len(calls) == built)
+                assert_same_tables(got, build_mesh(nodes, t))
+            return got
+
+        monkeypatch.setattr(sequencer, "build_mesh", checking_build)
+        run_scenario(scene, MethodId.PROPOSED)
+        assert sum(advanced) > 0.8 * len(advanced) > 20
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_random_moving_sets_equal_qhull(self, data):
+        # Points inside a square frame, corners and edge midpoints, that
+        # stays or moves.
+        n = data.draw(st.integers(1, 30), label="inner nodes")
+        coord = st.floats(0.5, 19.5)
+        inner = data.draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+        frame = [(0.0, 0.0), (10.0, 0.0), (20.0, 0.0), (20.0, 10.0),
+                 (20.0, 20.0), (10.0, 20.0), (0.0, 20.0), (0.0, 10.0)]
+        speeds = data.draw(st.lists(st.tuples(_speed, _speed), min_size=n + 8,
+                                    max_size=n + 8))
+        if data.draw(st.booleans(), label="static frame"):
+            speeds[:8] = [(0.0, 0.0)] * 8
+        nodes = [NodeState(id=i, x=x, y=y, vx=vx, vy=vy, r=0.0)
+                 for i, ((x, y), (vx, vy)) in enumerate(zip(frame + inner, speeds))]
+        t0 = data.draw(st.sampled_from([0.0, 0.5]), label="prior time")
+        advance_or_raise(NodeTable.of(nodes), t0, t0 + data.draw(st.floats(0.01, 3.0)))
+
+    @pytest.mark.parametrize("t1", [0.5, 1.0, 2.0])
+    def test_cocircular_grids_take_the_fallback(self, t1, monkeypatch):
+        # Exactly cocircular integer grids with integer speeds, and still
+        # ones: an in-circle value of zero is never decided by flips.
+        grids = [NodeTable.of(nodes) for label, nodes, _ in corpus()
+                 if label.startswith("grid-")]
+        grids += [NodeTable.of(make_nodes([(i, j) for i in range(k) for j in range(k)]))
+                  for k in (2, 3, 5, 7)]
+        calls = count_qhull(monkeypatch)
+        for table in grids:
+            del calls[:]
+            advance_or_raise(table, 0.0, t1)
+            assert calls == [len(table.ids)] * 3  # the advance ran Qhull too
+
+    @pytest.mark.parametrize("eps", [1e-13, -1e-13, 1e-15, 3e-11])
+    def test_near_cocircular_quad_takes_the_fallback(self, eps, monkeypatch):
+        # A unit square inside a still frame; its fourth corner crosses the
+        # circle through the other three.  So close to it, Qhull's diagonal
+        # is not the one the float in-circle sign picks.
+        pts = [(-10, -13), (12, -9), (13, 11), (-11, 12), (0, 0), (1, 0), (1, 1), (0, 1)]
+        nodes = [NodeState(id=i, x=x, y=y, vx=0.0, vy=eps if i == 7 else 0.0, r=0.0)
+                 for i, (x, y) in enumerate(pts)]
+        calls = count_qhull(monkeypatch)
+        advance_or_raise(NodeTable.of(nodes), -1.0, 1.0)
+        assert calls == [8] * 3
+
+    def test_flip_cap_takes_the_fallback(self, monkeypatch):
+        table = NodeTable.of(generate_synthetic(0).node_states_at(4.0))
+        prior = build_mesh(table, 0.0)
+        flipped = build_mesh(table, 0.3, prior)
+        assert flipped.triangles.tolist() != prior.triangles.tolist()
+        calls = count_qhull(monkeypatch)
+        assert_same_tables(build_mesh(table, 0.3, prior), flipped)
+        assert calls == []
+        monkeypatch.setattr(mesh_module, "_MAX_FLIPS", 0)
+        assert_same_tables(build_mesh(table, 0.3, prior), flipped)
+        assert calls == [len(table.ids)]
+
+    def test_other_node_table_is_rebuilt(self, monkeypatch):
+        nodes = random_nodes(random.Random(2), 20)
+        prior = build_mesh(nodes, 0.0)
+        calls = count_qhull(monkeypatch)
+        assert_same_tables(build_mesh(nodes, 0.0, prior), prior)
+        assert len(calls) == 1
 
 
 class TestVirtualNodes:

@@ -307,9 +307,9 @@ def test_repair_rebuild_plans_on_its_own_velocities(monkeypatch):
         log.append(("check", t, ok))
         return ok
 
-    def recording_build(nodes, t):
+    def recording_build(nodes, t, prior=None):
         log.append(("build", t))
-        return build_mesh(nodes, t)
+        return build_mesh(nodes, t, prior)
 
     def recording_sequence(*args):
         log.append(("plan",))
@@ -344,17 +344,27 @@ def test_repair_rebuild_plans_on_its_own_velocities(monkeypatch):
 def test_one_build_per_snapshot_time(monkeypatch):
     # Within one plan each cycle builds one snapshot, later than the last:
     # the cut settles that the anchor survives into it, so no cycle steps
-    # back to an earlier snapshot time.
+    # back to an earlier snapshot time.  Every cycle after the first hands
+    # the previous cycle's snapshot to ``build_mesh`` to advance.
     scene = dataclasses.replace(generate_synthetic(0), time_limit=4.0)
     cfg = SimConfig().planner
     builds, results = [], []  # per plan: build times, the sequence result
+    built = []  # per plan: the snapshots built
 
-    def recording_build(nodes, t):
+    def recording_build(nodes, t, prior=None):
+        if builds[-1]:
+            assert prior.nodes is nodes
+            assert prior.time == builds[-1][-1]
+            assert prior.triangles is built[-1][-1].triangles
+        else:
+            assert prior is None
         builds[-1].append(t)
-        return build_mesh(nodes, t)
+        built[-1].append(build_mesh(nodes, t, prior))
+        return built[-1][-1]
 
     def recording_sequence(*args):
         builds.append([])
+        built.append([])
         results.append(generate_sequence(*args))
         return results[-1]
 
