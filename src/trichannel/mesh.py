@@ -43,6 +43,10 @@ from .geometry import (CCW_ERRBOUND, NodeKind, NodeState, Point, TrianglePoints,
 
 # Column of the vertex opposite each of the edges ab, bc and ca.
 _AB_BC_CA = [2, 0, 1]
+# Columns of a row read forward (CCW row) or backward (clockwise row) from
+# the column of its lowest index.
+_ROW_ORDERS = np.array([[[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+                        [[0, 2, 1], [1, 0, 2], [2, 1, 0]]])
 # Two placement distances closer than this, relative, are compared again
 # with ``math.hypot``: ``np.hypot`` can differ from it in the last bit.
 _TIE_RTOL = 1e-12
@@ -140,14 +144,12 @@ def _qhull_tables(pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     clockwise = det < 0
     for row in np.flatnonzero(~(np.abs(det) > CCW_ERRBOUND * size)):
         clockwise[row] = orient2d(*pts[triangles[row]].tolist()) < 0
-    # Swapping vertices b and c swaps the neighbours opposite them too.
-    triangles[clockwise] = triangles[clockwise][:, [0, 2, 1]]
-    neighbors[clockwise] = neighbors[clockwise][:, [0, 2, 1]]
     # Qhull's choice of first vertex is not reproducible between snapshots:
-    # start every row at its lowest index, neighbour columns rolled along.
-    roll = (triangles.argmin(axis=1)[:, None] + np.arange(3)) % 3
-    return (np.take_along_axis(triangles, roll, axis=1),
-            np.take_along_axis(neighbors, roll, axis=1))
+    # read each row from its lowest index, forward if CCW, else backward.
+    # A neighbour column moves with the vertex it lies opposite.
+    rows = np.arange(len(triangles))[:, None]
+    cols = _ROW_ORDERS[clockwise.astype(np.intp), triangles.argmin(axis=1)]
+    return triangles[rows, cols], neighbors[rows, cols]
 
 
 def _advance(prior: Mesh, pts: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:

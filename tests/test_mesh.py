@@ -400,6 +400,17 @@ class TestAdvance:
         advance_or_raise(NodeTable.of(nodes), -1.0, 1.0)
         assert calls == [8] * 3
 
+    def test_inverted_triangle_takes_the_fallback(self, monkeypatch):
+        # Node 6 crosses the edge between nodes 4 and 5 inside a still frame.
+        pts = [(0, 0), (10, 0), (10, 10), (0, 10), (3, 5), (7, 5), (5, 6)]
+        nodes = [NodeState(id=i, x=x, y=y, vx=0.0, vy=-2.0 if i == 6 else 0.0, r=0.0)
+                 for i, (x, y) in enumerate(pts)]
+        table = NodeTable.of(nodes)
+        assert find_triangle(build_mesh(table, 0.0), (4, 5, 6)) is not None
+        calls = count_qhull(monkeypatch)
+        advance_or_raise(table, 0.0, 1.0)
+        assert calls == [7] * 3
+
     def test_flip_cap_takes_the_fallback(self, monkeypatch):
         table = NodeTable.of(generate_synthetic(0).node_states_at(4.0))
         prior = build_mesh(table, 0.0)
