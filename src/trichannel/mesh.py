@@ -9,8 +9,8 @@ with nodes fed in id order, so the output is deterministic per input.
 Later snapshots of a plan are advanced from the one before instead: its
 tables, taken to the new positions, are Lawson-flipped until every edge is
 certainly locally Delaunay, and on any doubt Qhull builds them (``_advance``
-lists when).  Either way the tables are the unique Delaunay triangulation,
-so they are equal.
+lists when).  An advanced snapshot is the unique Delaunay triangulation of
+its nodes, so its tables equal Qhull's.
 
 The topology is two ``(T, 3)`` tables, built once and read by every stage.
 ``triangles[t]`` holds the node indices of triangle ``t``, CCW at the
@@ -157,8 +157,8 @@ def _advance(prior: Mesh, pts: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndar
 
     None, for Qhull to build the tables instead, when a node is missing
     from ``prior`` (Qhull drops duplicates), a hull vertex moves, a prior
-    triangle is not CCW at ``pts`` or an in-circle value is not nonzero by
-    more than ``_ADVANCE_RTOL`` of its permanent, or more than
+    triangle's orientation (so it must be CCW) or an in-circle value is
+    not clear of zero by ``_ADVANCE_RTOL`` of its permanent, or more than
     ``_MAX_FLIPS`` edges flip.  So a flip happens only where the opposite
     vertex is certainly inside, which keeps both new triangles CCW, and
     every edge of the result is certainly locally Delaunay: it is the

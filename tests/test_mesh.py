@@ -402,7 +402,7 @@ class TestAdvance:
 
     def test_inverted_triangle_takes_the_fallback(self, monkeypatch):
         # Node 6 crosses the edge between nodes 4 and 5 inside a still frame.
-        pts = [(0, 0), (10, 0), (10, 10), (0, 10), (3, 5), (7, 5), (5, 6)]
+        pts = [(0, 0), (10, 0), (10, 10), (0, 10), (3, 5), (8, 5), (4.5, 6.5)]
         nodes = [NodeState(id=i, x=x, y=y, vx=0.0, vy=-2.0 if i == 6 else 0.0, r=0.0)
                  for i, (x, y) in enumerate(pts)]
         table = NodeTable.of(nodes)
