@@ -4,13 +4,14 @@ Nodes enter as a ``NodeTable``: ids in ascending order with positions,
 velocities and radii as arrays.  A node's row is its dense index; every
 mesh table holds dense indices, and as the index is monotone in node id,
 index order is id order.  A plan builds one table and all its snapshots
-share it.  Construction delegates to Qhull (``scipy.spatial.Delaunay``)
-with nodes fed in id order, so the output is deterministic per input.
-Later snapshots of a plan are advanced from the one before instead: its
-tables, taken to the new positions, are Lawson-flipped until every edge is
-certainly locally Delaunay, and on any doubt Qhull builds them (``_advance``
-lists when).  An advanced snapshot is the unique Delaunay triangulation of
-its nodes, so its tables equal Qhull's.
+share it.  A snapshot is advanced from an earlier one: its tables, taken
+to the new positions, are Lawson-flipped until every edge is certainly
+locally Delaunay.  Later snapshots of a plan advance from the one before;
+a plan's first advances from the last plan's first, 0.1 s of motion away
+in closed loop.  Qhull (``scipy.spatial.Delaunay``, nodes fed in id order)
+builds the tables only on fallback (``_advance`` lists when).  An advanced
+snapshot is the unique Delaunay triangulation of its nodes, so its tables
+equal Qhull's, whichever snapshot it came from.
 
 The topology is two ``(T, 3)`` tables, built once and read by every stage.
 ``triangles[t]`` holds the node indices of triangle ``t``, CCW at the
@@ -56,6 +57,9 @@ _TIE_RTOL = 1e-12
 _ADVANCE_RTOL = 1e-9
 # Past this many flips, a Qhull build costs about as much.
 _MAX_FLIPS = 64
+# The last snapshot built without a prior: a plan's first, which seeds the
+# next plan's first.  ``_advance`` certifies any seed, so nothing else is kept.
+_plan_start: Optional["Mesh"] = None
 
 
 class DegenerateInputError(ValueError):
@@ -155,19 +159,24 @@ def _qhull_tables(pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def _advance(prior: Mesh, pts: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """``prior``'s tables taken to the positions ``pts`` by Lawson flips.
 
-    None, for Qhull to build the tables instead, when a node is missing
-    from ``prior`` (Qhull drops duplicates), a hull vertex moves, a prior
-    triangle's orientation (so it must be CCW) or an in-circle value is
-    not clear of zero by ``_ADVANCE_RTOL`` of its permanent, or more than
-    ``_MAX_FLIPS`` edges flip.  So a flip happens only where the opposite
-    vertex is certainly inside, which keeps both new triangles CCW, and
-    every edge of the result is certainly locally Delaunay: it is the
-    unique Delaunay triangulation, Qhull's.
+    ``prior`` may be of any node table.  None, for Qhull to build the
+    tables instead, when ``prior`` has another node count, a node is
+    missing from it (Qhull drops duplicates), a hull vertex is not where
+    ``prior`` has it, a prior triangle's orientation (so it must be CCW)
+    or an in-circle value is not clear of zero by ``_ADVANCE_RTOL`` of its
+    permanent, or more than ``_MAX_FLIPS`` edges flip.  The hull polygon
+    is then fixed and every triangle CCW, so the tables cover the convex
+    hull of ``pts`` once; a flip happens only where the opposite vertex is
+    certainly inside, which keeps both new triangles CCW, and every edge
+    of the result is certainly locally Delaunay: it is the unique Delaunay
+    triangulation, Qhull's.
     """
     tris, nbrs = prior.triangles, prior.neighbors
     # Every hull vertex starts one hull edge: ab, bc or ca with no triangle across.
-    if (not np.bincount(tris.ravel(), minlength=len(pts)).all()
-            or prior.nodes.vel[tris[nbrs[:, _AB_BC_CA] < 0]].any()):
+    hull = tris[nbrs[:, _AB_BC_CA] < 0]
+    if (len(prior.xy) != len(pts)
+            or not np.bincount(tris.ravel(), minlength=len(pts)).all()
+            or (prior.xy[hull] != pts[hull]).any()):
         return None
     det, size = _orientation(pts, tris)
     if not (det > _ADVANCE_RTOL * size).all():
@@ -223,11 +232,13 @@ def build_mesh(nodes: Union[NodeTable, Iterable[NodeState]], t: float,
 
     ``nodes`` is a ``NodeTable``, or node states to build one from.
     Positions are ``xy + vel * t``, the operations of ``position_at``.
-    Given ``prior``, a snapshot of the same ``NodeTable``, its tables are
-    advanced to ``t`` by edge flips wherever that certainly gives Qhull's
-    (``_advance``); otherwise Qhull builds them.  Raises
-    ``DegenerateInputError`` for fewer than 3 nodes or an all-collinear set.
+    The tables of ``prior``, or without one of the last snapshot built
+    without one, are advanced to ``t`` by edge flips wherever that
+    certainly gives Qhull's (``_advance``); otherwise Qhull builds them.
+    Raises ``DegenerateInputError`` for fewer than 3 nodes or an
+    all-collinear set.
     """
+    global _plan_start
     table = nodes if isinstance(nodes, NodeTable) else NodeTable.of(nodes)
     if len(table.ids) < 3:
         raise DegenerateInputError(f"need at least 3 nodes, got {len(table.ids)}")
@@ -235,15 +246,15 @@ def build_mesh(nodes: Union[NodeTable, Iterable[NodeState]], t: float,
         raise ValueError("duplicate node ids")
 
     pts = table.xy + table.vel * t
-    advanced = (_advance(prior, pts) if prior is not None and prior.nodes is table
-                else None)
+    seed = _plan_start if prior is None else prior
+    advanced = _advance(seed, pts) if seed is not None else None
     triangles, neighbors = advanced if advanced is not None else _qhull_tables(pts)
     # Deterministic triangle ids: rows ordered by the sorted vertex triple.
     order = np.lexsort(np.sort(triangles, axis=1).T[::-1])
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     neighbors = neighbors[order]
-    return Mesh(
+    mesh = Mesh(
         time=t,
         nodes=table,
         xy=_frozen(pts),
@@ -251,6 +262,9 @@ def build_mesh(nodes: Union[NodeTable, Iterable[NodeState]], t: float,
         triangles=_frozen(triangles[order]),
         neighbors=_frozen(np.where(neighbors >= 0, rank[neighbors], -1)),
     )
+    if prior is None:
+        _plan_start = mesh
+    return mesh
 
 
 def mesh_edges(mesh: Mesh) -> np.ndarray:

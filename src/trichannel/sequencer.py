@@ -7,8 +7,9 @@ nodes advanced by the linear model.  Consecutive segments overlap on the
 anchor triangle, so the union forms one spatially and temporally connected
 corridor.  The cut settles that the anchor survives into the next snapshot,
 so each cycle builds one snapshot, later than the last, and hands it to
-``build_mesh`` to advance by edge flips into the next: Qhull runs for the
-first snapshot of a plan and on fallback only.
+``build_mesh`` to advance by edge flips into the next.  The first cycle
+passes none, so ``build_mesh`` advances the last plan's first snapshot:
+Qhull runs on fallback only.
 """
 from __future__ import annotations
 

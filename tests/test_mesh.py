@@ -11,7 +11,7 @@ from scipy.spatial import Delaunay
 
 from test_stage_oracles import corpus
 from trichannel import mesh as mesh_module
-from trichannel import sequencer
+from trichannel import sequencer, simulate
 from trichannel.geometry import (InCircleSide, NodeKind, NodeState, dist, incircle,
                                  orient2d)
 from trichannel.mesh import (DegenerateInputError, NodeTable, build_dual, build_mesh,
@@ -303,7 +303,11 @@ class TestTopologyTables:
 
 
 def count_qhull(monkeypatch):
-    """List that gains the node count of every Qhull build from now on."""
+    """List that gains the node count of every Qhull build from now on.
+
+    The warm-start slot starts empty, so the counts do not depend on what
+    an earlier test built.
+    """
     calls = []
     real = mesh_module._QhullDelaunay
 
@@ -312,7 +316,17 @@ def count_qhull(monkeypatch):
         return real(pts)
 
     monkeypatch.setattr(mesh_module, "_QhullDelaunay", counting)
+    monkeypatch.setattr(mesh_module, "_plan_start", None)
     return calls
+
+
+def qhull_build(nodes, t):
+    """A Qhull build at ``t`` that leaves the warm-start slot as it was."""
+    slot, mesh_module._plan_start = mesh_module._plan_start, None
+    try:
+        return build_mesh(nodes, t)
+    finally:
+        mesh_module._plan_start = slot
 
 
 def assert_same_tables(got, want):
@@ -332,10 +346,20 @@ def advance_or_raise(table, t0, t1):
 
 
 _speed = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+# Corners and edge midpoints of a 20 m square.
+FRAME = [(0.0, 0.0), (10.0, 0.0), (20.0, 0.0), (20.0, 10.0),
+         (20.0, 20.0), (10.0, 20.0), (0.0, 20.0), (0.0, 10.0)]
+
+
+def square_framed(rng, n):
+    """Still nodes: ``FRAME`` then ``n`` random points inside it."""
+    inner = [(rng.uniform(1.0, 19.0), rng.uniform(1.0, 19.0)) for _ in range(n)]
+    return make_nodes(FRAME + inner)
 
 
 class TestAdvance:
-    """``build_mesh(table, t, prior)`` equals a Qhull build at ``t``."""
+    """``build_mesh(table, t, prior)``, and ``build_mesh(table, t)`` seeded
+    from the warm-start slot, equal a Qhull build at ``t``."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_closed_loop_snapshots_equal_qhull(self, seed, monkeypatch):
@@ -348,12 +372,34 @@ class TestAdvance:
             got = build_mesh(nodes, t, prior)
             if prior is not None:
                 advanced.append(len(calls) == built)
-                assert_same_tables(got, build_mesh(nodes, t))
+                assert_same_tables(got, qhull_build(nodes, t))
             return got
 
         monkeypatch.setattr(sequencer, "build_mesh", checking_build)
         run_scenario(scene, MethodId.PROPOSED)
         assert sum(advanced) > 0.8 * len(advanced) > 20
+
+    @pytest.mark.parametrize("method", list(MethodId))
+    def test_plan_start_snapshots_equal_qhull(self, method, monkeypatch):
+        # A plan's first snapshot advances from the last plan's first.
+        calls = count_qhull(monkeypatch)
+        started = []  # per plan: whether its first snapshot ran Qhull
+
+        def checking_build(nodes, t, prior=None):
+            built = len(calls)
+            got = build_mesh(nodes, t, prior)
+            if prior is None:
+                started.append(len(calls) > built)
+                assert_same_tables(got, qhull_build(nodes, t))
+            return got
+
+        monkeypatch.setattr(sequencer, "build_mesh", checking_build)
+        monkeypatch.setattr(simulate, "build_mesh", checking_build)
+        for seed in range(3):
+            run_scenario(dataclasses.replace(generate_synthetic(seed), time_limit=6.0),
+                         method)
+        assert len(started) > 100
+        assert sum(started) <= 0.1 * len(started)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -363,14 +409,12 @@ class TestAdvance:
         n = data.draw(st.integers(1, 30), label="inner nodes")
         coord = st.floats(0.5, 19.5)
         inner = data.draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
-        frame = [(0.0, 0.0), (10.0, 0.0), (20.0, 0.0), (20.0, 10.0),
-                 (20.0, 20.0), (10.0, 20.0), (0.0, 20.0), (0.0, 10.0)]
         speeds = data.draw(st.lists(st.tuples(_speed, _speed), min_size=n + 8,
                                     max_size=n + 8))
         if data.draw(st.booleans(), label="static frame"):
             speeds[:8] = [(0.0, 0.0)] * 8
         nodes = [NodeState(id=i, x=x, y=y, vx=vx, vy=vy, r=0.0)
-                 for i, ((x, y), (vx, vy)) in enumerate(zip(frame + inner, speeds))]
+                 for i, ((x, y), (vx, vy)) in enumerate(zip(FRAME + inner, speeds))]
         t0 = data.draw(st.sampled_from([0.0, 0.5]), label="prior time")
         advance_or_raise(NodeTable.of(nodes), t0, t0 + data.draw(st.floats(0.01, 3.0)))
 
@@ -423,12 +467,57 @@ class TestAdvance:
         assert_same_tables(build_mesh(table, 0.3, prior), flipped)
         assert calls == [len(table.ids)]
 
-    def test_other_node_table_is_rebuilt(self, monkeypatch):
+    def test_new_table_with_same_positions_advances(self, monkeypatch):
         nodes = random_nodes(random.Random(2), 20)
         prior = build_mesh(nodes, 0.0)
         calls = count_qhull(monkeypatch)
-        assert_same_tables(build_mesh(nodes, 0.0, prior), prior)
-        assert len(calls) == 1
+        assert_same_tables(build_mesh(NodeTable.of(nodes), 0.0, prior), prior)
+        monkeypatch.setattr(mesh_module, "_plan_start", prior)
+        assert_same_tables(build_mesh(NodeTable.of(nodes), 0.0), prior)
+        assert calls == []
+
+    def test_hull_vertex_moved_by_one_ulp_is_rebuilt(self, monkeypatch):
+        # Node 4 is the corner (20, 20) of a still frame.
+        nodes = square_framed(random.Random(3), 12)
+        prior = build_mesh(nodes, 0.0)
+        moved = [dataclasses.replace(n, x=np.nextafter(n.x, 21.0)) if n.id == 4 else n
+                 for n in nodes]
+        calls = count_qhull(monkeypatch)
+        assert_same_tables(build_mesh(moved, 0.0, prior), qhull_build(moved, 0.0))
+        assert calls == [len(nodes)] * 2
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_other_node_count_is_rebuilt(self, extra, monkeypatch):
+        # The prior has one node fewer or one more, the last by id.
+        nodes = square_framed(random.Random(4), 12)
+        grown = nodes + [NodeState(id=len(nodes), x=7.5, y=12.5, vx=0.0, vy=0.0, r=0.0)]
+        prior = build_mesh(nodes[:-1] if extra < 0 else grown, 0.0)
+        calls = count_qhull(monkeypatch)
+        assert_same_tables(build_mesh(nodes, 0.0, prior), qhull_build(nodes, 0.0))
+        assert calls == [len(nodes)] * 2
+
+    def test_node_missing_from_prior_is_rebuilt(self, monkeypatch):
+        # The last node starts on node 8, and Qhull drops it: the highest
+        # index, so only the node count shows it missing.
+        nodes = square_framed(random.Random(6), 12)
+        x, y = nodes[8].position
+        table = NodeTable.of(nodes + [NodeState(id=len(nodes), x=x, y=y, vx=1.0,
+                                                vy=0.5, r=0.0)])
+        prior = build_mesh(table, 0.0)
+        assert np.unique(prior.triangles).tolist() == list(range(len(nodes)))
+        calls = count_qhull(monkeypatch)
+        assert_same_tables(build_mesh(table, 0.5, prior), qhull_build(table, 0.5))
+        assert calls == [len(nodes) + 1] * 2
+
+    @pytest.mark.parametrize("seeds", [(0, 1), (3, 4)])
+    def test_other_scenario_is_rebuilt(self, seeds, monkeypatch):
+        # Scenes 3 and 4 have as many nodes, and the same hull.
+        prior_nodes, nodes = (generate_synthetic(s).node_states_at(0.0) for s in seeds)
+        prior = build_mesh(prior_nodes, 0.0)
+        calls = count_qhull(monkeypatch)
+        monkeypatch.setattr(mesh_module, "_plan_start", prior)
+        assert_same_tables(build_mesh(nodes, 0.0), qhull_build(nodes, 0.0))
+        assert calls == [len(nodes)] * 2
 
 
 class TestVirtualNodes:
