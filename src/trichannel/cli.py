@@ -85,6 +85,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         log.error("invalid generator parameters: %s", exc)
         return 2
+    if args.count < 0:
+        log.error("invalid --count: must be non-negative, got %s", args.count)
+        return 2
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -195,6 +198,9 @@ def _run_and_write(args: argparse.Namespace,
     paths = [Path(p) for p in args.scenarios]
     cfg = _sim_config(args)
     if cfg is None:
+        return None
+    if args.workers < 1:
+        log.error("invalid --workers: must be at least 1, got %s", args.workers)
         return None
     out_dir = Path(args.out_dir)
     try:  # before simulating, so that a bad --out-dir costs no runs

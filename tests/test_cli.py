@@ -54,6 +54,13 @@ class TestGenerate:
                    "--out-dir", str(tmp_path / "x")])
         assert rc == 2
 
+    def test_negative_count_exit_code(self, tmp_path, caplog):
+        out = tmp_path / "x"
+        assert main(["generate", "--count", "-2", "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        assert "invalid --count" in caplog.text
+        assert "wrote" not in caplog.text
+
 
 class TestRun:
     def test_outputs_written(self, tmp_path):
@@ -183,6 +190,18 @@ def test_non_positive_planner_flag_exit_code(tmp_path, caplog, flag):
         assert main([command, str(scene), flag, "0", "--out-dir", str(out)]) == 2
     assert not out.exists()
     assert caplog.text.count("invalid planner settings") == 3
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_non_positive_workers_exit_code(tmp_path, caplog, workers):
+    scene = tmp_path / "s.json"
+    small_scenario(scene)
+    out = tmp_path / "out"
+    for command in ("run", "compare"):
+        assert main([command, str(scene), "--workers", workers,
+                     "--out-dir", str(out)]) == 2
+    assert not out.exists()
+    assert caplog.text.count("invalid --workers") == 2
 
 
 class TestCompare:
