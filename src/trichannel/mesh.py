@@ -4,14 +4,13 @@ Nodes enter as a ``NodeTable``: ids in ascending order with positions,
 velocities and radii as arrays.  A node's row is its dense index; every
 mesh table holds dense indices, and as the index is monotone in node id,
 index order is id order.  A plan builds one table and all its snapshots
-share it.  A snapshot is advanced from an earlier one: its tables, taken
-to the new positions, are Lawson-flipped until every edge is certainly
-locally Delaunay.  Later snapshots of a plan advance from the one before;
-a plan's first advances from the last plan's first, 0.1 s of motion away
-in closed loop.  Qhull (``scipy.spatial.Delaunay``, nodes fed in id order)
-builds the tables only on fallback (``_advance`` lists when).  An advanced
-snapshot is the unique Delaunay triangulation of its nodes, so its tables
-equal Qhull's, whichever snapshot it came from.
+share it.  A snapshot's tables are an earlier snapshot's, taken to the
+new positions and Lawson-flipped until every edge is certainly locally
+Delaunay: a plan's later snapshots advance from the one before, its first
+from the last plan's first.  Qhull (``scipy.spatial.Delaunay``, nodes fed
+in id order) builds them only on fallback (``_advance`` lists when).  An
+advanced snapshot is the unique Delaunay triangulation of its nodes, so
+its tables equal Qhull's, whichever snapshot it came from.
 
 The topology is two ``(T, 3)`` tables, built once and read by every stage.
 ``triangles[t]`` holds the node indices of triangle ``t``, CCW at the
@@ -57,8 +56,8 @@ _TIE_RTOL = 1e-12
 _ADVANCE_RTOL = 1e-9
 # Past this many flips, a Qhull build costs about as much.
 _MAX_FLIPS = 64
-# The last snapshot built without a prior: a plan's first, which seeds the
-# next plan's first.  ``_advance`` certifies any seed, so nothing else is kept.
+# The last snapshot built without a prior (a plan's first), which seeds the
+# next such build.  ``_advance`` certifies any seed.
 _plan_start: Optional["Mesh"] = None
 
 
@@ -159,17 +158,16 @@ def _qhull_tables(pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def _advance(prior: Mesh, pts: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """``prior``'s tables taken to the positions ``pts`` by Lawson flips.
 
-    ``prior`` may be of any node table.  None, for Qhull to build the
-    tables instead, when ``prior`` has another node count, a node is
-    missing from it (Qhull drops duplicates), a hull vertex is not where
-    ``prior`` has it, a prior triangle's orientation (so it must be CCW)
-    or an in-circle value is not clear of zero by ``_ADVANCE_RTOL`` of its
-    permanent, or more than ``_MAX_FLIPS`` edges flip.  The hull polygon
-    is then fixed and every triangle CCW, so the tables cover the convex
-    hull of ``pts`` once; a flip happens only where the opposite vertex is
-    certainly inside, which keeps both new triangles CCW, and every edge
-    of the result is certainly locally Delaunay: it is the unique Delaunay
-    triangulation, Qhull's.
+    None, for Qhull to build the tables instead, when ``prior`` (of any
+    node table) has another node count or misses a node (Qhull drops
+    duplicates), a hull vertex is not where ``prior`` has it, a prior
+    triangle's orientation (so it must be CCW) or an in-circle value is
+    not clear of zero by ``_ADVANCE_RTOL`` of its permanent, or more than
+    ``_MAX_FLIPS`` edges flip.  With the hull fixed and every triangle
+    CCW, the tables cover the hull once; a flip happens only where the
+    opposite vertex is certainly inside, which keeps both new triangles
+    CCW, and every edge of the result is certainly locally Delaunay: it
+    is the unique Delaunay triangulation, Qhull's.
     """
     tris, nbrs = prior.triangles, prior.neighbors
     # Every hull vertex starts one hull edge: ab, bc or ca with no triangle across.
@@ -232,11 +230,10 @@ def build_mesh(nodes: Union[NodeTable, Iterable[NodeState]], t: float,
 
     ``nodes`` is a ``NodeTable``, or node states to build one from.
     Positions are ``xy + vel * t``, the operations of ``position_at``.
-    The tables of ``prior``, or without one of the last snapshot built
-    without one, are advanced to ``t`` by edge flips wherever that
-    certainly gives Qhull's (``_advance``); otherwise Qhull builds them.
-    Raises ``DegenerateInputError`` for fewer than 3 nodes or an
-    all-collinear set.
+    ``prior``'s tables, or else those of the last build without a prior,
+    are advanced to ``t`` by edge flips wherever that certainly gives
+    Qhull's (``_advance``); otherwise Qhull builds them.  Raises
+    ``DegenerateInputError`` for fewer than 3 nodes or an all-collinear set.
     """
     global _plan_start
     table = nodes if isinstance(nodes, NodeTable) else NodeTable.of(nodes)
