@@ -335,9 +335,9 @@ def assert_same_tables(got, want):
 
 
 def advance_or_raise(table, t0, t1):
-    """``build_mesh(table, t1, prior)`` against a plain build, both raising alike."""
+    """``build_mesh(table, t1, prior)`` against a Qhull build, both raising alike."""
     try:
-        want = build_mesh(table, t1)
+        want = qhull_build(table, t1)
     except DegenerateInputError:
         with pytest.raises(DegenerateInputError):
             build_mesh(table, t1, build_mesh(table, t0))
@@ -497,8 +497,7 @@ class TestAdvance:
         assert calls == [len(nodes)] * 2
 
     def test_node_missing_from_prior_is_rebuilt(self, monkeypatch):
-        # The last node starts on node 8, and Qhull drops it: the highest
-        # index, so only the node count shows it missing.
+        # The last node starts on node 8, and Qhull drops it, the highest index.
         nodes = square_framed(random.Random(6), 12)
         x, y = nodes[8].position
         table = NodeTable.of(nodes + [NodeState(id=len(nodes), x=x, y=y, vx=1.0,
