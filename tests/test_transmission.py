@@ -19,7 +19,9 @@ def projection_oracle(v, p, alpha, beta):
     vlen = math.hypot(*v)
     if vlen == 0:
         return (0.0, 0.0)
-    cos_t = (v[0] * p[0] + v[1] * p[1]) / (vlen * plen)
+    # Divide each factor on its own: vlen * plen underflows to zero for a
+    # subnormal v even though neither length is zero.
+    cos_t = (v[0] * p[0] + v[1] * p[1]) / vlen / plen
     if cos_t < 0:
         return (0.0, 0.0)
     theta = math.acos(min(cos_t, 1.0))
