@@ -143,7 +143,7 @@ def run_batch(scenario_paths: Sequence[Path], methods: Sequence[MethodId],
 
     tasks = [(sc, m, cfg) for sc in scenarios for m in methods]
     if workers > 1 and len(tasks) > 1:
-        with Pool(workers) as pool:
+        with Pool(min(workers, len(tasks))) as pool:
             results = pool.starmap(_run_task, tasks)
     else:
         results = [_run_task(*t) for t in tasks]

@@ -19,7 +19,8 @@ vertex triple, so the tables depend only on the set of triangles.
 ``neighbors[t, k]`` is the triangle across the edge opposite vertex ``k``,
 or -1 on the hull, so the edges ab, bc, ca of (a, b, c) lie opposite c, a,
 b.  An edge is written (lower index, higher index); edges are walked by
-triangle id, then ab, bc, ca (``mesh_edges``).
+triangle id, then ab, bc, ca (``mesh_edges``).  Channel search steps
+across ``neighbors`` itself; a ``DualGraph`` holds only the goal's placements.
 
 ``Mesh.xy`` holds the positions at the snapshot time and ``Mesh.vel`` the
 motion that search and event prediction extrapolate with: the raw
@@ -118,6 +119,14 @@ class Mesh:
         xy = self.xy_list
         a, b, c = self.triangles[tri_id].tolist()
         return (xy[a], xy[b], xy[c])
+
+    def corridor(self, tri_ids: Sequence[int]
+                 ) -> Tuple[List[TrianglePoints], Dict[Point, float]]:
+        """``funnel``'s triangles through ``tri_ids``, and node radii by position."""
+        xy, r = self.xy_list, self.nodes.r_list
+        rows = self.triangles[list(tri_ids)].tolist()
+        return ([(xy[a], xy[b], xy[c]) for a, b, c in rows],
+                {xy[v]: r[v] for row in rows for v in row})
 
 
 def _orientation(pts: np.ndarray, tris: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -286,7 +295,7 @@ def find_triangle(mesh: Mesh, vertices: Sequence[int]) -> Optional[int]:
 
 @dataclass
 class DualGraph:
-    """One node per triangle, one edge per shared mesh edge.
+    """One node per triangle, placed by the goal; the edges are ``Mesh.neighbors``.
 
     Dual node placement follows a goal-attraction rule: the point of the
     triangle's goal-facing shared edge nearest to the goal, clamped off the
@@ -295,11 +304,6 @@ class DualGraph:
 
     goal: Point
     placements: Dict[int, Point]  # triangle id -> dual node position
-    # Row t: the triangles across t's shared edges, sorted by id, then -1
-    # for each hull edge.  ``portals[t, k]`` is the mesh edge shared with
-    # ``links[t, k]``, as (lower, higher) node index.
-    links: np.ndarray  # (T, 3)
-    portals: np.ndarray  # (T, 3, 2)
 
 
 def build_dual(mesh: Mesh, goal: Point, ego_radius: float = 0.5) -> DualGraph:
@@ -311,7 +315,6 @@ def build_dual(mesh: Mesh, goal: Point, ego_radius: float = 0.5) -> DualGraph:
     operations of the scalar rule; ``math.hypot`` decides near ties.
     """
     tris = mesh.triangles
-    count = len(tris)
     across = mesh.neighbors[:, _AB_BC_CA]  # triangle across ab, bc, ca
     nxt = tris[:, [1, 2, 0]]
     lo, hi = np.minimum(tris, nxt), np.maximum(tris, nxt)  # edge ends, (T, 3)
@@ -335,8 +338,7 @@ def build_dual(mesh: Mesh, goal: Point, ego_radius: float = 0.5) -> DualGraph:
         ranked = np.sort(d, axis=1)
         # The first of equal minima wins; a near tie is decided below.
         near = ranked[:, 1] - ranked[:, 0] <= _TIE_RTOL * ranked[:, 0]
-    rows = np.arange(count)
-    pick = rows * 3 + d.argmin(axis=1)  # flat (T, 3) index
+    pick = np.arange(len(tris)) * 3 + d.argmin(axis=1)  # flat (T, 3) index
     px, py = cx.ravel()[pick], cy.ravel()[pick]
     lone = np.isinf(ranked[:, 0])
     if lone.any():
@@ -348,22 +350,18 @@ def build_dual(mesh: Mesh, goal: Point, ego_radius: float = 0.5) -> DualGraph:
         for j, point in enumerate(zip(cx[row].tolist(), cy[row].tolist())):
             if across[row, j] >= 0 and dist(point, goal) < best_d:
                 placements[row], best_d = point, dist(point, goal)
-
-    order = (np.argsort(np.where(across < 0, count, across), axis=1)
-             + 3 * rows[:, None]).ravel()  # flat index of each sorted link
-    return DualGraph(goal=goal, placements=placements,
-                     links=across.ravel()[order].reshape(-1, 3),
-                     portals=np.stack([lo.ravel()[order], hi.ravel()[order]],
-                                      axis=1).reshape(-1, 3, 2))
+    return DualGraph(goal=goal, placements=placements)
 
 
 def generate_virtual_nodes(boundary: Sequence[Point], spacing: float,
-                           id_start: int = 0) -> List[NodeState]:
+                           id_start: int = 0, max_count: Optional[int] = None
+                           ) -> List[NodeState]:
     """Evenly spaced zero-velocity, zero-radius virtual nodes along a polyline.
 
     Nodes sit at arc-length intervals <= ``spacing`` and include both
     endpoints.  A closed polyline (first point == last point) does not
-    duplicate the seam node.
+    duplicate the seam node.  Raises ValueError, before placing any, when
+    that takes more than ``max_count`` nodes.
     """
     if spacing <= 0:
         raise ValueError(f"spacing must be positive, got {spacing}")
@@ -376,8 +374,12 @@ def generate_virtual_nodes(boundary: Sequence[Point], spacing: float,
     if total == 0.0:
         raise ValueError("zero-length boundary polyline")
 
-    intervals = max(1, math.ceil(total / spacing))
+    # Clamped so that a count past every cap stays an int, even where
+    # ``total / spacing`` overflows.
+    intervals = max(1, math.ceil(min(total / spacing, 2.0 ** 53)))
     count = intervals if closed else intervals + 1
+    if max_count is not None and count > max_count:
+        raise ValueError(f"needs over {max_count} nodes at spacing {spacing}")
     targets = [i * total / intervals for i in range(count)]
 
     nodes: List[NodeState] = []

@@ -17,6 +17,10 @@ from .geometry import NodeKind, NodeState, Point
 from .mesh import generate_virtual_nodes
 
 SCHEMA_VERSION = 1
+# Virtual nodes one scenario may place along its boundaries (a synthetic
+# scene places 137).  More come from a wall far longer than the ego is
+# wide, which could exhaust memory before any other check ran.
+MAX_VIRTUAL_NODES = 10_000
 
 
 class ScenarioFormatError(ValueError):
@@ -101,12 +105,18 @@ class Scenario:
         ids = [n.id for n in self.nodes]
         if len(set(ids)) != len(ids):
             raise ScenarioFormatError("duplicate node ids")
+        if self.boundaries and self.ego_radius == 0:
+            raise ScenarioFormatError("ego radius 0 leaves boundary nodes no spacing")
         # Placed once per scenario; ``dataclasses.replace`` runs this again.
         next_id = max(ids, default=-1) + 1
         self._virtual: List[NodeState] = []
-        for boundary in self.boundaries:
-            vns = generate_virtual_nodes(boundary, self.virtual_spacing,
-                                         id_start=next_id)
+        for i, boundary in enumerate(self.boundaries):
+            try:
+                vns = generate_virtual_nodes(
+                    boundary, self.virtual_spacing, id_start=next_id,
+                    max_count=MAX_VIRTUAL_NODES - len(self._virtual))
+            except ValueError as exc:
+                raise ScenarioFormatError(f"boundary {i}: {exc}") from None
             self._virtual.extend(vns)
             next_id += len(vns)
 

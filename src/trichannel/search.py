@@ -1,8 +1,8 @@
 """Channel search on the dual graph: baseline A* and time-aware Timed A*.
 
-Both searches run one best-first loop and return a ``Channel``: the
-triangle sequence from the ego's triangle to the goal triangle and the
-estimated arrival time at each triangle's dual node.
+Both searches run one best-first loop over ``Mesh.neighbors`` and return a
+``Channel``: the triangle sequence from the ego's triangle to the goal
+triangle and the estimated arrival time at each triangle's dual node.
 """
 from __future__ import annotations
 
@@ -44,23 +44,21 @@ def edge_gap_at(mesh: Mesh, edge: Tuple[int, int], t: float) -> float:
     return math.hypot(ax - bx, ay - by) - r[u] - r[v]
 
 
-def _best_first(dual: DualGraph, start_tri: int, goal_tri: int, start_cost: float,
-                speed: float, mesh: Optional[Mesh], width_threshold: float
+def _best_first(dual: DualGraph, mesh: Mesh, start_tri: int, goal_tri: int,
+                start_cost: float, speed: float, width_threshold: Optional[float]
                 ) -> Optional[List[int]]:
     """Triangle ids of the cheapest channel from ``start_tri`` to ``goal_tri``.
 
     Edge costs and the heuristic are dual-placement distances divided by
-    ``speed``.  With ``mesh`` given, an edge is crossed only when its
-    ``edge_gap_at`` the arrival cost is not below ``width_threshold``.
-    A triangle is expanded at most once.  None when no channel exists.
+    ``speed``.  With ``width_threshold`` given, an edge is crossed only when
+    its ``edge_gap_at`` the arrival cost is not below it.  A triangle is
+    expanded at most once.  None when no channel exists.
     """
     place = dual.placements
     for tri in (start_tri, goal_tri):
         if tri not in place:
             raise KeyError(f"unknown triangle id {tri}")
-    # Flat views, three slots per triangle: few Python containers to build.
-    links = dual.links.ravel().tolist()
-    lo, hi = dual.portals.reshape(-1, 2).T.tolist()
+    tris, nbrs = mesh.triangles.tolist(), mesh.neighbors.tolist()
     g: Dict[int, float] = {start_tri: start_cost}
     came: Dict[int, int] = {}
     h0 = dist(place[start_tri], dual.goal) / speed
@@ -72,20 +70,22 @@ def _best_first(dual: DualGraph, start_tri: int, goal_tri: int, start_cost: floa
             continue
         closed.add(tri)
         if tri == goal_tri:
-            tris = [goal_tri]
-            while tris[-1] != start_tri:
-                tris.append(came[tris[-1]])
-            return tris[::-1]
-        for k in range(3 * tri, 3 * tri + 3):
-            neigh = links[k]
-            if neigh < 0:
-                break  # hull edges come last
-            if neigh in closed:
+            path = [goal_tri]
+            while path[-1] != start_tri:
+                path.append(came[path[-1]])
+            return path[::-1]
+        # Heap entries are distinct, so the order of the neighbours here
+        # cannot change which triangle pops next.
+        row = tris[tri]
+        for k, neigh in enumerate(nbrs[tri]):
+            if neigh < 0 or neigh in closed:
                 continue
             cand = g[tri] + dist(place[tri], place[neigh]) / speed
-            # A NaN gap compares false here and is admitted.
-            if (mesh is not None
-                    and edge_gap_at(mesh, (lo[k], hi[k]), cand) < width_threshold):
+            # The edge opposite vertex k as (lower, higher) index, the order
+            # ``edge_gap_at`` subtracts radii in.  A NaN gap is admitted.
+            u, v = row[k - 2], row[k - 1]
+            if (width_threshold is not None and edge_gap_at(
+                    mesh, (u, v) if u < v else (v, u), cand) < width_threshold):
                 continue
             if cand < g.get(neigh, math.inf):
                 g[neigh] = cand
@@ -112,7 +112,7 @@ def _channel(dual: DualGraph, tris: Optional[List[int]], time: float,
                    start_point=ego_position)
 
 
-def astar(dual: DualGraph, start_tri: int, goal_tri: int, *,
+def astar(dual: DualGraph, mesh: Mesh, start_tri: int, goal_tri: int, *,
           ego_position: Optional[Point] = None,
           ego_speed: float = 1.0) -> Optional[Channel]:
     """Minimum-cost channel under static Euclidean edge costs.
@@ -121,7 +121,7 @@ def astar(dual: DualGraph, start_tri: int, goal_tri: int, *,
     goal point.  ``ego_speed`` only sets the channel's arrival times.
     Returns None when start and goal are disconnected.
     """
-    tris = _best_first(dual, start_tri, goal_tri, 0.0, 1.0, None, 0.0)
+    tris = _best_first(dual, mesh, start_tri, goal_tri, 0.0, 1.0, None)
     if ego_position is None:
         ego_position = dual.placements[start_tri]
     return _channel(dual, tris, 0.0, ego_position, ego_speed)
@@ -142,7 +142,7 @@ def timed_astar(dual: DualGraph, mesh: Mesh, start_tri: int, goal_tri: int, *,
         raise ValueError(f"ego_speed must be positive, got {ego_speed}")
     if ego_position is None:
         ego_position = dual.placements[start_tri]
-    tris = _best_first(dual, start_tri, goal_tri,
+    tris = _best_first(dual, mesh, start_tri, goal_tri,
                        dist(ego_position, dual.placements[start_tri]) / ego_speed,
-                       ego_speed, mesh, width_threshold)
+                       ego_speed, width_threshold)
     return _channel(dual, tris, time, ego_position, ego_speed)

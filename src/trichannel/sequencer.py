@@ -5,21 +5,23 @@ predict the first topological event, cut the unaffected prefix (anchored at
 its last triangle), then repeat from the anchor at the event time with all
 nodes advanced by the linear model.  Consecutive segments overlap on the
 anchor triangle, so the union forms one spatially and temporally connected
-corridor.  The cut settles that the anchor survives into the next snapshot,
-so each cycle builds one snapshot, later than the last, and hands it to
-``build_mesh`` to advance by edge flips into the next.  The first cycle
-passes none, so ``build_mesh`` advances the last plan's first snapshot:
-Qhull runs on fallback only.
+corridor.  Each segment keeps its snapshot and its triangle ids in it.  The
+cut settles that the anchor survives into the next snapshot, so each cycle
+builds one snapshot, later than the last, and hands it to ``build_mesh`` to
+advance by edge flips into the next.  The first cycle passes none, so
+``build_mesh`` advances the last plan's first snapshot: Qhull runs on
+fallback only.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .events import anchor_survives, compute_event_time
-from .funnel import PathPolyline, funnel
+from .funnel import funnel
 from .geometry import NodeState, Point, TrianglePoints, dist, orient2d, point_along
 from .mesh import (Mesh, NodeTable, build_dual, build_mesh, find_triangle, locate,
                    point_in_triangle)
@@ -44,10 +46,15 @@ class SequencerConfig:
     def __post_init__(self) -> None:
         if self.max_segments < 1:
             raise ValueError("max_segments must be >= 1")
-        if self.tau_threshold <= 0:
-            raise ValueError("tau_threshold must be positive")
-        if self.sample_resolution <= 0:
-            raise ValueError("sample_resolution must be positive")
+        # Chained comparisons: NaN fails them, so it is rejected too.
+        for name in ("tau_threshold", "sample_resolution", "ego_speed"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        for name in ("ego_radius", "width_threshold", "padding"):
+            value = getattr(self, name)
+            if value is not None and not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got {value}")
 
     @property
     def effective_width_threshold(self) -> float:
@@ -60,23 +67,25 @@ class SequencerConfig:
 
 @dataclass
 class ChannelSegment:
-    """Prefix of one channel, valid on [t_start, t_end)."""
+    """Prefix of one channel, valid on [t_start, t_end): a run of
+    edge-connected triangles of the snapshot it was planned on."""
 
     t_start: float
     t_end: Optional[float]  # None for the final segment
-    triangles: List[VertexTriple]  # CCW vertex-id triples at t_start
+    mesh: Mesh  # the snapshot at t_start
+    tri_ids: List[int]  # triangle ids in ``mesh``, ego first, anchor last
     subgoal: Point
     start_point: Point
-    points: Dict[int, Point]  # vertex positions at t_start
-    radii: Dict[int, float]
+
+    @property
+    def triangles(self) -> List[VertexTriple]:
+        """CCW node-id triples at t_start."""
+        ids = self.mesh.nodes.ids[self.mesh.triangles[self.tri_ids]]
+        return [tuple(row) for row in ids.tolist()]
 
     @property
     def anchor(self) -> VertexTriple:
         return self.triangles[-1]
-
-    def triangle_points(self, index: int) -> TrianglePoints:
-        a, b, c = self.triangles[index]
-        return (self.points[a], self.points[b], self.points[c])
 
 
 @dataclass
@@ -110,23 +119,6 @@ def last_triangle_index(e: int, m: int, channel_len: int) -> int:
     if e > m:
         raise ValueError(f"e={e} > m={m} violates the event-ordering contract")
     return e if e < m else m - 1
-
-
-def channel_path(mesh: Mesh, triangle_ids: Sequence[int], start: Point,
-                 target: Point, padding: float) -> Optional[PathPolyline]:
-    """Padded funnel path from ``start`` to ``target`` through mesh triangles.
-
-    Each vertex is padded by its own node radius on top of ``padding``.
-    None when a portal is too narrow to thread.
-    """
-    tris = [mesh.triangle_points(t) for t in triangle_ids]
-    xy, r = mesh.xy_list, mesh.nodes.r_list
-    radius_of = {xy[v]: r[v]
-                 for v in mesh.triangles[list(triangle_ids)].ravel().tolist()}
-    try:
-        return funnel(tris, start, target, padding, radius_of)
-    except ValueError:
-        return None
 
 
 def _dual_chain(channel: Channel) -> List[Point]:
@@ -243,24 +235,6 @@ def _prefix_event(channel: Channel, mesh: Mesh, k: int, window: float,
     return (offset, report.triangle_index) if offset < window else None
 
 
-def _make_segment(mesh: Mesh, channel: Channel, upto: int, t_start: float,
-                  t_end: Optional[float], start_point: Point,
-                  seg_subgoal: Point) -> ChannelSegment:
-    rows = mesh.triangles[channel.triangles[: upto + 1]]
-    vertices = np.unique(rows).tolist()
-    ids = mesh.nodes.ids.tolist()
-    xy, r = mesh.xy_list, mesh.nodes.r_list
-    return ChannelSegment(
-        t_start=t_start,
-        t_end=t_end,
-        triangles=[tuple(v) for v in mesh.nodes.ids[rows].tolist()],
-        subgoal=seg_subgoal,
-        start_point=start_point,
-        points={ids[v]: xy[v] for v in vertices},
-        radii={ids[v]: r[v] for v in vertices},
-    )
-
-
 def generate_sequence(nodes: Sequence[NodeState], start: Point, goal: Point,
                       cfg: SequencerConfig) -> SequenceResult:
     """Run the full pipeline from time 0 until a terminal condition.
@@ -305,8 +279,8 @@ def generate_sequence(nodes: Sequence[NodeState], start: Point, goal: Point,
 
         event = compute_event_time(channel, mesh, cfg.sample_resolution)
         if event is None or event.time > cfg.tau_threshold:
-            segments.append(_make_segment(mesh, channel, len(channel) - 1, tau,
-                                          None, start_pt, goal))
+            segments.append(ChannelSegment(tau, None, mesh, channel.triangles,
+                                           goal, start_pt))
             reason = "goal" if event is None else "threshold"
             return ChannelSequence(segments=segments, goal=goal, terminated=reason)
 
@@ -318,8 +292,11 @@ def generate_sequence(nodes: Sequence[NodeState], start: Point, goal: Point,
         # so walking the taut funnel polyline estimates the ego more
         # tightly than the dual-node chain, the fallback when a portal is
         # too narrow to thread.
-        taut = channel_path(mesh, channel.triangles, channel.start_point, goal,
-                            cfg.effective_padding)
+        tris, radius_of = mesh.corridor(channel.triangles)
+        try:
+            taut = funnel(tris, channel.start_point, goal, cfg.effective_padding, radius_of)
+        except ValueError:  # a subgoal can sit just outside the snapshot anchor
+            taut = None
         route = taut.points if taut is not None else _dual_chain(channel)
         # The prediction scans each triangle only until the ego reaches it,
         # so a kept triangle can still flip between its arrival and the cut
@@ -374,7 +351,8 @@ def generate_sequence(nodes: Sequence[NodeState], start: Point, goal: Point,
         radii = [mesh.nodes.r_list[v] + margin for v in verts]
         target = start_pt if k < 0 else est_ego
         sg = subgoal((a, b, c), target, radii, cfg.ego_radius)
-        seg = _make_segment(mesh, channel, max(k, 0), tau, tau_next, start_pt, sg)
+        seg = ChannelSegment(tau, tau_next, mesh, channel.triangles[:max(k, 0) + 1],
+                             sg, start_pt)
         segments.append(seg)
         if lost:
             return ChannelSequence(segments=segments, goal=goal, terminated="anchor_lost")

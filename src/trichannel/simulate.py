@@ -3,9 +3,11 @@
 The ego replans at a fixed cadence with the selected method (the proposed
 channel-sequence pipeline, or the Timed A* / A* single-channel baselines),
 follows the resulting polyline, and accrues completion, planning-success
-and collision metrics.  ``rollout`` is the only loop over simulated time;
-``run_scenario`` and the SVG renderer both consume it.  Runs are
-deterministic for a given scenario, method and configuration.
+and collision metrics.  Every method turns channel segments into a path
+with one loop (``_follow``); a baseline plan is one segment to the goal.
+``rollout`` is the only loop over simulated time; ``run_scenario`` and the
+SVG renderer both consume it.  Runs are deterministic for a given
+scenario, method and configuration.
 """
 from __future__ import annotations
 
@@ -20,8 +22,8 @@ from .geometry import NodeKind, NodeState, Point, TrianglePoints, dist, point_al
 from .mesh import DegenerateInputError, build_dual, build_mesh, locate, point_in_triangle
 from .scenario import Scenario
 from .search import astar, timed_astar
-from .sequencer import (ChannelSequence, SequenceFailure, SequencerConfig,
-                        channel_path, generate_sequence)
+from .sequencer import (ChannelSegment, ChannelSequence, SequenceFailure,
+                        SequencerConfig, generate_sequence)
 
 
 class MethodId(str, enum.Enum):
@@ -51,11 +53,11 @@ class SimConfig:
     planner: SequencerConfig = field(default_factory=SequencerConfig)
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.replan_interval <= 0:
-            raise ValueError(
-                f"replan_interval must be positive, got {self.replan_interval}")
+        # A chained comparison: NaN fails it, so it is rejected too.
+        for name in ("dt", "replan_interval"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     def sequencer_for(self, scenario: Scenario) -> SequencerConfig:
         return replace(
@@ -160,13 +162,44 @@ class PlanResult:
     sequence: Optional[ChannelSequence] = None
 
 
+def _follow(segments: Sequence[ChannelSegment], ego: Point,
+            nodes: Sequence[NodeState], ego_radius: float, padding: float,
+            sequence: Optional[ChannelSequence] = None) -> PlanResult:
+    """Funnel paths from the ego through each segment to its subgoal, joined
+    and cleared.  No path when the first segment's funnel fails; a later
+    failure truncates the path."""
+    corridors = [seg.mesh.corridor(seg.tri_ids) for seg in segments]
+    corridor = [tri for tris, _ in corridors for tri in tris]
+    points: List[Point] = []
+    segment_ids: List[int] = []
+    cursor = ego
+    for si, (seg, (tris, radius_of)) in enumerate(zip(segments, corridors)):
+        # Subgoals live in the anchor extrapolated to the event time, so
+        # they can sit just outside the snapshot triangles the funnel sees;
+        # project both endpoints into their triangles before threading.
+        start_pt = _nearest_in_triangle(tris[0], cursor)
+        target_pt = _nearest_in_triangle(tris[-1], seg.subgoal)
+        try:
+            part = funnel(tris, start_pt, target_pt, padding, radius_of, segment_id=si)
+        except ValueError:
+            part = None
+        if part is None:
+            if si == 0:
+                return PlanResult(path=None, corridor=corridor, sequence=sequence)
+            break
+        skip = 1 if points and part.points[0] == points[-1] else 0
+        points.extend(part.points[skip:])
+        segment_ids.extend(part.segment_ids[skip:])
+        cursor = seg.subgoal
+    path = _clear_polyline(PathPolyline(points=points, segment_ids=segment_ids),
+                           [n for n in nodes if n.kind is not NodeKind.VIRTUAL],
+                           ego_radius)
+    return PlanResult(path=path, corridor=corridor, sequence=sequence)
+
+
 def plan_proposed(scenario: Scenario, ego: Point, t_now: float,
                   cfg: SequencerConfig) -> PlanResult:
-    """Channel sequence plus per-segment funnel paths, concatenated.
-
-    Fails when the sequence cannot be generated or the first segment's
-    funnel fails; later segment funnels only truncate the concatenation.
-    """
+    """Channel sequence, followed segment by segment (``_follow``)."""
     nodes = scenario.node_states_at(t_now)
     try:
         result = generate_sequence(nodes, ego, scenario.goal, cfg)
@@ -174,47 +207,13 @@ def plan_proposed(scenario: Scenario, ego: Point, t_now: float,
         return PlanResult(path=None)
     if isinstance(result, SequenceFailure):
         return PlanResult(path=None)
-
-    padding = cfg.effective_padding
-    corridor: List[TrianglePoints] = [
-        seg.triangle_points(i)
-        for seg in result.segments for i in range(len(seg.triangles))
-    ]
-    points: List[Point] = []
-    segment_ids: List[int] = []
-    cursor = ego
-    for si, seg in enumerate(result.segments):
-        tris = [seg.triangle_points(i) for i in range(len(seg.triangles))]
-        radius_of = {seg.points[v]: seg.radii[v] for v in seg.points}
-        # Subgoals live in the anchor extrapolated to the event time, so
-        # they can sit just outside the snapshot triangles the funnel sees;
-        # project both endpoints into their triangles before threading.
-        start_pt = _nearest_in_triangle(tris[0], cursor)
-        target_pt = _nearest_in_triangle(tris[-1], seg.subgoal)
-        try:
-            part = funnel(tris, start_pt, target_pt, padding, radius_of,
-                          segment_id=si)
-        except ValueError:
-            part = None
-        if part is None:
-            if si == 0:
-                return PlanResult(path=None, corridor=corridor, sequence=result)
-            break
-        skip = 1 if points and part.points[0] == points[-1] else 0
-        points.extend(part.points[skip:])
-        segment_ids.extend(part.segment_ids[skip:])
-        cursor = seg.subgoal
-    if len(points) < 1:
-        return PlanResult(path=None, corridor=corridor, sequence=result)
-    path = _clear_polyline(PathPolyline(points=points, segment_ids=segment_ids),
-                           [n for n in nodes if n.kind is not NodeKind.VIRTUAL],
-                           scenario.ego_radius)
-    return PlanResult(path=path, corridor=corridor, sequence=result)
+    return _follow(result.segments, ego, nodes, scenario.ego_radius,
+                   cfg.effective_padding, result)
 
 
 def plan_baseline(scenario: Scenario, ego: Point, t_now: float,
                   cfg: SequencerConfig, method: MethodId) -> PlanResult:
-    """Single-channel baseline: one search plus one funnel to the goal."""
+    """Single-channel baseline: one search, followed as one segment to the goal."""
     nodes = scenario.node_states_at(t_now)
     try:
         mesh = build_mesh(nodes, 0.0)
@@ -226,7 +225,7 @@ def plan_baseline(scenario: Scenario, ego: Point, t_now: float,
         return PlanResult(path=None)
     dual = build_dual(mesh, scenario.goal, cfg.ego_radius)
     if method is MethodId.ASTAR:
-        channel = astar(dual, start_tri, goal_tri, ego_position=ego,
+        channel = astar(dual, mesh, start_tri, goal_tri, ego_position=ego,
                         ego_speed=cfg.ego_speed)
     else:
         channel = timed_astar(
@@ -237,14 +236,10 @@ def plan_baseline(scenario: Scenario, ego: Point, t_now: float,
         )
     if channel is None:
         return PlanResult(path=None)
-    corridor = [mesh.triangle_points(t) for t in channel.triangles]
-    path = channel_path(mesh, channel.triangles, ego, scenario.goal,
-                        cfg.effective_padding)
-    if path is not None:
-        path = _clear_polyline(
-            path, [n for n in nodes if n.kind is not NodeKind.VIRTUAL],
-            scenario.ego_radius)
-    return PlanResult(path=path, corridor=corridor)
+    # ``locate`` found both ends inside their triangles by the exact test,
+    # so ``_follow``'s projections leave them where they are.
+    segment = ChannelSegment(0.0, None, mesh, channel.triangles, scenario.goal, ego)
+    return _follow([segment], ego, nodes, scenario.ego_radius, cfg.effective_padding)
 
 
 def plan_detailed(scenario: Scenario, method: MethodId, ego: Point,

@@ -24,10 +24,11 @@ class TransmissionConfig:
     passes: int = 1
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        # Chained comparisons: NaN fails them, so it is rejected too.
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be >= 0 and finite, got {self.alpha}")
+        if not 0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be >= 0 and finite, got {self.beta}")
         if self.passes < 1:
             raise ValueError(f"passes must be >= 1, got {self.passes}")
 

@@ -184,7 +184,7 @@ def build_channel(nodes, rng):
         if s_tri is None or g_tri is None:
             continue
         dual = build_dual(mesh, goal, 0.2)
-        ch = astar(dual, s_tri, g_tri, ego_position=start, ego_speed=1.0)
+        ch = astar(dual, mesh, s_tri, g_tri, ego_position=start, ego_speed=1.0)
         if ch is not None and len(ch.triangles) >= 2:
             return mesh, ch
     return None, None
@@ -281,8 +281,9 @@ def test_criterion_4_sequence_invariants():
             # end of the validity window.
             offset = seg.t_end - seg.t_start
             tri = []
+            at = dict(zip(seg.mesh.nodes.ids.tolist(), seg.mesh.xy_list))
             for v in seg.anchor:
-                p = seg.points[v]
+                p = at[v]
                 vel = next(n for n in nodes if n.id == v).velocity
                 tri.append((p[0] + vel[0] * offset, p[1] + vel[1] * offset))
             if not point_in_triangle(tuple(tri), seg.subgoal):

@@ -192,6 +192,50 @@ def test_non_positive_planner_flag_exit_code(tmp_path, caplog, flag):
     assert caplog.text.count("invalid planner settings") == 3
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--replan-interval", "nan"), ("--replan-interval", "inf"),
+    ("--sample-resolution", "nan"), ("--sample-resolution", "inf"),
+    ("--tau-threshold", "nan"), ("--tau-threshold", "inf"),
+    ("--padding", "-1"), ("--padding", "nan"), ("--padding", "inf"),
+    ("--width-threshold", "-1"), ("--width-threshold", "nan"),
+    ("--alpha", "nan"), ("--alpha", "inf"), ("--beta", "nan"), ("--beta", "inf"),
+])
+def test_non_finite_or_negative_planner_flag_exit_code(tmp_path, caplog, flag, value):
+    scene = tmp_path / "s.json"
+    small_scenario(scene)
+    out = tmp_path / "out"
+    for command in ("run", "compare", "render"):
+        assert main([command, str(scene), f"{flag}={value}", "--out-dir", str(out)]) == 2
+    assert not out.exists()
+    assert caplog.text.count("invalid planner settings") == 3
+
+
+def test_pool_no_larger_than_the_task_count(tmp_path, monkeypatch):
+    scene = tmp_path / "s.json"
+    small_scenario(scene)
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, tasks):
+            return [fn(*task) for task in tasks]
+
+    monkeypatch.setattr(cli, "Pool", SerialPool)
+    metrics, _, errors = run_batch([scene], [MethodId.ASTAR, MethodId.TIMED_ASTAR],
+                                   SimConfig(), workers=64)
+    assert sizes == [2]
+    assert [m.method for m in metrics] == ["astar", "timed_astar"]
+    assert errors == []
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_non_positive_workers_exit_code(tmp_path, caplog, workers):
     scene = tmp_path / "s.json"

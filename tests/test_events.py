@@ -226,7 +226,7 @@ class TestComputeEventTime:
     def test_static_scene_has_no_events(self):
         mesh = build_mesh(make_nodes([(0, 0), (4, 0), (8, 0), (2, 3), (6, 3)]), 0.0)
         dual = build_dual(mesh, (7, 2))
-        ch = astar(dual, 0, len(mesh.triangles) - 1, ego_position=(1, 1),
+        ch = astar(dual, mesh, 0, len(mesh.triangles) - 1, ego_position=(1, 1),
                    ego_speed=0.1)
         assert compute_event_time(ch, mesh, 0.1) is None
 
@@ -234,7 +234,7 @@ class TestComputeEventTime:
         mesh, dual = crossing_channel()
         start = next(i for i, v in enumerate(mesh.triangles.tolist()) if {0, 1, 3} == set(v))
         end = next(i for i, v in enumerate(mesh.triangles.tolist()) if {1, 2, 4} == set(v))
-        ch = astar(dual, start, end, ego_position=(2.0, 1.0), ego_speed=0.2)
+        ch = astar(dual, mesh, start, end, ego_position=(2.0, 1.0), ego_speed=0.2)
         report = compute_event_time(ch, mesh, 0.1)
         assert isinstance(report, EventReport)
         assert report.time > mesh.time
@@ -248,7 +248,7 @@ class TestComputeEventTime:
         mesh, dual = crossing_channel()
         start = next(i for i, v in enumerate(mesh.triangles.tolist()) if {0, 1, 3} == set(v))
         end = next(i for i, v in enumerate(mesh.triangles.tolist()) if {1, 2, 4} == set(v))
-        ch = astar(dual, start, end, ego_position=(2.0, 1.0), ego_speed=0.2)
+        ch = astar(dual, mesh, start, end, ego_position=(2.0, 1.0), ego_speed=0.2)
         report = compute_event_time(ch, mesh, 0.1)
         assert report is not None
         tri_verts = frozenset(
@@ -275,7 +275,7 @@ class TestComputeEventTime:
         dual = build_dual(mesh, (11, 2))
         start = next(i for i, v in enumerate(mesh.triangles.tolist()) if 0 in v)
         end = next(i for i, v in enumerate(mesh.triangles.tolist()) if 3 in v)
-        ch = astar(dual, start, end, ego_position=(1.0, 0.5), ego_speed=0.1)
+        ch = astar(dual, mesh, start, end, ego_position=(1.0, 0.5), ego_speed=0.1)
         report = compute_event_time(ch, mesh, 0.1)
         assert report is not None
         assert report.node_id == 7
@@ -295,7 +295,7 @@ class TestComputeEventTime:
     def test_sampling_window_excludes_zero_and_arrival(self):
         mesh, dual = crossing_channel(walker_speed=50.0)
         start = next(i for i, v in enumerate(mesh.triangles.tolist()) if {0, 1, 3} == set(v))
-        ch = astar(dual, start, start, ego_position=(2.0, 1.0), ego_speed=1.0)
+        ch = astar(dual, mesh, start, start, ego_position=(2.0, 1.0), ego_speed=1.0)
         # Single-triangle channel: arrival offset 0, so no samples, no event.
         assert compute_event_time(ch, mesh, 0.1) is None
 
@@ -303,14 +303,14 @@ class TestComputeEventTime:
         mesh, dual = crossing_channel()
         start = next(i for i, v in enumerate(mesh.triangles.tolist()) if {0, 1, 3} == set(v))
         end = next(i for i, v in enumerate(mesh.triangles.tolist()) if {1, 2, 4} == set(v))
-        ch = astar(dual, start, end, ego_position=(2.0, 1.0), ego_speed=0.2)
+        ch = astar(dual, mesh, start, end, ego_position=(2.0, 1.0), ego_speed=0.2)
         assert compute_event_time(ch, mesh, 0.1) is not None
         frozen_mesh = dataclasses.replace(mesh, vel=np.zeros_like(mesh.vel))
         assert compute_event_time(ch, frozen_mesh, 0.1) is None
 
     def test_invalid_resolution(self):
         mesh, dual = crossing_channel()
-        ch = astar(dual, 0, 0)
+        ch = astar(dual, mesh, 0, 0)
         with pytest.raises(ValueError):
             compute_event_time(ch, mesh, 0.0)
 

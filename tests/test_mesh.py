@@ -179,7 +179,7 @@ class TestDualGraph:
         mesh = build_mesh(make_nodes([(0, 0), (3, 0), (0, 3)]), 0.0)
         dual = build_dual(mesh, (10, 10))
         assert dual.placements[0] == (1.0, 1.0)
-        assert dual.links.tolist() == [[-1, -1, -1]]
+        assert mesh.neighbors.tolist() == [[-1, -1, -1]]
 
     def test_dual_edges_match_interior_mesh_edges(self):
         rng = random.Random(5)
@@ -188,7 +188,9 @@ class TestDualGraph:
         count = len(mesh.triangles)
         interior = sum(1 for a in range(count) for b in range(a + 1, count)
                        if len(shared_vertices(mesh, a, b)) == 2)
-        assert (dual.links >= 0).sum() == 2 * interior
+        # The search steps across ``mesh.neighbors``; the dual places every node.
+        assert (mesh.neighbors >= 0).sum() == 2 * interior
+        assert sorted(dual.placements) == list(range(count))
 
 
 def jittered_grid(rng, k, jitter):
@@ -546,6 +548,14 @@ class TestVirtualNodes:
             generate_virtual_nodes([(0, 0)], spacing=1.0)
         with pytest.raises(ValueError):
             generate_virtual_nodes([(1, 1), (1, 1)], spacing=1.0)
+
+    def test_count_checked_before_placing(self):
+        assert len(generate_virtual_nodes([(0, 0), (10, 0)], 1.0, max_count=11)) == 11
+        with pytest.raises(ValueError, match="over 10 nodes"):
+            generate_virtual_nodes([(0, 0), (10, 0)], 1.0, max_count=10)
+        # ``length / spacing`` overflows to inf: still a count past the cap.
+        with pytest.raises(ValueError, match="over 10 nodes"):
+            generate_virtual_nodes([(0, 0), (1e12, 0)], 1e-300, max_count=10)
 
 
 class TestLocate:

@@ -125,6 +125,32 @@ class TestScenario:
         fewer = dataclasses.replace(sc, nodes=sc.nodes[:1])
         assert min(n.id for n in virtual(fewer)) == 1
 
+    def wall(self, length, ego_radius=0.5):
+        data = simple_scenario().to_dict()
+        data["boundaries"] = [[[0.0, 0.0], [length, 0.0]]]
+        data["ego"]["radius"] = ego_radius
+        return data
+
+    def test_virtual_node_cap(self):
+        # Spacing 0.9: an open wall of n intervals takes n + 1 nodes.
+        cap = scenario_module.MAX_VIRTUAL_NODES
+        at_cap = Scenario.from_dict(self.wall(0.9 * (cap - 1.5)))
+        assert len([n for n in at_cap.node_states_at(0.0)
+                    if n.kind is NodeKind.VIRTUAL]) == cap
+        with pytest.raises(ScenarioFormatError, match="over"):
+            Scenario.from_dict(self.wall(0.9 * (cap - 0.5)))
+
+    def test_virtual_node_cap_spans_boundaries(self):
+        cap = scenario_module.MAX_VIRTUAL_NODES
+        data = self.wall(0.9 * (cap / 2 - 0.5))  # cap / 2 + 1 nodes each
+        data["boundaries"].append([[0.0, 8.0], [0.9 * (cap / 2 - 0.5), 8.0]])
+        with pytest.raises(ScenarioFormatError, match="boundary 1"):
+            Scenario.from_dict(data)
+
+    def test_zero_ego_radius_with_walls_is_named(self):
+        with pytest.raises(ScenarioFormatError, match="ego radius 0"):
+            Scenario.from_dict(self.wall(10.0, ego_radius=0.0))
+
     def test_roundtrip_through_json(self, tmp_path):
         sc = simple_scenario()
         f = tmp_path / "scene.json"

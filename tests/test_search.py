@@ -51,13 +51,13 @@ class TestAstar:
     def test_trivial_same_triangle(self):
         mesh = build_mesh(make_nodes([(0, 0), (4, 0), (0, 4)]), 0.0)
         dual = build_dual(mesh, (1, 1))
-        ch = astar(dual, 0, 0)
+        ch = astar(dual, mesh, 0, 0)
         assert ch.triangles == [0]
 
     def test_channel_is_edge_connected(self):
         mesh = build_mesh(grid_scene(), 0.0)
         dual = build_dual(mesh, (10, 4))
-        ch = astar(dual, 0, len(mesh.triangles) - 1)
+        ch = astar(dual, mesh, 0, len(mesh.triangles) - 1)
         assert ch is not None
         for a, b in zip(ch.triangles, ch.triangles[1:]):
             assert shares_edge(mesh, a, b)
@@ -68,7 +68,7 @@ class TestAstar:
             goal = (10.0, 4.0)
             dual = build_dual(mesh, goal)
             start, end = 0, len(mesh.triangles) - 1
-            ch = astar(dual, start, end)
+            ch = astar(dual, mesh, start, end)
             want = dijkstra_oracle(mesh, dual, start, end)
             got = sum(dist(dual.placements[a], dual.placements[b])
                       for a, b in zip(ch.triangles, ch.triangles[1:]))
@@ -78,12 +78,12 @@ class TestAstar:
         mesh = build_mesh(make_nodes([(0, 0), (4, 0), (0, 4)]), 0.0)
         dual = build_dual(mesh, (1, 1))
         with pytest.raises(KeyError):
-            astar(dual, 0, 99)
+            astar(dual, mesh, 0, 99)
 
     def test_arrival_times_start_at_zero(self):
         mesh = build_mesh(grid_scene(), 0.0)
         dual = build_dual(mesh, (10, 4))
-        ch = astar(dual, 0, len(mesh.triangles) - 1, ego_position=(0.5, 0.5),
+        ch = astar(dual, mesh, 0, len(mesh.triangles) - 1, ego_position=(0.5, 0.5),
                    ego_speed=2.0)
         assert ch.etas[0] == 0.0
         assert all(b >= a for a, b in zip(ch.etas, ch.etas[1:]))
@@ -127,7 +127,7 @@ class TestTimedAstar:
             goal = (10.0, 4.0)
             dual = build_dual(mesh, goal)
             start, end = 0, len(mesh.triangles) - 1
-            plain = astar(dual, start, end, ego_position=(0, 0), ego_speed=1.0)
+            plain = astar(dual, mesh, start, end, ego_position=(0, 0), ego_speed=1.0)
             timed = timed_astar(dual, mesh, start, end, ego_speed=1.0,
                                 width_threshold=0.0, ego_position=(0, 0))
             plain_cost = sum(dist(dual.placements[a], dual.placements[b])

@@ -54,7 +54,7 @@ def straight_strip():
     dual = build_dual(mesh, (7, 1))
     start = next(i for i, v in enumerate(mesh.triangles.tolist()) if 0 in v)
     end = next(i for i, v in enumerate(mesh.triangles.tolist()) if 7 in v)
-    ch = astar(dual, start, end, ego_position=(0.9, 0.6), ego_speed=1.0)
+    ch = astar(dual, mesh, start, end, ego_position=(0.9, 0.6), ego_speed=1.0)
     return mesh, ch
 
 
@@ -205,8 +205,8 @@ class TestGenerateSequence:
                    if seg.t_end is not None)
 
     def test_subgoal_inside_anchor(self):
-        # Segment points hold t_start positions; each anchor vertex moves
-        # with its scene velocity to the segment's end time.
+        # A segment's snapshot holds t_start positions; each anchor vertex
+        # moves with its scene velocity to the segment's end time.
         nodes = crossing_scene_nodes()
         velocity = {n.id: n.velocity for n in nodes}
         for speed in (0.2, 0.4, 1.0):
@@ -217,8 +217,9 @@ class TestGenerateSequence:
             assert closed
             for seg in closed:
                 offset = seg.t_end - seg.t_start
-                anchor = tuple((seg.points[v][0] + velocity[v][0] * offset,
-                                seg.points[v][1] + velocity[v][1] * offset)
+                at = dict(zip(seg.mesh.nodes.ids.tolist(), seg.mesh.xy_list))
+                anchor = tuple((at[v][0] + velocity[v][0] * offset,
+                                at[v][1] + velocity[v][1] * offset)
                                for v in seg.anchor)
                 assert point_in_triangle(anchor, seg.subgoal)
 
@@ -281,6 +282,23 @@ class TestGenerateSequence:
             SequencerConfig(tau_threshold=0)
         with pytest.raises(ValueError):
             SequencerConfig(sample_resolution=0)
+
+    @pytest.mark.parametrize("field", ["tau_threshold", "sample_resolution",
+                                       "width_threshold", "padding",
+                                       "ego_radius", "ego_speed"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_config_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SequencerConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, bad, least", [
+        ("ego_speed", 0.0, 1e-3), ("ego_radius", -0.1, 0.0),
+        ("width_threshold", -0.1, 0.0), ("padding", -0.1, 0.0)])
+    def test_config_rejects_out_of_range(self, field, bad, least):
+        # A zero ego speed made every plan() call raise.
+        with pytest.raises(ValueError, match=field):
+            SequencerConfig(**{field: bad})
+        assert getattr(SequencerConfig(**{field: least}), field) == least
 
     def test_default_derived_thresholds(self):
         cfg = SequencerConfig(ego_radius=0.25)
@@ -403,3 +421,48 @@ def test_anchor_missing_from_snapshot_fails(monkeypatch):
     assert isinstance(result, SequenceFailure)
     assert result.cycle == 1
     assert result.reason == "anchor missing from snapshot"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_segments_keep_their_snapshot(seed):
+    # A segment is a run of edge-connected triangles of the snapshot at
+    # its start time; its node-id triangles are read from that snapshot.
+    scene = generate_synthetic(seed)
+    cfg = SimConfig().sequencer_for(scene)
+    segments = 0
+    for t in (0.0, 1.5, 3.0, 4.5):
+        result = generate_sequence(scene.node_states_at(t), scene.start,
+                                   scene.goal, cfg)
+        if not isinstance(result, ChannelSequence):
+            continue
+        for seg in result.segments:
+            mesh = seg.mesh
+            assert mesh.time == seg.t_start
+            for a, b in zip(seg.tri_ids, seg.tri_ids[1:]):
+                assert b in mesh.neighbors[a].tolist()
+            ids = mesh.nodes.ids[mesh.triangles[seg.tri_ids]]
+            assert seg.triangles == [tuple(row) for row in ids.tolist()]
+            assert seg.anchor == seg.triangles[-1]
+            segments += 1
+    assert segments >= 4
+
+
+@pytest.mark.parametrize("method", [MethodId.ASTAR, MethodId.TIMED_ASTAR])
+def test_baseline_follows_one_segment(monkeypatch, method):
+    scene = generate_synthetic(0)
+    cfg = SimConfig().sequencer_for(scene)
+    followed = []
+    follow = simulate._follow
+
+    def recording_follow(segments, *args, **kwargs):
+        followed.append(segments)
+        return follow(segments, *args, **kwargs)
+
+    monkeypatch.setattr(simulate, "_follow", recording_follow)
+    planned = simulate.plan_detailed(scene, method, scene.start, 0.0, cfg)
+    assert planned.path is not None
+    [[seg]] = followed
+    assert (seg.t_start, seg.t_end, seg.subgoal) == (0.0, None, scene.goal)
+    assert planned.corridor == [seg.mesh.triangle_points(t) for t in seg.tri_ids]
+    assert planned.path.points[0] == scene.start
+    assert planned.path.points[-1] == scene.goal

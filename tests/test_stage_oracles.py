@@ -223,9 +223,12 @@ def test_build_dual_matches_reference():
                 assert sorted(dual.placements) == sorted(placements), label
                 assert (bits([dual.placements[t] for t in sorted(placements)])
                         == bits([placements[t] for t in sorted(placements)])), label
+                # The search reads the dual's edges from ``mesh.neighbors``:
+                # the triangle across the edge opposite each vertex.
                 ids = m.nodes.ids.tolist()
-                got = [[(n, (ids[u], ids[v])) for n, (u, v) in zip(ns, es) if n >= 0]
-                       for ns, es in zip(dual.links.tolist(), dual.portals.tolist())]
+                got = [sorted((n, tuple(sorted((ids[row[k - 2]], ids[row[k - 1]]))))
+                              for k, n in enumerate(ns) if n >= 0)
+                       for row, ns in zip(m.triangles.tolist(), m.neighbors.tolist())]
                 assert got == adjacency, label
                 duals += 1
     assert duals >= 900
