@@ -3,11 +3,11 @@
 Nodes enter as a ``NodeTable``: ids in ascending order with positions,
 velocities and radii as arrays.  A node's row is its dense index; every
 mesh table holds dense indices, and as the index is monotone in node id,
-index order is id order.  A plan builds one table and all its snapshots
-share it.  A snapshot's tables are an earlier snapshot's, taken to the
-new positions and Lawson-flipped until every edge is certainly locally
-Delaunay: a plan's later snapshots advance from the one before, its first
-from the last plan's first.  Qhull (``scipy.spatial.Delaunay``, nodes fed
+index order is id order.  A plan reads one table (``Scenario.table_at``)
+and all its snapshots share it.  A snapshot's tables are an earlier
+snapshot's, taken to the new positions and Lawson-flipped until every edge
+is certainly locally Delaunay: a plan's later snapshots advance from the
+one before, its first from the last plan's first.  Qhull (``scipy.spatial.Delaunay``, nodes fed
 in id order) builds them only on fallback (``_advance`` lists when).  An
 advanced snapshot is the unique Delaunay triangulation of its nodes, so
 its tables equal Qhull's, whichever snapshot it came from.

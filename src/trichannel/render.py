@@ -94,7 +94,7 @@ def render_frame(scenario: Scenario, t: float, ego: Point,
 
     # Mesh edges underneath everything else.
     try:
-        mesh = build_mesh(nodes, 0.0)
+        mesh = build_mesh(scenario.table_at(t), 0.0)
         xy = mesh.xy_list
         for u, v in mesh_edges(mesh).tolist():
             canvas.polyline([xy[u], xy[v]],

@@ -3,6 +3,7 @@
 A scenario holds timed waypoint trajectories for every object node
 (linearly interpolated, linearly extrapolated after the last waypoint),
 boundary polylines that become virtual nodes, and the ego task parameters.
+The planner reads every node at a time as one ``NodeTable`` (``table_at``).
 """
 from __future__ import annotations
 
@@ -13,8 +14,10 @@ from dataclasses import dataclass
 from pathlib import Path as FsPath
 from typing import List, Tuple
 
+import numpy as np
+
 from .geometry import NodeKind, NodeState, Point
-from .mesh import generate_virtual_nodes
+from .mesh import NodeTable, generate_virtual_nodes
 
 SCHEMA_VERSION = 1
 # Virtual nodes one scenario may place along its boundaries (a synthetic
@@ -77,6 +80,10 @@ class ObjectTrack:
         (t0, x0, y0), (t1, x1, y1) = wp[-2], wp[-1]
         return ((x1 - x0) / (t1 - t0), (y1 - y0) / (t1 - t0))
 
+    def state_at(self, t: float) -> NodeState:
+        (x, y), (vx, vy) = self.position_at(t), self.velocity_at(t)
+        return NodeState(id=self.id, x=x, y=y, vx=vx, vy=vy, r=self.radius, kind=self.kind)
+
 
 @dataclass
 class Scenario:
@@ -119,6 +126,16 @@ class Scenario:
                 raise ScenarioFormatError(f"boundary {i}: {exc}") from None
             self._virtual.extend(vns)
             next_id += len(vns)
+        # Rows in id order (virtual ids follow every track's), built once;
+        # ``table_at`` fills only the rows of tracks with more than one waypoint.
+        tracks = sorted(self.nodes, key=lambda tr: tr.id)
+        self._rows = NodeTable.of([*(tr.state_at(0.0) for tr in tracks), *self._virtual])
+        self._moving = [tr for tr in tracks if len(tr.waypoints) > 1]
+        self._moving_rows = [row for row, tr in enumerate(tracks) if len(tr.waypoints) > 1]
+        # Non-virtual rows in the order the scenario lists them, the order in
+        # which the path clearing breaks ties.
+        self.obstacle_rows = np.searchsorted(self._rows.ids, [
+            tr.id for tr in self.nodes if tr.kind is not NodeKind.VIRTUAL])
 
     @property
     def virtual_spacing(self) -> float:
@@ -126,15 +143,19 @@ class Scenario:
         return 2.0 * self.ego_radius * 0.9
 
     def node_states_at(self, t: float, include_virtual: bool = True) -> List[NodeState]:
-        out: List[NodeState] = []
-        for track in self.nodes:
-            x, y = track.position_at(t)
-            vx, vy = track.velocity_at(t)
-            out.append(NodeState(id=track.id, x=x, y=y, vx=vx, vy=vy,
-                                 r=track.radius, kind=track.kind))
-        if include_virtual:
-            out.extend(self._virtual)
-        return out
+        return ([track.state_at(t) for track in self.nodes]
+                + (self._virtual if include_virtual else []))
+
+    def table_at(self, t: float) -> NodeTable:
+        """Every node at time ``t`` as a ``NodeTable``; equals
+        ``NodeTable.of(self.node_states_at(t))`` bit for bit."""
+        if not self._moving:
+            return self._rows
+        xy, vel = self._rows.xy.copy(), self._rows.vel.copy()
+        xy[self._moving_rows] = [tr.position_at(t) for tr in self._moving]
+        vel[self._moving_rows] = [tr.velocity_at(t) for tr in self._moving]
+        xy.flags.writeable = vel.flags.writeable = False
+        return NodeTable(ids=self._rows.ids, xy=xy, vel=vel, r=self._rows.r)
 
     def to_dict(self) -> dict:
         return {

@@ -235,15 +235,15 @@ def _prefix_event(channel: Channel, mesh: Mesh, k: int, window: float,
     return (offset, report.triangle_index) if offset < window else None
 
 
-def generate_sequence(nodes: Sequence[NodeState], start: Point, goal: Point,
-                      cfg: SequencerConfig) -> SequenceResult:
+def generate_sequence(nodes: Union[NodeTable, Sequence[NodeState]], start: Point,
+                      goal: Point, cfg: SequencerConfig) -> SequenceResult:
     """Run the full pipeline from time 0 until a terminal condition.
 
-    ``nodes`` are the states at time 0; later cycles extrapolate them
-    linearly.  Returns the channel sequence, or a failure naming the cycle
+    ``nodes`` is a node table or states at time 0; later cycles extrapolate
+    them linearly.  Returns the channel sequence, or a failure naming the cycle
     and its reason.
     """
-    table = NodeTable.of(nodes)
+    table = nodes if isinstance(nodes, NodeTable) else NodeTable.of(nodes)
     tau = 0.0
     start_pt = start
     anchor: Optional[VertexTriple] = None  # node indices

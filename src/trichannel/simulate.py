@@ -18,8 +18,9 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .funnel import PathPolyline, funnel
-from .geometry import NodeKind, NodeState, Point, TrianglePoints, dist, point_along
-from .mesh import DegenerateInputError, build_dual, build_mesh, locate, point_in_triangle
+from .geometry import Point, TrianglePoints, dist, point_along
+from .mesh import (DegenerateInputError, NodeTable, build_dual, build_mesh, locate,
+                   point_in_triangle)
 from .scenario import Scenario
 from .search import astar, timed_astar
 from .sequencer import (ChannelSegment, ChannelSequence, SequenceFailure,
@@ -67,13 +68,11 @@ class SimConfig:
         )
 
 
-def colliding_ids(ego: Point, ego_radius: float,
-                  nodes: Sequence[NodeState]) -> Set[int]:
-    """Ids of the non-virtual nodes whose discs the ego disc overlaps strictly."""
-    return {
-        n.id for n in nodes
-        if n.kind is not NodeKind.VIRTUAL and dist(ego, n.position) < ego_radius + n.r
-    }
+def colliding_ids(ego: Point, ego_radius: float, table: NodeTable,
+                  rows: Sequence[int]) -> Set[int]:
+    """Ids of the nodes in ``rows`` whose discs the ego disc overlaps strictly."""
+    ids, xy, r = (a[rows].tolist() for a in (table.ids, table.xy, table.r))
+    return {i for i, p, ri in zip(ids, xy, r) if dist(ego, p) < ego_radius + ri}
 
 
 def _nearest_in_triangle(tri: TrianglePoints, p: Point) -> Point:
@@ -134,7 +133,7 @@ def _clear_chord(a: Point, b: Point,
             + _clear_chord(moved, b, discs, depth - 1))
 
 
-def _clear_polyline(path: PathPolyline, obstacles: Sequence[NodeState],
+def _clear_polyline(path: PathPolyline, table: NodeTable, rows: Sequence[int],
                     ego_radius: float) -> PathPolyline:
     """Push path chords off the obstacle discs they graze.
 
@@ -145,7 +144,8 @@ def _clear_polyline(path: PathPolyline, obstacles: Sequence[NodeState],
     beyond the clearance circle and the halves re-checked, leaving a
     residual penetration well under that margin.
     """
-    discs = [((n.x, n.y), n.r + ego_radius + 0.05) for n in obstacles]
+    discs = [(tuple(p), ri + ego_radius + 0.05)
+             for p, ri in zip(table.xy[rows].tolist(), table.r[rows].tolist())]
     out_p = [path.points[0]]
     out_i = [path.segment_ids[0]]
     for a, b, sid in zip(path.points, path.points[1:], path.segment_ids[1:]):
@@ -162,12 +162,12 @@ class PlanResult:
     sequence: Optional[ChannelSequence] = None
 
 
-def _follow(segments: Sequence[ChannelSegment], ego: Point,
-            nodes: Sequence[NodeState], ego_radius: float, padding: float,
+def _follow(segments: Sequence[ChannelSegment], ego: Point, table: NodeTable,
+            obstacle_rows: Sequence[int], ego_radius: float, padding: float,
             sequence: Optional[ChannelSequence] = None) -> PlanResult:
     """Funnel paths from the ego through each segment to its subgoal, joined
-    and cleared.  No path when the first segment's funnel fails; a later
-    failure truncates the path."""
+    and cleared of the discs of ``table``'s ``obstacle_rows``.  No path when
+    the first segment's funnel fails; a later failure truncates the path."""
     corridors = [seg.mesh.corridor(seg.tri_ids) for seg in segments]
     corridor = [tri for tris, _ in corridors for tri in tris]
     points: List[Point] = []
@@ -192,31 +192,30 @@ def _follow(segments: Sequence[ChannelSegment], ego: Point,
         segment_ids.extend(part.segment_ids[skip:])
         cursor = seg.subgoal
     path = _clear_polyline(PathPolyline(points=points, segment_ids=segment_ids),
-                           [n for n in nodes if n.kind is not NodeKind.VIRTUAL],
-                           ego_radius)
+                           table, obstacle_rows, ego_radius)
     return PlanResult(path=path, corridor=corridor, sequence=sequence)
 
 
 def plan_proposed(scenario: Scenario, ego: Point, t_now: float,
                   cfg: SequencerConfig) -> PlanResult:
     """Channel sequence, followed segment by segment (``_follow``)."""
-    nodes = scenario.node_states_at(t_now)
+    table = scenario.table_at(t_now)
     try:
-        result = generate_sequence(nodes, ego, scenario.goal, cfg)
+        result = generate_sequence(table, ego, scenario.goal, cfg)
     except DegenerateInputError:
         return PlanResult(path=None)
     if isinstance(result, SequenceFailure):
         return PlanResult(path=None)
-    return _follow(result.segments, ego, nodes, scenario.ego_radius,
-                   cfg.effective_padding, result)
+    return _follow(result.segments, ego, table, scenario.obstacle_rows,
+                   scenario.ego_radius, cfg.effective_padding, result)
 
 
 def plan_baseline(scenario: Scenario, ego: Point, t_now: float,
                   cfg: SequencerConfig, method: MethodId) -> PlanResult:
     """Single-channel baseline: one search, followed as one segment to the goal."""
-    nodes = scenario.node_states_at(t_now)
+    table = scenario.table_at(t_now)
     try:
-        mesh = build_mesh(nodes, 0.0)
+        mesh = build_mesh(table, 0.0)
     except DegenerateInputError:
         return PlanResult(path=None)
     start_tri = locate(mesh, ego)
@@ -239,7 +238,8 @@ def plan_baseline(scenario: Scenario, ego: Point, t_now: float,
     # ``locate`` found both ends inside their triangles by the exact test,
     # so ``_follow``'s projections leave them where they are.
     segment = ChannelSegment(0.0, None, mesh, channel.triangles, scenario.goal, ego)
-    return _follow([segment], ego, nodes, scenario.ego_radius, cfg.effective_padding)
+    return _follow([segment], ego, table, scenario.obstacle_rows, scenario.ego_radius,
+                   cfg.effective_padding)
 
 
 def plan_detailed(scenario: Scenario, method: MethodId, ego: Point,
@@ -327,15 +327,16 @@ def run_scenario(scenario: Scenario, method: MethodId,
 
     attempted = succeeded = 0
     collision_count = 0
+    rows = scenario.obstacle_rows
     colliding = colliding_ids(scenario.start, scenario.ego_radius,
-                              scenario.node_states_at(0.0, include_virtual=False))
+                              scenario.table_at(0.0), rows)
     completion_time: Optional[float] = None
     for rec in rollout(scenario, cfg, timed_plan):
         if rec.planned is not None:
             attempted += 1
             succeeded += rec.planned.path is not None
-        obstacles = scenario.node_states_at(rec.after.t, include_virtual=False)
-        now_colliding = colliding_ids(rec.after.ego, scenario.ego_radius, obstacles)
+        now_colliding = colliding_ids(rec.after.ego, scenario.ego_radius,
+                                      scenario.table_at(rec.after.t), rows)
         collision_count += len(now_colliding - colliding)
         colliding = now_colliding
         if rec.at_goal:

@@ -24,6 +24,7 @@ from trichannel.geometry import (InCircleSide, NodeKind, NodeState, dist,
                                  incircle, orient2d)
 from trichannel.mesh import (DegenerateInputError, build_dual, build_mesh,
                              locate, point_in_triangle)
+from trichannel.render import render_run
 from trichannel.scenario import SyntheticParams, generate_synthetic
 from trichannel.search import astar
 from trichannel.sequencer import (ChannelSequence, SequencerConfig,
@@ -517,13 +518,36 @@ GOLDEN_METRICS_CSV = {
 }
 
 
-def test_criterion_8_golden_metrics_csv(experiment):
+def skip_off_golden_toolchain():
     toolchain = {"python": platform.python_version(), "numpy": np.__version__,
                  "scipy": scipy.__version__}
     recorded = {k: GOLDEN_METRICS_CSV[k] for k in toolchain}
     if toolchain != recorded:
         pytest.skip(f"golden hash recorded on {recorded}, running {toolchain}")
+
+
+def test_criterion_8_golden_metrics_csv(experiment):
+    skip_off_golden_toolchain()
     digest = hashlib.sha256(experiment["csv"].read_bytes()).hexdigest()
     same = digest == GOLDEN_METRICS_CSV["sha256"]
     report(8, "golden metrics.csv", same, f"sha256 {digest[:12]}")
+    assert same
+
+
+# Every SVG frame of two short renders, in order, hashed on the toolchain
+# of GOLDEN_METRICS_CSV.
+GOLDEN_RENDER_SHA256 = {
+    (5, "proposed"): "4b35cf9e189a880ac6eed6d0fa52e06d1c015293904739ed503e082a86c9431d",
+    (7, "astar"): "1bad5d0b634adaa9216fa7f25b0d4b4c97eba434256dff59fa12bbdcf974ab3e",
+}
+
+
+@pytest.mark.parametrize("seed, method", [(5, MethodId.PROPOSED), (7, MethodId.ASTAR)])
+def test_criterion_8_golden_render_frames(tmp_path, seed, method):
+    skip_off_golden_toolchain()
+    frames = render_run(generate_synthetic(seed), method, tmp_path, frame_dt=2.0)
+    digest = hashlib.sha256(b"".join(f.read_bytes() for f in frames)).hexdigest()
+    same = digest == GOLDEN_RENDER_SHA256[seed, method.value]
+    report(8, f"golden render frames, {method.value}", same,
+           f"{len(frames)} frames, sha256 {digest[:12]}")
     assert same

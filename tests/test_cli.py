@@ -179,6 +179,9 @@ class PoisonedScenario(Scenario):
     def node_states_at(self, t, include_virtual=True):
         raise RuntimeError("poisoned scene")
 
+    def table_at(self, t):
+        raise RuntimeError("poisoned scene")
+
 
 @pytest.mark.parametrize("flag", ["--max-segments", "--sample-resolution",
                                   "--passes", "--replan-interval"])

@@ -7,6 +7,7 @@ import pytest
 
 from trichannel import scenario as scenario_module
 from trichannel.geometry import NodeKind
+from trichannel.mesh import NodeTable
 from trichannel.scenario import (ObjectTrack, Scenario, ScenarioFormatError,
                                  SyntheticParams, generate_synthetic)
 
@@ -196,6 +197,73 @@ class TestScenario:
         f.write_text(json.dumps({"id": "x", "nodes": []}))
         with pytest.raises(ScenarioFormatError):
             Scenario.load(f)
+
+
+def assert_table_at_matches_states(sc, times):
+    """``table_at`` gives ``NodeTable.of(node_states_at)``'s arrays, bit for bit."""
+    for t in times:
+        got, want = sc.table_at(t), NodeTable.of(sc.node_states_at(t))
+        for name in ("ids", "xy", "vel", "r"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), (sc.id, t, name)
+            assert a.tobytes() == b.tobytes(), (sc.id, t, name)
+            assert not a.flags.writeable, (sc.id, t, name)
+
+
+def waypoint_times(sc):
+    """Every waypoint time, the midpoints between them, and times before the
+    first waypoint and past the last."""
+    ts = sorted({w[0] for tr in sc.nodes for w in tr.waypoints})
+    return ts + [(a + b) / 2.0 for a, b in zip(ts, ts[1:])] + [ts[0] - 1.0, ts[-1] + 3.7]
+
+
+class TestTableAt:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_synthetic_matches_node_states(self, seed):
+        sc = generate_synthetic(seed)
+        assert_table_at_matches_states(sc, waypoint_times(sc))
+
+    def test_hand_made_scene_matches_node_states(self):
+        sc = Scenario(
+            id="mixed",
+            nodes=[
+                ObjectTrack(id=9, kind=NodeKind.DYNAMIC, radius=0.3,
+                            waypoints=[(1.0, 0.0, 0.0), (2.5, 3.0, 1.0), (4.0, 3.0, 5.0)]),
+                ObjectTrack(id=2, kind=NodeKind.DYNAMIC, radius=0.2,
+                            waypoints=[(0.0, 6.0, 6.0)]),  # one waypoint: parked
+                ObjectTrack(id=5, kind=NodeKind.STATIC, radius=0.5,
+                            waypoints=[(0.0, 8.0, 1.0)]),
+                ObjectTrack(id=0, kind=NodeKind.DYNAMIC, radius=0.1,
+                            waypoints=[(0.0, 9.0, 9.0), (3.0, 0.5, 7.0)]),
+            ],
+            boundaries=[],
+            start=(0.5, 4.0), goal=(9.5, 4.0),
+            ego_speed=1.0, ego_radius=0.25, time_limit=10.0,
+        )
+        assert sc.table_at(0.0).ids.tolist() == [0, 2, 5, 9]
+        # Obstacles keep the order the scenario lists them in.
+        assert sc.table_at(0.0).ids[sc.obstacle_rows].tolist() == [9, 2, 5, 0]
+        assert_table_at_matches_states(sc, waypoint_times(sc))
+
+    def test_all_static_scene_matches_node_states(self):
+        # Criterion 7's scenes: every walker parked at its first waypoint.
+        sc = generate_synthetic(1000)
+        parked = dataclasses.replace(sc, nodes=[
+            ObjectTrack(id=tr.id, kind=NodeKind.STATIC, radius=tr.radius,
+                        waypoints=[tr.waypoints[0]]) for tr in sc.nodes])
+        assert_table_at_matches_states(parked, [0.0, 0.05, 3.0, 40.0])
+
+    def test_ids_and_radii_shared_between_tables(self):
+        sc = generate_synthetic(0)
+        a, b = sc.table_at(0.0), sc.table_at(1.0)
+        assert a.ids is b.ids and a.r is b.r
+        assert a.xy is not b.xy
+
+    def test_obstacle_rows_skip_virtual_nodes(self):
+        sc = simple_scenario()
+        table = sc.table_at(0.0)
+        states = sc.node_states_at(0.0, include_virtual=False)
+        assert table.ids[sc.obstacle_rows].tolist() == [s.id for s in states]
 
 
 class TestSyntheticGenerator:

@@ -4,8 +4,9 @@ import re
 
 import pytest
 
+from trichannel import simulate
 from trichannel.funnel import PathPolyline
-from trichannel.geometry import NodeKind, NodeState, point_along
+from trichannel.geometry import NodeKind, dist, point_along
 from trichannel.render import _bounds, render_run
 from trichannel.scenario import (ObjectTrack, Scenario, SyntheticParams,
                                  generate_synthetic)
@@ -30,21 +31,70 @@ def empty_road(length=12.0, width=6.0, time_limit=30.0):
 
 
 class TestDetectCollision:
-    def nodes(self):
-        return [
-            NodeState(id=0, x=0.0, y=0.0, vx=0, vy=0, r=0.5),
-            NodeState(id=1, x=5.0, y=0.0, vx=0, vy=0, r=0.5,
-                      kind=NodeKind.VIRTUAL),
-        ]
+    def scene(self):
+        return Scenario(
+            id="discs",
+            nodes=[ObjectTrack(id=0, kind=NodeKind.STATIC, radius=0.5,
+                               waypoints=[(0.0, 0.0, 0.0)]),
+                   ObjectTrack(id=1, kind=NodeKind.VIRTUAL, radius=0.5,
+                               waypoints=[(0.0, 5.0, 0.0)]),
+                   ObjectTrack(id=2, kind=NodeKind.STATIC, radius=4.0,
+                               waypoints=[(0.0, 0.0, 20.0)])],
+            boundaries=[], start=(0.0, 10.0), goal=(9.0, 10.0),
+            ego_speed=1.0, ego_radius=0.2, time_limit=1.0)
+
+    def colliding(self, ego, ego_radius=0.2):
+        sc = self.scene()
+        return colliding_ids(ego, ego_radius, sc.table_at(0.0), sc.obstacle_rows)
 
     def test_overlap_detected(self):
-        assert colliding_ids((0.6, 0.0), 0.2, self.nodes()) == {0}
+        assert self.colliding((0.6, 0.0)) == {0}
 
     def test_touching_is_not_collision(self):
-        assert colliding_ids((0.7, 0.0), 0.2, self.nodes()) == set()
+        assert self.colliding((0.7, 0.0)) == set()
 
     def test_virtual_nodes_ignored(self):
-        assert colliding_ids((5.0, 0.0), 0.2, self.nodes()) == set()
+        assert self.colliding((5.0, 0.0)) == set()
+
+    def test_exact_contact_is_not_collision(self):
+        # hypot(3, 4) and 1 + 4 are both exactly 5.0: the test is strict.
+        assert self.colliding((3.0, 24.0), 1.0) == set()
+        assert self.colliding((3.0, 24.0 - 1e-9), 1.0) == {2}
+
+
+def node_state_collisions(scenario, states):
+    """Collision onsets by the node-state check the array check replaced."""
+    def colliding(ego, t):
+        return {n.id for n in scenario.node_states_at(t)
+                if n.kind is not NodeKind.VIRTUAL
+                and dist(ego, n.position) < scenario.ego_radius + n.r}
+
+    count, before = 0, colliding(scenario.start, 0.0)
+    for state in states:
+        now = colliding(state.ego, state.t)
+        count += len(now - before)
+        before = now
+    return count
+
+
+def test_collision_count_matches_node_state_replay(monkeypatch):
+    states = []
+
+    def recording_step(*args):
+        states.append(real_step(*args))
+        return states[-1]
+
+    real_step = simulate.step
+    monkeypatch.setattr(simulate, "step", recording_step)
+    total = 0
+    for seed in range(6):
+        sc = generate_synthetic(seed)
+        for method in MethodId:
+            states.clear()
+            m = run_scenario(sc, method)
+            assert m.collision_count == node_state_collisions(sc, states), (sc.id, method)
+            total += m.collision_count
+    assert total > 0  # the replay compares some onsets
 
 
 class TestStep:
