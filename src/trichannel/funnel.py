@@ -1,16 +1,19 @@
-"""Taut-string path extraction through a triangle corridor.
+"""Taut-string path extraction through a run of snapshot triangles.
 
-Portal endpoints are shrunk toward the portal interior by the padding plus
-the endpoint node's radius before string pulling, so the resulting polyline
-keeps clearance from the disc nodes spanning each portal.
+The funnel steps across ``Mesh.neighbors``, as channel search does: each
+portal is the edge of a triangle opposite the column that holds the next
+triangle id.  Portal endpoints are shrunk toward the portal interior by
+the padding plus the endpoint node's radius (``NodeTable.r`` by node
+index) before string pulling, so the resulting polyline keeps clearance
+from the disc nodes spanning each portal.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .geometry import Point, TrianglePoints, dist, orient2d
-from .mesh import point_in_triangle
+from .geometry import Point, dist, orient2d
+from .mesh import Mesh, point_in_triangle
 
 
 @dataclass
@@ -22,29 +25,6 @@ class PathPolyline:
 def _triarea2(a: Point, b: Point, c: Point) -> float:
     # Positive when c lies left of the directed line a -> b.
     return (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
-
-
-def _shared_directed_edge(tri_a: TrianglePoints, tri_b: TrianglePoints
-                          ) -> Tuple[Point, Point]:
-    """Shared edge directed as it appears in tri_a's CCW cycle."""
-    other = set(tri_b)
-    for k in range(3):
-        a, b = tri_a[k], tri_a[(k + 1) % 3]
-        if a in other and b in other:
-            return a, b
-    raise ValueError("consecutive corridor triangles share no edge")
-
-
-def extract_portals(triangles: Sequence[TrianglePoints]
-                    ) -> List[Tuple[Point, Point]]:
-    """(left, right) portal pairs as seen walking the corridor."""
-    portals = []
-    for cur, nxt in zip(triangles, triangles[1:]):
-        a, b = _shared_directed_edge(cur, nxt)
-        # Interior of the current triangle lies left of a -> b, so the
-        # walker crosses left-to-right: b is on their left hand.
-        portals.append((b, a))
-    return portals
 
 
 def _shrink_portal(left: Point, right: Point, off_left: float,
@@ -98,40 +78,44 @@ def _string_pull(portals: Sequence[Tuple[Point, Point]], start: Point,
     return out
 
 
-def _ccw(tri: TrianglePoints) -> TrianglePoints:
-    if orient2d(*tri) < 0:
-        return (tri[0], tri[2], tri[1])
-    return tri
-
-
-def funnel(triangles: Sequence[TrianglePoints], start: Point, target: Point,
-           padding: float, radius_of: Optional[Mapping[Point, float]] = None,
-           segment_id: int = 0) -> Optional[PathPolyline]:
-    """Shortest taut path through the corridor with collision padding.
+def funnel(mesh: Mesh, tri_ids: Sequence[int], start: Point, target: Point,
+           padding: float, segment_id: int = 0) -> Optional[PathPolyline]:
+    """Shortest taut path through the triangles ``tri_ids`` of ``mesh``.
 
     Returns None when any portal's shrunk width is non-positive (the
     corridor is too narrow); raises ValueError when start/target are not
-    inside the first/last triangle or padding is negative.
+    inside the first/last triangle, padding is negative, or consecutive
+    ids are not neighbours or cross from a clockwise row.
     """
     if padding < 0:
         raise ValueError(f"padding must be >= 0, got {padding}")
-    if not triangles:
+    if not tri_ids:
         raise ValueError("empty corridor")
-    tris = [_ccw(t) for t in triangles]
-    if not point_in_triangle(tris[0], start):
+    xy, r = mesh.xy_list, mesh.nodes.r_list
+    ids = list(tri_ids)
+    rows = mesh.triangles[ids].tolist()
+    if not point_in_triangle([xy[v] for v in rows[0]], start):
         raise ValueError("start point outside the first corridor triangle")
-    if not point_in_triangle(tris[-1], target):
+    if not point_in_triangle([xy[v] for v in rows[-1]], target):
         raise ValueError("target point outside the last corridor triangle")
 
-    if len(tris) == 1:
+    if len(rows) == 1:
         pts = [start, target] if start != target else [start]
         return PathPolyline(points=pts, segment_ids=[segment_id] * len(pts))
 
+    # The portal from t into u is t's edge opposite the column k that holds
+    # u in t's neighbours, a -> b as in t's CCW cycle: the walker crosses
+    # it with b on their left.
+    ends: List[Tuple[int, int]] = []
+    for row, nbr, u in zip(rows, mesh.neighbors[ids].tolist(), ids[1:]):
+        k = nbr.index(u)  # ValueError when u is not a neighbour
+        a, b = row[k - 2], row[k - 1]
+        if orient2d(xy[a], xy[b], xy[row[k]]) < 0:
+            raise ValueError("clockwise corridor triangle")
+        ends.append((b, a))
     shrunk: List[Tuple[Point, Point]] = []
-    for left, right in extract_portals(tris):
-        r_left = radius_of.get(left, 0.0) if radius_of else 0.0
-        r_right = radius_of.get(right, 0.0) if radius_of else 0.0
-        portal = _shrink_portal(left, right, padding + r_left, padding + r_right)
+    for left, right in ends:
+        portal = _shrink_portal(xy[left], xy[right], padding + r[left], padding + r[right])
         if portal is None:
             return None
         shrunk.append(portal)

@@ -19,8 +19,10 @@ vertex triple, so the tables depend only on the set of triangles.
 ``neighbors[t, k]`` is the triangle across the edge opposite vertex ``k``,
 or -1 on the hull, so the edges ab, bc, ca of (a, b, c) lie opposite c, a,
 b.  An edge is written (lower index, higher index); edges are walked by
-triangle id, then ab, bc, ca (``mesh_edges``).  Channel search steps
-across ``neighbors`` itself; a ``DualGraph`` holds only the goal's placements.
+triangle id, then ab, bc, ca (``mesh_edges``).  Channel search and the
+funnel step across ``neighbors`` itself, and the funnel reads each portal
+end's radius from ``nodes.r`` by index; a ``DualGraph`` holds only the
+goal's placements.
 
 ``Mesh.xy`` holds the positions at the snapshot time and ``Mesh.vel`` the
 motion that search and event prediction extrapolate with: the raw
@@ -119,14 +121,6 @@ class Mesh:
         xy = self.xy_list
         a, b, c = self.triangles[tri_id].tolist()
         return (xy[a], xy[b], xy[c])
-
-    def corridor(self, tri_ids: Sequence[int]
-                 ) -> Tuple[List[TrianglePoints], Dict[Point, float]]:
-        """``funnel``'s triangles through ``tri_ids``, and node radii by position."""
-        xy, r = self.xy_list, self.nodes.r_list
-        rows = self.triangles[list(tri_ids)].tolist()
-        return ([(xy[a], xy[b], xy[c]) for a, b, c in rows],
-                {xy[v]: r[v] for row in rows for v in row})
 
 
 def _orientation(pts: np.ndarray, tris: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

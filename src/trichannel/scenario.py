@@ -219,6 +219,10 @@ class Scenario:
         return cls.from_dict(data)
 
 
+# Off-wall clearance for pedestrian centres in synthetic scenes.
+_WALL_MARGIN = 0.6
+
+
 @dataclass(frozen=True)
 class SyntheticParams:
     """Knobs for the straight-road pedestrian-crossing generator."""
@@ -235,14 +239,24 @@ class SyntheticParams:
     time_limit: float = 25.0
 
     def __post_init__(self) -> None:
-        if self.road_length <= 0 or self.road_width <= 0:
-            raise ValueError("road dimensions must be positive")
-        if not (0 <= self.ped_count_min <= self.ped_count_max):
-            raise ValueError("invalid pedestrian count range")
-        if not (0 < self.ped_speed_min <= self.ped_speed_max):
+        # Chained comparisons: NaN fails them, so it is rejected too.
+        for name in ("road_length", "ped_speed_min", "ego_speed", "time_limit"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        for name in ("ped_radius", "ego_radius"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got {value}")
+        # Walkers bounce between the margins: with no room between them,
+        # ``_bounce_waypoints`` never reaches the horizon.
+        if not 2 * _WALL_MARGIN < self.road_width < math.inf:
+            raise ValueError(f"road_width must exceed {2 * _WALL_MARGIN} and be finite, "
+                             f"got {self.road_width}")
+        if not self.ped_speed_min <= self.ped_speed_max < math.inf:
             raise ValueError("invalid pedestrian speed range")
-        if self.ego_speed <= 0 or self.time_limit <= 0:
-            raise ValueError("invalid ego task parameters")
+        if not 0 <= self.ped_count_min <= self.ped_count_max:
+            raise ValueError("invalid pedestrian count range")
 
 
 def _bounce_waypoints(x: float, y: float, direction: float, speed: float,
@@ -275,7 +289,6 @@ def generate_synthetic(seed: int, params: SyntheticParams = SyntheticParams()) -
     rng = random.Random(seed)
     length, width = params.road_length, params.road_width
     count = rng.randint(params.ped_count_min, params.ped_count_max)
-    margin = 0.6  # off-wall clearance for pedestrian centers
     min_sep = 2.0 * params.ped_radius + 1.0
 
     tracks: List[ObjectTrack] = []
@@ -283,7 +296,7 @@ def generate_synthetic(seed: int, params: SyntheticParams = SyntheticParams()) -
     for i in range(count):
         for _ in range(200):
             x = rng.uniform(3.0, length - 3.0)
-            y = rng.uniform(margin, width - margin)
+            y = rng.uniform(_WALL_MARGIN, width - _WALL_MARGIN)
             if all(math.hypot(x - px, y - py) >= min_sep for px, py in placed):
                 break
         placed.append((x, y))
@@ -293,8 +306,8 @@ def generate_synthetic(seed: int, params: SyntheticParams = SyntheticParams()) -
             id=i,
             kind=NodeKind.DYNAMIC,
             radius=params.ped_radius,
-            waypoints=_bounce_waypoints(x, y, direction, speed, margin,
-                                        width - margin, params.time_limit),
+            waypoints=_bounce_waypoints(x, y, direction, speed, _WALL_MARGIN,
+                                        width - _WALL_MARGIN, params.time_limit),
         ))
 
     overhang = 0.3  # stagger wall node spacing (see docstring)

@@ -292,9 +292,9 @@ def generate_sequence(nodes: Union[NodeTable, Sequence[NodeState]], start: Point
         # so walking the taut funnel polyline estimates the ego more
         # tightly than the dual-node chain, the fallback when a portal is
         # too narrow to thread.
-        tris, radius_of = mesh.corridor(channel.triangles)
         try:
-            taut = funnel(tris, channel.start_point, goal, cfg.effective_padding, radius_of)
+            taut = funnel(mesh, channel.triangles, channel.start_point, goal,
+                          cfg.effective_padding)
         except ValueError:  # a subgoal can sit just outside the snapshot anchor
             taut = None
         route = taut.points if taut is not None else _dual_chain(channel)

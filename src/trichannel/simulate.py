@@ -23,7 +23,7 @@ from .mesh import (DegenerateInputError, NodeTable, build_dual, build_mesh, loca
                    point_in_triangle)
 from .scenario import Scenario
 from .search import astar, timed_astar
-from .sequencer import (ChannelSegment, ChannelSequence, SequenceFailure,
+from .sequencer import (ChannelSegment, SequenceFailure,
                         SequencerConfig, generate_sequence)
 
 
@@ -159,33 +159,33 @@ def _clear_polyline(path: PathPolyline, table: NodeTable, rows: Sequence[int],
 class PlanResult:
     path: Optional[PathPolyline]
     corridor: List[TrianglePoints] = field(default_factory=list)
-    sequence: Optional[ChannelSequence] = None
 
 
 def _follow(segments: Sequence[ChannelSegment], ego: Point, table: NodeTable,
-            obstacle_rows: Sequence[int], ego_radius: float, padding: float,
-            sequence: Optional[ChannelSequence] = None) -> PlanResult:
+            obstacle_rows: Sequence[int], ego_radius: float, padding: float
+            ) -> PlanResult:
     """Funnel paths from the ego through each segment to its subgoal, joined
     and cleared of the discs of ``table``'s ``obstacle_rows``.  No path when
     the first segment's funnel fails; a later failure truncates the path."""
-    corridors = [seg.mesh.corridor(seg.tri_ids) for seg in segments]
-    corridor = [tri for tris, _ in corridors for tri in tris]
+    corridor = [seg.mesh.triangle_points(t) for seg in segments for t in seg.tri_ids]
     points: List[Point] = []
     segment_ids: List[int] = []
     cursor = ego
-    for si, (seg, (tris, radius_of)) in enumerate(zip(segments, corridors)):
+    for si, seg in enumerate(segments):
         # Subgoals live in the anchor extrapolated to the event time, so
         # they can sit just outside the snapshot triangles the funnel sees;
         # project both endpoints into their triangles before threading.
-        start_pt = _nearest_in_triangle(tris[0], cursor)
-        target_pt = _nearest_in_triangle(tris[-1], seg.subgoal)
+        start_pt = _nearest_in_triangle(seg.mesh.triangle_points(seg.tri_ids[0]), cursor)
+        target_pt = _nearest_in_triangle(seg.mesh.triangle_points(seg.tri_ids[-1]),
+                                         seg.subgoal)
         try:
-            part = funnel(tris, start_pt, target_pt, padding, radius_of, segment_id=si)
+            part = funnel(seg.mesh, seg.tri_ids, start_pt, target_pt, padding,
+                          segment_id=si)
         except ValueError:
             part = None
         if part is None:
             if si == 0:
-                return PlanResult(path=None, corridor=corridor, sequence=sequence)
+                return PlanResult(path=None, corridor=corridor)
             break
         skip = 1 if points and part.points[0] == points[-1] else 0
         points.extend(part.points[skip:])
@@ -193,7 +193,7 @@ def _follow(segments: Sequence[ChannelSegment], ego: Point, table: NodeTable,
         cursor = seg.subgoal
     path = _clear_polyline(PathPolyline(points=points, segment_ids=segment_ids),
                            table, obstacle_rows, ego_radius)
-    return PlanResult(path=path, corridor=corridor, sequence=sequence)
+    return PlanResult(path=path, corridor=corridor)
 
 
 def plan_proposed(scenario: Scenario, ego: Point, t_now: float,
@@ -207,7 +207,7 @@ def plan_proposed(scenario: Scenario, ego: Point, t_now: float,
     if isinstance(result, SequenceFailure):
         return PlanResult(path=None)
     return _follow(result.segments, ego, table, scenario.obstacle_rows,
-                   scenario.ego_radius, cfg.effective_padding, result)
+                   scenario.ego_radius, cfg.effective_padding)
 
 
 def plan_baseline(scenario: Scenario, ego: Point, t_now: float,

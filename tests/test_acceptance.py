@@ -19,7 +19,7 @@ import scipy
 
 from trichannel.cli import run_batch, write_outputs
 from trichannel.events import compute_event_time
-from trichannel.funnel import extract_portals, funnel
+from trichannel.funnel import funnel
 from trichannel.geometry import (InCircleSide, NodeKind, NodeState, dist,
                                  incircle, orient2d)
 from trichannel.mesh import (DegenerateInputError, build_dual, build_mesh,
@@ -376,7 +376,9 @@ def random_corridor(rng):
 
 
 def test_criterion_5_funnel_optimality():
-    from trichannel.funnel import _ccw, _shrink_portal
+    from trichannel.funnel import _shrink_portal
+
+    from test_stage_oracles import _ccw, corridor_mesh, extract_portals
 
     rng = random.Random(505)
     corridors = mismatches = escapes = 0
@@ -384,7 +386,8 @@ def test_criterion_5_funnel_optimality():
         tris, start, target = random_corridor(rng)
         padding = 0.15
         try:
-            path = funnel(tris, start, target, padding)
+            path = funnel(corridor_mesh(tris), range(len(tris)), start, target,
+                          padding)
         except ValueError:
             continue
         if path is None:

@@ -54,6 +54,14 @@ class TestGenerate:
                    "--out-dir", str(tmp_path / "x")])
         assert rc == 2
 
+    @pytest.mark.parametrize("flags", [["--road-width", "nan"],
+                                       ["--speed-min", "inf", "--speed-max", "inf"]])
+    def test_non_finite_params_exit_code(self, tmp_path, caplog, flags):
+        out = tmp_path / "x"
+        assert main(["generate", *flags, "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        assert "invalid generator parameters" in caplog.text
+
     def test_negative_count_exit_code(self, tmp_path, caplog):
         out = tmp_path / "x"
         assert main(["generate", "--count", "-2", "--out-dir", str(out)]) == 2

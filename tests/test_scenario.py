@@ -313,3 +313,22 @@ class TestSyntheticGenerator:
             SyntheticParams(ped_speed_min=0)
         with pytest.raises(ValueError):
             SyntheticParams(ego_speed=-1)
+
+    @pytest.mark.parametrize("width", [1.2, 1.0])
+    def test_road_without_room_between_margins_rejected(self, width):
+        # Walkers bounce between margins 0.6 m inside each wall; with no
+        # room between the margins the generator would never stop.
+        with pytest.raises(ValueError, match="road_width"):
+            SyntheticParams(road_width=width)
+
+    def test_narrow_road_still_generates(self):
+        sc = generate_synthetic(0, SyntheticParams(road_width=1.3))
+        assert sum(n.kind is NodeKind.DYNAMIC for n in sc.nodes) == 16
+
+    @pytest.mark.parametrize("field", ["road_length", "road_width", "ped_speed_min",
+                                       "ped_speed_max", "ped_radius", "ego_speed",
+                                       "ego_radius", "time_limit"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_params_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            SyntheticParams(**{field: value})

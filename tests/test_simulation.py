@@ -178,7 +178,6 @@ class TestPlanning:
         sc = empty_road()
         cfg = SimConfig().sequencer_for(sc)
         res = plan_detailed(sc, MethodId.PROPOSED, sc.start, 0.0, cfg)
-        assert res.sequence is not None
         assert res.corridor
 
     def test_unreachable_goal_fails(self):

@@ -4,18 +4,25 @@
 dense node index.  The references below are the per-edge, per-triangle and
 per-row loops they replace, written over dicts keyed by node id; every
 stage must return exactly what its reference returns, down to the last
-bit of every float.
+bit of every float.  ``funnel`` reads its portals from ``Mesh.neighbors``
+and its radii by node index; its reference finds each portal by matching
+the points of consecutive triangles and reads radii from a map keyed by
+position.
 """
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from trichannel.geometry import NodeKind, NodeState, dist
-from trichannel.mesh import (DegenerateInputError, build_dual, build_mesh, locate,
-                             mesh_edges, point_in_triangle)
+from trichannel import sequencer, simulate
+from trichannel.funnel import PathPolyline, _shrink_portal, _string_pull, funnel
+from trichannel.geometry import NodeKind, NodeState, dist, orient2d
+from trichannel.mesh import (DegenerateInputError, Mesh, NodeTable, build_dual,
+                             build_mesh, locate, mesh_edges, point_in_triangle)
 from trichannel.scenario import generate_synthetic
+from trichannel.simulate import MethodId, run_scenario
 from trichannel.transmission import TransmissionConfig, project_velocity, transmit
 
 
@@ -101,6 +108,96 @@ def reference_locate(mesh, p):
         if point_in_triangle(mesh.triangle_points(tri_id), p):
             return tri_id
     return None
+
+
+def _ccw(tri):
+    if orient2d(*tri) < 0:
+        return (tri[0], tri[2], tri[1])
+    return tri
+
+
+def _shared_directed_edge(tri_a, tri_b):
+    """Shared edge directed as it appears in tri_a's CCW cycle."""
+    other = set(tri_b)
+    for k in range(3):
+        a, b = tri_a[k], tri_a[(k + 1) % 3]
+        if a in other and b in other:
+            return a, b
+    raise ValueError("consecutive corridor triangles share no edge")
+
+
+def extract_portals(triangles):
+    """(left, right) portal pairs as seen walking the corridor."""
+    portals = []
+    for cur, nxt in zip(triangles, triangles[1:]):
+        a, b = _shared_directed_edge(cur, nxt)
+        # Interior of the current triangle lies left of a -> b, so the
+        # walker crosses left-to-right: b is on their left hand.
+        portals.append((b, a))
+    return portals
+
+
+def reference_funnel(triangles, start, target, padding, radius_of=None, segment_id=0):
+    """``funnel`` over point triangles, with node radii keyed by position."""
+    if padding < 0:
+        raise ValueError(f"padding must be >= 0, got {padding}")
+    if not triangles:
+        raise ValueError("empty corridor")
+    tris = [_ccw(t) for t in triangles]
+    if not point_in_triangle(tris[0], start):
+        raise ValueError("start point outside the first corridor triangle")
+    if not point_in_triangle(tris[-1], target):
+        raise ValueError("target point outside the last corridor triangle")
+    if len(tris) == 1:
+        pts = [start, target] if start != target else [start]
+        return PathPolyline(points=pts, segment_ids=[segment_id] * len(pts))
+    shrunk = []
+    for left, right in extract_portals(tris):
+        r_left = radius_of.get(left, 0.0) if radius_of else 0.0
+        r_right = radius_of.get(right, 0.0) if radius_of else 0.0
+        portal = _shrink_portal(left, right, padding + r_left, padding + r_right)
+        if portal is None:
+            return None
+        shrunk.append(portal)
+    points = _string_pull(shrunk, start, target)
+    return PathPolyline(points=points, segment_ids=[segment_id] * len(points))
+
+
+def point_corridor(mesh, tri_ids):
+    """The triangles ``tri_ids`` as points, and node radii by position."""
+    xy, r = mesh.xy_list, mesh.nodes.r_list
+    rows = mesh.triangles[list(tri_ids)].tolist()
+    return ([(xy[a], xy[b], xy[c]) for a, b, c in rows],
+            {xy[v]: r[v] for row in rows for v in row})
+
+
+def corridor_mesh(triangles, radius_of=None):
+    """A ``Mesh`` whose triangle ``i`` is ``triangles[i]``.
+
+    Each distinct point is one node, with its radius from ``radius_of``
+    (else 0).  Rows are CCW from their lowest index, as ``build_mesh``
+    writes them, and two triangles sharing two points are neighbours.
+    """
+    index = {}
+    for tri in triangles:
+        for p in tri:
+            index.setdefault(p, len(index))
+    rows = []
+    for tri in map(_ccw, triangles):
+        row = [index[p] for p in tri]
+        i = row.index(min(row))
+        rows.append(row[i:] + row[:i])
+    neighbors = [[next((u for u, other in enumerate(rows)
+                        if u != t and {row[k - 2], row[k - 1]} <= set(other)), -1)
+                  for k in range(3)] for t, row in enumerate(rows)]
+    radius_of = radius_of or {}
+    table = NodeTable(ids=np.arange(len(index)),
+                      xy=np.array(list(index), dtype=float).reshape(-1, 2),
+                      vel=np.zeros((len(index), 2)),
+                      r=np.array([radius_of.get(p, 0.0) for p in index], dtype=float))
+    return Mesh(time=0.0, nodes=table, xy=table.xy, vel=table.vel,
+                triangles=np.array(rows, dtype=np.intp).reshape(-1, 3),
+                neighbors=np.array(neighbors, dtype=np.intp).reshape(-1, 3))
 
 
 def bits(values):
@@ -256,3 +353,81 @@ def test_locate_matches_reference():
             located += want is not None
             outside += want is None
     assert located >= 5000 and outside >= 500
+
+
+def _outcome(fn, *args):
+    """A path's points and segment ids as bytes, None, or "ValueError"."""
+    try:
+        path = fn(*args)
+    except ValueError:
+        return "ValueError"
+    return None if path is None else (bits(path.points), path.segment_ids)
+
+
+def test_funnel_matches_reference_in_closed_loop(monkeypatch):
+    outcomes, mismatches = Counter(), []
+
+    def checked(mesh, tri_ids, start, target, padding, segment_id=0):
+        tris, radius_of = point_corridor(mesh, tri_ids)
+        want = _outcome(reference_funnel, tris, start, target, padding, radius_of,
+                        segment_id)
+        got = _outcome(funnel, mesh, tri_ids, start, target, padding, segment_id)
+        outcomes[got if got in (None, "ValueError") else "path"] += 1
+        if got != want:
+            mismatches.append((mesh.time, tri_ids, start, target))
+        return funnel(mesh, tri_ids, start, target, padding, segment_id)
+
+    monkeypatch.setattr(simulate, "funnel", checked)
+    monkeypatch.setattr(sequencer, "funnel", checked)
+    for seed in (0, 5):
+        for method in MethodId:
+            run_scenario(generate_synthetic(seed), method)
+    assert mismatches == []
+    assert outcomes["path"] > 2000 and outcomes[None] > 100
+    assert outcomes["ValueError"] > 0
+
+
+def _zigzag(rng):
+    """Up to ten triangles in a strip along +x, each in either orientation,
+    with random radii on their points; some portals are too narrow."""
+    tris = []
+    x, lo = 0.0, 0.0
+    prev = [(x, lo), (x, lo + rng.uniform(0.3, 2.5))]
+    for _ in range(rng.randint(1, 5)):
+        x += rng.uniform(0.5, 3.0)
+        lo = lo + rng.uniform(-0.8, 0.8)
+        cur = [(x, lo), (x, lo + rng.uniform(0.3, 2.5))]
+        tris += [(prev[0], cur[0], prev[1]), (cur[0], cur[1], prev[1])]
+        prev = cur
+    tris = [t if rng.random() < 0.5 else (t[0], t[2], t[1]) for t in tris]
+    radius_of = {p: rng.choice([0.0, rng.uniform(0.0, 0.8)]) for t in tris for p in t}
+    return tris, radius_of
+
+
+def _point_in(rng, tri):
+    """Mostly a point inside ``tri``, sometimes one in its bounding box."""
+    if rng.random() < 0.1:
+        xs, ys = zip(*tri)
+        return (rng.uniform(min(xs), max(xs)), rng.uniform(min(ys), max(ys)))
+    u, v = sorted((rng.random(), rng.random()))
+    w = (u, v - u, 1.0 - v)
+    return (sum(wi * p[0] for wi, p in zip(w, tri)), sum(wi * p[1] for wi, p in zip(w, tri)))
+
+
+def test_funnel_matches_reference_on_random_corridors():
+    rng = random.Random(131)
+    outcomes = Counter()
+    for _ in range(2000):
+        tris, radius_of = _zigzag(rng)
+        mesh = corridor_mesh(tris, radius_of)
+        ids = list(range(rng.randint(1, len(tris))))
+        if len(ids) > 2 and rng.random() < 0.05:
+            del ids[rng.randrange(1, len(ids) - 1)]  # a pair that are not neighbours
+        start, target = _point_in(rng, tris[ids[0]]), _point_in(rng, tris[ids[-1]])
+        padding, segment_id = rng.uniform(0.0, 0.3), rng.randrange(3)
+        want = _outcome(reference_funnel, [tris[i] for i in ids], start, target,
+                        padding, radius_of, segment_id)
+        got = _outcome(funnel, mesh, ids, start, target, padding, segment_id)
+        assert got == want, (tris, ids, start, target, padding)
+        outcomes[got if got in (None, "ValueError") else "path"] += 1
+    assert min(outcomes.values()) > 100 and len(outcomes) == 3
