@@ -8,12 +8,12 @@ from .mesh import (DegenerateInputError, DualGraph, Mesh, NodeTable, build_dual,
                    build_mesh, generate_virtual_nodes, locate)
 from .scenario import (ObjectTrack, Scenario, ScenarioFormatError,
                        SyntheticParams, generate_synthetic)
-from .search import Channel, astar, edge_gap_at, timed_astar
+from .search import Channel, astar, timed_astar
 from .sequencer import (ChannelSegment, ChannelSequence, SequenceFailure,
                         SequencerConfig, generate_sequence)
 from .simulate import (Metrics, MethodId, SimConfig, aggregate, plan,
                        run_scenario)
-from .transmission import TransmissionConfig, project_velocity, transmit
+from .transmission import TransmissionConfig, transmit
 
 __version__ = "0.1.0"
 
@@ -45,7 +45,6 @@ __all__ = [
     "build_dual",
     "build_mesh",
     "compute_event_time",
-    "edge_gap_at",
     "funnel",
     "generate_sequence",
     "generate_synthetic",
@@ -55,7 +54,6 @@ __all__ = [
     "orient2d",
     "plan",
     "position_at",
-    "project_velocity",
     "run_scenario",
     "timed_astar",
     "transmit",

@@ -27,8 +27,8 @@ goal's placements.
 ``Mesh.xy`` holds the positions at the snapshot time and ``Mesh.vel`` the
 motion that search and event prediction extrapolate with: the raw
 velocities, or the transmitted ones once ``transmission.transmit`` has
-run.  A snapshot's arrays are read-only; scalar code reads the list views
-``xy_list`` and ``vel_list``, built once per snapshot.
+run.  A snapshot's arrays are read-only; scalar code reads the list view
+``xy_list``, built once per snapshot.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ from scipy.spatial import Delaunay as _QhullDelaunay
 from scipy.spatial import QhullError
 
 from .geometry import (CCW_ERRBOUND, NodeKind, NodeState, Point, TrianglePoints,
-                       Vector, dist, incircle_det, incircle_filter, orient2d)
+                       dist, incircle_det, incircle_filter, orient2d)
 
 # Column of the vertex opposite each of the edges ab, bc and ca.
 _AB_BC_CA = [2, 0, 1]
@@ -112,10 +112,6 @@ class Mesh:
     @cached_property
     def xy_list(self) -> List[Point]:
         return list(zip(*self.xy.T.tolist()))
-
-    @cached_property
-    def vel_list(self) -> List[Vector]:
-        return list(zip(*self.vel.T.tolist()))
 
     def triangle_points(self, tri_id: int) -> TrianglePoints:
         xy = self.xy_list

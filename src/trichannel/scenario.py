@@ -24,6 +24,10 @@ SCHEMA_VERSION = 1
 # scene places 137).  More come from a wall far longer than the ego is
 # wide, which could exhaust memory before any other check ran.
 MAX_VIRTUAL_NODES = 10_000
+# Wall-to-wall legs one synthetic walker may take within the time limit (a
+# default scene takes at most 3).  Each leg is a waypoint, and a road barely
+# wider than its margins takes millions.
+MAX_BOUNCES = 10_000
 
 
 class ScenarioFormatError(ValueError):
@@ -257,6 +261,10 @@ class SyntheticParams:
             raise ValueError("invalid pedestrian speed range")
         if not 0 <= self.ped_count_min <= self.ped_count_max:
             raise ValueError("invalid pedestrian count range")
+        legs = self.time_limit * self.ped_speed_max / (self.road_width - 2 * _WALL_MARGIN)
+        if legs > MAX_BOUNCES:
+            raise ValueError(f"a walker would cross the road {legs:.3g} times, over "
+                             f"{MAX_BOUNCES}: widen road_width or shorten time_limit")
 
 
 def _bounce_waypoints(x: float, y: float, direction: float, speed: float,

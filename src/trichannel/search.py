@@ -29,21 +29,6 @@ class Channel:
         return len(self.triangles)
 
 
-def edge_gap_at(mesh: Mesh, edge: Tuple[int, int], t: float) -> float:
-    """Clear width of a mesh edge at time offset ``t`` from the snapshot.
-
-    Distance between the two endpoint nodes, extrapolated with
-    ``mesh.vel``, minus both node radii.
-    """
-    u, v = edge
-    xy, vel, r = mesh.xy_list, mesh.vel_list, mesh.nodes.r_list
-    pu, pv = xy[u], xy[v]
-    vu, vv = vel[u], vel[v]
-    ax, ay = pu[0] + vu[0] * t, pu[1] + vu[1] * t
-    bx, by = pv[0] + vv[0] * t, pv[1] + vv[1] * t
-    return math.hypot(ax - bx, ay - by) - r[u] - r[v]
-
-
 def _best_first(dual: DualGraph, mesh: Mesh, start_tri: int, goal_tri: int,
                 start_cost: float, speed: float, width_threshold: Optional[float]
                 ) -> Optional[List[int]]:
@@ -51,21 +36,36 @@ def _best_first(dual: DualGraph, mesh: Mesh, start_tri: int, goal_tri: int,
 
     Edge costs and the heuristic are dual-placement distances divided by
     ``speed``.  With ``width_threshold`` given, an edge is crossed only when
-    its ``edge_gap_at`` the arrival cost is not below it.  A triangle is
-    expanded at most once.  None when no channel exists.
+    its clear width at the arrival cost is not below it: the distance
+    between its two nodes, extrapolated with ``mesh.vel``, minus both
+    radii.  A triangle is expanded at most once.  None when no channel
+    exists.
     """
     place = dual.placements
     for tri in (start_tri, goal_tri):
         if tri not in place:
             raise KeyError(f"unknown triangle id {tri}")
-    tris, nbrs = mesh.triangles.tolist(), mesh.neighbors.tolist()
-    g: Dict[int, float] = {start_tri: start_cost}
+    gx, gy = dual.goal
+    hypot, heappop, heappush, inf = math.hypot, heapq.heappop, heapq.heappush, math.inf
+    # Side k of triangle t is item 3 * t + k: the triangle across it, and
+    # vertex k of t, which it lies opposite.
+    across = mesh.neighbors.ravel().tolist()
+    gated = width_threshold is not None
+    if gated:
+        corners = mesh.triangles.ravel().tolist()
+        xy, r = mesh.xy_list, mesh.nodes.r_list
+        vx, vy = mesh.vel.T.tolist()
+    # Cost and heuristic by triangle id; each heuristic is computed once.
+    g: List[float] = [inf] * len(mesh.triangles)
+    h: List[Optional[float]] = [None] * len(mesh.triangles)
     came: Dict[int, int] = {}
-    h0 = dist(place[start_tri], dual.goal) / speed
+    sx, sy = place[start_tri]
+    h0 = hypot(sx - gx, sy - gy) / speed
+    g[start_tri], h[start_tri] = start_cost, h0
     open_heap: List[Tuple[float, float, int]] = [(start_cost + h0, h0, start_tri)]
     closed = set()
     while open_heap:
-        _, _, tri = heapq.heappop(open_heap)
+        _, _, tri = heappop(open_heap)
         if tri in closed:
             continue
         closed.add(tri)
@@ -76,22 +76,38 @@ def _best_first(dual: DualGraph, mesh: Mesh, start_tri: int, goal_tri: int,
             return path[::-1]
         # Heap entries are distinct, so the order of the neighbours here
         # cannot change which triangle pops next.
-        row = tris[tri]
-        for k, neigh in enumerate(nbrs[tri]):
+        g_tri = g[tri]
+        px, py = place[tri]
+        base = 3 * tri
+        for k, neigh in enumerate(across[base:base + 3]):
             if neigh < 0 or neigh in closed:
                 continue
-            cand = g[tri] + dist(place[tri], place[neigh]) / speed
-            # The edge opposite vertex k as (lower, higher) index, the order
-            # ``edge_gap_at`` subtracts radii in.  A NaN gap is admitted.
-            u, v = row[k - 2], row[k - 1]
-            if (width_threshold is not None and edge_gap_at(
-                    mesh, (u, v) if u < v else (v, u), cand) < width_threshold):
+            qx, qy = place[neigh]
+            cand = g_tri + hypot(px - qx, py - qy) / speed
+            # Neither test has side effects: the cheaper one goes first.
+            if not cand < g[neigh]:
                 continue
-            if cand < g.get(neigh, math.inf):
-                g[neigh] = cand
-                came[neigh] = tri
-                h = dist(place[neigh], dual.goal) / speed
-                heapq.heappush(open_heap, (cand + h, h, neigh))
+            if gated:
+                # The clear width at the arrival cost of the edge opposite
+                # vertex k, lower index first.  Kept in this operation order:
+                # another, such as a relative position plus a relative
+                # velocity, rounds differently and can flip a width equal to
+                # the threshold.  A NaN width is admitted.
+                row = corners[base:base + 3]
+                u, v = row[k - 2], row[k - 1]
+                if u > v:
+                    u, v = v, u
+                (ux, uy), (wx, wy) = xy[u], xy[v]
+                if (hypot((ux + vx[u] * cand) - (wx + vx[v] * cand),
+                          (uy + vy[u] * cand) - (wy + vy[v] * cand)) - r[u] - r[v]
+                        < width_threshold):
+                    continue
+            g[neigh] = cand
+            came[neigh] = tri
+            hn = h[neigh]
+            if hn is None:
+                hn = h[neigh] = hypot(qx - gx, qy - gy) / speed
+            heappush(open_heap, (cand + hn, hn, neigh))
     return None
 
 

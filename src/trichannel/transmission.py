@@ -4,17 +4,28 @@ A dynamic node's velocity is projected toward each adjacent node; the
 neighbor adopts the projection when it dominates its own speed.  Sweeps are
 synchronous (Jacobi-style): every projection within one sweep reads the
 start-of-sweep velocities, making the result order-independent.
+
+A moving node ``i`` projects its velocity ``v`` along the displacement
+``p`` to a neighbour as ``factor * v``, where
+``factor = alpha / (|p| + alpha) * |pi/2 - theta| ** beta * cos(theta)``
+and ``theta`` is the angle between ``v`` and ``p``; nothing is projected
+when ``cos(theta) < 0``.  One sweep evaluates this over every directed
+edge at once.  numpy's ``+ - * /`` and ``abs`` give the bits that Python
+floats give; ``hypot``, ``acos`` and ``pow`` run as ``math`` and
+builtin calls, as numpy's can differ from them in the last bit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Tuple
+from itertools import repeat
 
 import numpy as np
 
-from .geometry import Vector
 from .mesh import Mesh
+
+# The ends of the side opposite each vertex of a triangle row.
+_SIDE_ENDS = np.array([[1, 2], [2, 0], [0, 1]])
 
 
 @dataclass(frozen=True)
@@ -33,29 +44,9 @@ class TransmissionConfig:
             raise ValueError(f"passes must be >= 1, got {self.passes}")
 
 
-def project_velocity(v: Vector, p: Vector, cfg: TransmissionConfig) -> Vector:
-    """Attenuated copy of ``v`` carried along displacement ``p``.
-
-    Zero when the mover heads away (angle between v and p outside
-    [-pi/2, pi/2]).  The result keeps the direction of ``v``.
-    """
-    px, py = p
-    plen = math.hypot(px, py)
-    if plen == 0.0:
-        raise ValueError("zero displacement vector")
-    vx, vy = v
-    vlen = math.hypot(vx, vy)
-    if vlen == 0.0:
-        return (0.0, 0.0)
-    # Normalize before the dot product: vlen * plen can underflow to zero
-    # for subnormal inputs even when both factors are nonzero.
-    cos_theta = (vx / vlen) * (px / plen) + (vy / vlen) * (py / plen)
-    if cos_theta < 0.0:
-        return (0.0, 0.0)
-    cos_theta = min(cos_theta, 1.0)
-    theta = math.acos(cos_theta)
-    factor = (cfg.alpha / (plen + cfg.alpha)) * abs(math.pi / 2 - theta) ** cfg.beta * cos_theta
-    return (factor * vx, factor * vy)
+def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``math.hypot`` of each pair, as an array."""
+    return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, len(x))
 
 
 def transmit(mesh: Mesh, cfg: TransmissionConfig) -> Mesh:
@@ -63,38 +54,67 @@ def transmit(mesh: Mesh, cfg: TransmissionConfig) -> Mesh:
 
     Returns the same snapshot with the transmitted velocities, meant only
     for the current planning cycle, never for ground-truth state.  Each
-    sweep drops in one array pass the directed edges whose source rests or
-    moves away; only the survivors go through the scalar
-    ``project_velocity``, and each target keeps the first strictly largest
-    projection in (source, target) order that beats its own speed.
+    sweep projects every moving node's velocity along each of its edges
+    that it moves toward, and each target keeps the first strictly largest
+    projection in source order that beats its own speed.  Raises
+    ValueError when an edge that takes a projection has zero length.
     """
-    n = len(mesh.xy)
-    # Every directed edge, once per triangle side.
-    tail = mesh.triangles[:, [0, 1, 2, 1, 2, 0]].ravel()
-    head = mesh.triangles[:, [1, 2, 0, 0, 1, 2]].ravel()
+    tris, nbrs = mesh.triangles, mesh.neighbors
+    # Each edge once, from the triangle whose neighbour across it is later
+    # or the hull, then in both directions.
+    ends = tris[:, _SIDE_ENDS][(nbrs < 0) | (nbrs > np.arange(len(tris))[:, None])]
+    tail, head = ends.ravel(), ends[:, ::-1].ravel()
+    alpha, beta = float(cfg.alpha), float(cfg.beta)
+    x, y = mesh.xy.T
     vel = mesh.vel
 
     for _ in range(cfg.passes):
-        live = ~((vel[:, 0] == 0.0) & (vel[:, 1] == 0.0))[tail]
-        # Unique keys i * n + j: the directed edges from moving nodes, sorted.
-        src, dst = np.divmod(np.unique(tail[live] * n + head[live]), n)
-        vs = vel[src]
-        pij = mesh.xy[dst] - mesh.xy[src]
-        toward = np.flatnonzero(~(vs[:, 0] * pij[:, 0] + vs[:, 1] * pij[:, 1] <= 0.0))
-        dst = dst[toward]
-        best: Dict[int, Tuple[float, Vector]] = {}
-        # Every projection reads the start-of-sweep velocities.
-        for j, vi, vj, p in zip(dst.tolist(), vs[toward].tolist(),
-                                vel[dst].tolist(), pij[toward].tolist()):
-            proj = project_velocity(vi, p, cfg)
-            mag = math.hypot(*proj)
-            if mag <= math.hypot(*vj):
-                continue
-            if j not in best or mag > best[j][0]:
-                best[j] = (mag, proj)
-        if best:
-            vel = vel.copy()
-            vel[list(best)] = [proj for _, proj in best.values()]
-            vel.flags.writeable = False
+        vx, vy = vel.T
+        moving = (~((vx == 0.0) & (vy == 0.0))).nonzero()[0]
+        speed = np.zeros(len(vel))
+        speed[moving] = _hypot(vx[moving], vy[moving])
+        live = (speed[tail] != 0.0).nonzero()[0]
+        src, dst = tail[live], head[live]
+        sx, sy = vx[src], vy[src]
+        px, py = x[dst] - x[src], y[dst] - y[src]
+        # The source moves toward the target.
+        toward = (~(sx * px + sy * py <= 0.0)).nonzero()[0]
+        src, dst = src[toward], dst[toward]
+        sx, sy, px, py = sx[toward], sy[toward], px[toward], py[toward]
+        plen = _hypot(px, py)
+        if (plen == 0.0).any():
+            raise ValueError("zero displacement vector")
+        vlen = speed[src]
+        # Normalize before the dot product: vlen * plen can underflow to
+        # zero for subnormal inputs even when both factors are nonzero.
+        cos = (sx / vlen) * (px / plen) + (sy / vlen) * (py / plen)
+        # A source heading away (cos < 0) projects nothing: clamped to 0,
+        # its factor is 0, and the zero projection is dropped below.
+        cos = np.where(cos < 0.0, 0.0, np.where(1.0 < cos, 1.0, cos))
+        theta = np.fromiter(map(math.acos, cos.tolist()), float, len(cos))
+        sharp = np.fromiter(map(pow, np.abs(math.pi / 2 - theta).tolist(), repeat(beta)),
+                            float, len(cos))
+        factor = alpha / (plen + alpha) * sharp * cos
+        qx, qy = factor * sx, factor * sy
+        # A zero projection never beats a speed.
+        some = (~((qx == 0.0) & (qy == 0.0))).nonzero()[0]
+        src, dst, qx, qy = src[some], dst[some], qx[some], qy[some]
+        # A resting target with one candidate adopts it without comparing
+        # magnitudes.
+        own = speed[dst]
+        weigh = ((own != 0.0) | (np.bincount(dst, minlength=len(vel))[dst] > 1)).nonzero()[0]
+        mag = np.full(len(dst), math.inf)
+        mag[weigh] = _hypot(qx[weigh], qy[weigh])
+        win = (~(mag <= own)).nonzero()[0]
+        if not win.size:
+            continue
+        # The first strict maximum per target, in source order.
+        order = win[np.lexsort((src[win], -mag[win], dst[win]))]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = dst[order[1:]] != dst[order[:-1]]
+        pick = order[first]
+        vel = vel.copy()
+        vel[dst[pick], 0], vel[dst[pick], 1] = qx[pick], qy[pick]
+        vel.flags.writeable = False
 
     return replace(mesh, vel=vel)

@@ -62,6 +62,12 @@ class TestGenerate:
         assert not out.exists()
         assert "invalid generator parameters" in caplog.text
 
+    def test_too_many_bounces_exit_code(self, tmp_path, caplog):
+        out = tmp_path / "x"
+        assert main(["generate", "--road-width", "1.2000001", "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        assert "invalid generator parameters" in caplog.text
+
     def test_negative_count_exit_code(self, tmp_path, caplog):
         out = tmp_path / "x"
         assert main(["generate", "--count", "-2", "--out-dir", str(out)]) == 2

@@ -115,7 +115,7 @@ def reference_event_time(channel, mesh, sample_resolution):
     """``compute_event_time`` as a loop over triangles, then probes."""
     if sample_resolution <= 0:
         raise ValueError(f"sample_resolution must be positive, got {sample_resolution}")
-    vel = mesh.vel_list.__getitem__
+    vel = mesh.vel.__getitem__
 
     best = None
     for idx, tri_id in enumerate(channel.triangles):
@@ -283,12 +283,12 @@ class TestComputeEventTime:
         for idx, tri_id in enumerate(ch.triangles):
             verts = mesh.triangles[tri_id].tolist()
             tri_pts = np.array([mesh.xy_list[v] for v in verts])
-            tri_vels = np.array([mesh.vel_list[v] for v in verts])
+            tri_vels = mesh.vel[verts]
             taus = np.arange(0.1, ch.etas[idx], 0.1)
             for probe in neighbors_of(mesh, tri_id):
                 tau = first_event_offset(tri_pts, tri_vels,
                                          mesh.xy_list[probe],
-                                         mesh.vel_list[probe], taus)
+                                         mesh.vel[probe], taus)
                 if tau is not None:
                     assert tau >= report.time - 1e-9
 

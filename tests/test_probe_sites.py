@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-# The batched event kernel retired this probe; the CI smoke run allows it too.
+# The batched event kernel retired this probe.  The CI smoke run reads this
+# set, and allows these sites and the probes left with no other site.
 ALLOWED_ABSENT = {("trichannel.events", "first_event_offset")}
 
 

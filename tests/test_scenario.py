@@ -8,8 +8,9 @@ import pytest
 from trichannel import scenario as scenario_module
 from trichannel.geometry import NodeKind
 from trichannel.mesh import NodeTable
-from trichannel.scenario import (ObjectTrack, Scenario, ScenarioFormatError,
-                                 SyntheticParams, generate_synthetic)
+from trichannel.scenario import (MAX_BOUNCES, ObjectTrack, Scenario,
+                                 ScenarioFormatError, SyntheticParams,
+                                 generate_synthetic)
 
 
 def simple_scenario():
@@ -320,6 +321,18 @@ class TestSyntheticGenerator:
         # room between the margins the generator would never stop.
         with pytest.raises(ValueError, match="road_width"):
             SyntheticParams(road_width=width)
+
+    @pytest.mark.parametrize("field, value", [("road_width", 1.2 + 1e-6),
+                                              ("time_limit", 1e9)])
+    def test_too_many_bounces_rejected(self, monkeypatch, field, value):
+        # Each wall-to-wall leg is a waypoint: these would take about 2e7 and
+        # 9e7 per walker.  The parameters fail before any walker is placed.
+        def unreachable(*args):
+            raise AssertionError("generator ran")
+
+        monkeypatch.setattr(scenario_module, "_bounce_waypoints", unreachable)
+        with pytest.raises(ValueError, match=str(MAX_BOUNCES)):
+            generate_synthetic(0, SyntheticParams(**{field: value}))
 
     def test_narrow_road_still_generates(self):
         sc = generate_synthetic(0, SyntheticParams(road_width=1.3))

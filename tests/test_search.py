@@ -7,9 +7,10 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from test_stage_oracles import edge_gap_at
 from trichannel.geometry import NodeKind, NodeState, dist
 from trichannel.mesh import build_dual, build_mesh
-from trichannel.search import astar, edge_gap_at, timed_astar
+from trichannel.search import astar, timed_astar
 
 
 def make_nodes(points, r=0.0):

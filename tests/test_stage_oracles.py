@@ -4,11 +4,15 @@
 dense node index.  The references below are the per-edge, per-triangle and
 per-row loops they replace, written over dicts keyed by node id; every
 stage must return exactly what its reference returns, down to the last
-bit of every float.  ``funnel`` reads its portals from ``Mesh.neighbors``
-and its radii by node index; its reference finds each portal by matching
-the points of consecutive triangles and reads radii from a map keyed by
-position.
+bit of every float.  ``reference_transmit`` projects one edge at a time
+with the scalar ``project_velocity``.  The channel search inlines its
+distances and edge widths over flat per-side lists; its reference steps
+across the same neighbours with ``dist`` and one ``edge_gap_at`` call per
+edge.  ``funnel`` reads its portals from ``Mesh.neighbors`` and its radii
+by node index; its reference finds each portal by matching the points of
+consecutive triangles and reads radii from a map keyed by position.
 """
+import heapq
 import math
 import random
 from collections import Counter
@@ -23,10 +27,51 @@ from trichannel.mesh import (DegenerateInputError, Mesh, NodeTable, build_dual,
                              build_mesh, locate, mesh_edges, point_in_triangle)
 from trichannel.scenario import generate_synthetic
 from trichannel.simulate import MethodId, run_scenario
-from trichannel.transmission import TransmissionConfig, project_velocity, transmit
+from trichannel.search import astar, timed_astar
+from trichannel.transmission import TransmissionConfig, transmit
 
 
 # -- reference loops ---------------------------------------------------------
+
+def project_velocity(v, p, cfg):
+    """Attenuated copy of ``v`` carried along displacement ``p``.
+
+    Zero when the mover heads away (angle between v and p outside
+    [-pi/2, pi/2]).  The result keeps the direction of ``v``.
+    """
+    px, py = p
+    plen = math.hypot(px, py)
+    if plen == 0.0:
+        raise ValueError("zero displacement vector")
+    vx, vy = v
+    vlen = math.hypot(vx, vy)
+    if vlen == 0.0:
+        return (0.0, 0.0)
+    # Normalize before the dot product: vlen * plen can underflow to zero
+    # for subnormal inputs even when both factors are nonzero.
+    cos_theta = (vx / vlen) * (px / plen) + (vy / vlen) * (py / plen)
+    if cos_theta < 0.0:
+        return (0.0, 0.0)
+    cos_theta = min(cos_theta, 1.0)
+    theta = math.acos(cos_theta)
+    factor = (cfg.alpha / (plen + cfg.alpha)) * abs(math.pi / 2 - theta) ** cfg.beta * cos_theta
+    return (factor * vx, factor * vy)
+
+
+def edge_gap_at(mesh, edge, t):
+    """Clear width of a mesh edge at time offset ``t`` from the snapshot.
+
+    Distance between the two endpoint nodes, extrapolated with
+    ``mesh.vel``, minus both node radii.
+    """
+    u, v = edge
+    xy, r = mesh.xy_list, mesh.nodes.r_list
+    pu, pv = xy[u], xy[v]
+    vu, vv = mesh.vel[u].tolist(), mesh.vel[v].tolist()
+    ax, ay = pu[0] + vu[0] * t, pu[1] + vu[1] * t
+    bx, by = pv[0] + vv[0] * t, pv[1] + vv[1] * t
+    return math.hypot(ax - bx, ay - by) - r[u] - r[v]
+
 
 def _by_id(mesh):
     """Node ids, and positions and planning velocities keyed by node id."""
@@ -60,6 +105,90 @@ def reference_transmit(mesh, cfg):
                 best[j] = proj
         velocities.update(best)
     return [velocities[i] for i in ids]
+
+
+def reference_best_first(dual, mesh, start_tri, goal_tri, start_cost, speed,
+                         width_threshold):
+    """Best-first search, one ``dist`` and ``edge_gap_at`` call per edge.
+
+    An edge is crossed only when its gap at the arrival cost is not below
+    ``width_threshold`` (a NaN gap is admitted); a triangle is expanded at
+    most once.
+    """
+    place = dual.placements
+    for tri in (start_tri, goal_tri):
+        if tri not in place:
+            raise KeyError(f"unknown triangle id {tri}")
+    tris, nbrs = mesh.triangles.tolist(), mesh.neighbors.tolist()
+    g = {start_tri: start_cost}
+    came = {}
+    h0 = dist(place[start_tri], dual.goal) / speed
+    open_heap = [(start_cost + h0, h0, start_tri)]
+    closed = set()
+    while open_heap:
+        _, _, tri = heapq.heappop(open_heap)
+        if tri in closed:
+            continue
+        closed.add(tri)
+        if tri == goal_tri:
+            path = [goal_tri]
+            while path[-1] != start_tri:
+                path.append(came[path[-1]])
+            return path[::-1]
+        row = tris[tri]
+        for k, neigh in enumerate(nbrs[tri]):
+            if neigh < 0 or neigh in closed:
+                continue
+            cand = g[tri] + dist(place[tri], place[neigh]) / speed
+            u, v = row[k - 2], row[k - 1]
+            if (width_threshold is not None and edge_gap_at(
+                    mesh, (u, v) if u < v else (v, u), cand) < width_threshold):
+                continue
+            if cand < g.get(neigh, math.inf):
+                g[neigh] = cand
+                came[neigh] = tri
+                h = dist(place[neigh], dual.goal) / speed
+                heapq.heappush(open_heap, (cand + h, h, neigh))
+    return None
+
+
+def reference_search(dual, mesh, start_tri, goal_tri, *, ego_speed=1.0,
+                     width_threshold=None, time=0.0, ego_position=None):
+    """``astar`` (no ``width_threshold``) or ``timed_astar`` as triangle ids
+    and arrival times, or None."""
+    if ego_position is None:
+        ego_position = dual.placements[start_tri]
+    if width_threshold is None:
+        tris = reference_best_first(dual, mesh, start_tri, goal_tri, 0.0, 1.0, None)
+    else:
+        start_cost = dist(ego_position, dual.placements[start_tri]) / ego_speed
+        tris = reference_best_first(dual, mesh, start_tri, goal_tri, start_cost,
+                                    ego_speed, width_threshold)
+    if tris is None:
+        return None
+    etas, prev = [0.0], ego_position
+    for t in tris[:-1]:
+        etas.append(etas[-1] + dist(prev, dual.placements[t]) / ego_speed)
+        prev = dual.placements[t]
+    return tris, bits(etas)
+
+
+def crossed_widths(dual, mesh, tris, ego_position, speed):
+    """``edge_gap_at`` of each edge that the channel ``tris`` crosses, at the
+    search cost it crosses it."""
+    place = dual.placements
+    widths = []
+    if tris:
+        cost = dist(ego_position, place[tris[0]]) / speed
+        for a, b in zip(tris, tris[1:]):
+            cost += dist(place[a], place[b]) / speed
+            row, k = mesh.triangles[a].tolist(), mesh.neighbors[a].tolist().index(b)
+            widths.append(edge_gap_at(mesh, tuple(sorted((row[k - 2], row[k - 1]))), cost))
+    return widths
+
+
+def searched(channel):
+    return None if channel is None else (channel.triangles, bits(channel.etas))
 
 
 def _closest_point_on_edge(positions, edge, goal, ego_radius):
@@ -295,14 +424,65 @@ def test_transmit_matches_reference(passes):
     assert adopted > 1000  # the sweeps did move many nodes
 
 
+@pytest.mark.parametrize("cfg", [TransmissionConfig(alpha=0.3, beta=2.5),
+                                 TransmissionConfig(beta=0.0),
+                                 TransmissionConfig(alpha=0.0, passes=2)])
+def test_transmit_matches_reference_at_other_settings(cfg):
+    adopted = 0
+    for label, mesh in MESHES:
+        got = transmit(mesh, cfg)
+        assert got.vel.tobytes() == bits(reference_transmit(mesh, cfg)), label
+        adopted += int((got.vel != mesh.vel).any(axis=1).sum())
+    # With alpha = 0 every projection is zero, and none beats a speed.
+    assert adopted == 0 if cfg.alpha == 0.0 else adopted > 1000
+
+
 def test_first_strict_maximum_wins():
     # Node 5 sits between two walkers whose projections onto it are equal;
     # the walker with the lower id (1) supplies its velocity.
     label, mesh = next(m for m in MESHES if m[0] == "mirror-1")
     got = transmit(mesh, TransmissionConfig())
     first = project_velocity((1.0, -0.5), (1.0, -0.5), TransmissionConfig())
-    assert got.vel_list[mesh.nodes.ids.tolist().index(5)] == first
+    assert tuple(got.vel[mesh.nodes.ids.tolist().index(5)].tolist()) == first
     assert got.vel.tobytes() == bits(reference_transmit(mesh, TransmissionConfig()))
+
+
+def test_search_matches_reference():
+    rng = random.Random(23)
+    outcomes = Counter()
+    for label, mesh in MESHES:
+        lo, hi = mesh.xy.min(axis=0), mesh.xy.max(axis=0)
+        goal = (rng.uniform(lo[0], hi[0]), rng.uniform(lo[1], hi[1]))
+        moved = transmit(mesh, TransmissionConfig())
+        dual = build_dual(moved, goal)
+        start, end = rng.randrange(len(mesh.triangles)), rng.randrange(len(mesh.triangles))
+        ego = tuple(moved.xy[moved.triangles[start]].mean(axis=0).tolist())
+        speed = rng.choice([0.7, 1.3, 2.0])
+        want = reference_search(dual, moved, start, end, ego_speed=speed, ego_position=ego)
+        got = astar(dual, moved, start, end, ego_speed=speed, ego_position=ego)
+        assert searched(got) == want, label
+
+        def timed(threshold, key):
+            want = reference_search(dual, moved, start, end, ego_speed=speed,
+                                    width_threshold=threshold, ego_position=ego)
+            got = timed_astar(dual, moved, start, end, ego_speed=speed,
+                              width_threshold=threshold, time=1.0, ego_position=ego)
+            assert searched(got) == want, (label, threshold)
+            outcomes[key, got is None] += 1
+            return want
+
+        for threshold in (0.8, 2.0):
+            timed(threshold, threshold)
+        free = timed(0.0, 0.0)
+        # The width of an edge that the free channel crosses, at the cost it
+        # crosses it: a width rounded another way flips this threshold.
+        widths = crossed_widths(dual, moved, free[0] if free else [], ego, speed)
+        if widths:
+            timed(rng.choice(widths), "crossed")
+    # Every threshold finds channels, and the wider ones also block some.
+    assert min(outcomes[t, False] for t in (0.0, 0.8, 2.0, "crossed")) > 100
+    assert outcomes[0.8, True] > 5 and outcomes[2.0, True] > 50
+    assert outcomes["crossed", True] > 50
 
 
 def test_build_dual_matches_reference():
@@ -385,6 +565,37 @@ def test_funnel_matches_reference_in_closed_loop(monkeypatch):
     assert mismatches == []
     assert outcomes["path"] > 2000 and outcomes[None] > 100
     assert outcomes["ValueError"] > 0
+
+
+def test_search_and_transmit_match_references_in_closed_loop(monkeypatch):
+    calls, mismatches = Counter(), []
+
+    def checked_transmit(mesh, cfg):
+        got = transmit(mesh, cfg)
+        calls["transmit"] += 1
+        if got.vel.tobytes() != bits(reference_transmit(mesh, cfg)):
+            mismatches.append(("transmit", mesh.time))
+        return got
+
+    def checking(search_fn):
+        def checked(dual, mesh, start_tri, goal_tri, **kwargs):
+            got = search_fn(dual, mesh, start_tri, goal_tri, **kwargs)
+            calls[search_fn.__name__, got is None] += 1
+            if searched(got) != reference_search(dual, mesh, start_tri, goal_tri, **kwargs):
+                mismatches.append((search_fn.__name__, mesh.time, start_tri, goal_tri))
+            return got
+        return checked
+
+    monkeypatch.setattr(sequencer, "transmit", checked_transmit)
+    monkeypatch.setattr(sequencer, "timed_astar", checking(timed_astar))
+    monkeypatch.setattr(simulate, "timed_astar", checking(timed_astar))
+    monkeypatch.setattr(simulate, "astar", checking(astar))
+    for seed in (0, 5):
+        for method in MethodId:
+            run_scenario(generate_synthetic(seed), method)
+    assert mismatches == []
+    assert calls["transmit"] > 1000
+    assert calls["timed_astar", False] > 1000 and calls["astar", False] > 200
 
 
 def _zigzag(rng):

@@ -1,4 +1,8 @@
-"""Velocity propagation across mesh edges."""
+"""Velocity propagation across mesh edges.
+
+``project_velocity`` is the scalar oracle that ``tests/test_stage_oracles.py``
+holds ``transmit`` to; its tests pin the formula.
+"""
 import math
 
 import numpy as np
@@ -7,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_stage_oracles import project_velocity
 from trichannel.geometry import NodeKind, NodeState
-from trichannel.mesh import build_mesh
-from trichannel.transmission import (TransmissionConfig, project_velocity,
-                                     transmit)
+from trichannel.mesh import Mesh, NodeTable, build_mesh
+from trichannel.transmission import TransmissionConfig, transmit
 
 
 def projection_oracle(v, p, alpha, beta):
@@ -151,7 +155,31 @@ class TestTransmit:
         ]
         mesh = build_mesh(nodes, 0.0)
         out = transmit(mesh, TransmissionConfig())
-        assert out.vel_list[1] == (3.0, 0.0)
+        assert out.vel[1].tolist() == [3.0, 0.0]
+
+    def test_heading_away_after_rounding_projects_nothing(self):
+        # The raw dot product of v and p is 2.2e-16 > 0, but the cosine of
+        # the normalised vectors rounds to -5.6e-17: no projection.  With
+        # beta = 0 the angle term is 1, so a cosine taken as +5.6e-17 would
+        # project.
+        v, p = (-1.4262367369669522, 1.523063644510537), (-0.85045086967935, -0.7963844962709904)
+        nodes = [NodeState(id=0, x=0.0, y=0.0, vx=v[0], vy=v[1], r=0.1,
+                           kind=NodeKind.DYNAMIC),
+                 NodeState(id=1, x=p[0], y=p[1], vx=0.0, vy=0.0, r=0.1),
+                 NodeState(id=2, x=1.0, y=-1.0, vx=0.0, vy=0.0, r=0.1)]
+        out = transmit(build_mesh(nodes, 0.0), TransmissionConfig(beta=0.0))
+        assert out.vel[1].tolist() == [0.0, 0.0]
+
+    def test_zero_length_edge_rejected(self):
+        # Only a hand-built mesh joins two nodes at one point; an infinite
+        # velocity leaves the heading test undecided (inf * 0 is NaN).
+        table = NodeTable(ids=np.arange(3), xy=np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]),
+                          vel=np.array([[math.inf, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+                          r=np.zeros(3))
+        mesh = Mesh(time=0.0, nodes=table, xy=table.xy, vel=table.vel,
+                    triangles=np.array([[0, 1, 2]]), neighbors=np.array([[-1, -1, -1]]))
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="zero displacement"):
+            transmit(mesh, TransmissionConfig())
 
 
 class TestConfig:
