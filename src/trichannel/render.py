@@ -135,7 +135,8 @@ def render_run(scenario: Scenario, method: MethodId, out_dir: FsPath,
 
     for rec in rollout(scenario, cfg, replan):
         if rec.planned is not None:
-            corridor = rec.planned.corridor if rec.planned.path is not None else []
+            corridor = [seg.mesh.triangle_points(t) for seg in rec.planned.segments
+                        for t in seg.tri_ids] if rec.planned.path is not None else []
         state = rec.before
         if state.t >= next_frame - 1e-9:
             next_frame += frame_dt

@@ -107,6 +107,8 @@ class Scenario:
         if not _all_finite(*numbers):
             raise ScenarioFormatError("non-finite start, goal, ego parameter, "
                                       "time limit or boundary point")
+        if self.schema_version != SCHEMA_VERSION:
+            raise ScenarioFormatError(f"unsupported schema_version {self.schema_version}")
         if self.time_limit <= 0:
             raise ScenarioFormatError("time_limit must be positive")
         if self.start == self.goal:
@@ -136,10 +138,11 @@ class Scenario:
         self._rows = NodeTable.of([*(tr.state_at(0.0) for tr in tracks), *self._virtual])
         self._moving = [tr for tr in tracks if len(tr.waypoints) > 1]
         self._moving_rows = [row for row, tr in enumerate(tracks) if len(tr.waypoints) > 1]
-        # Non-virtual rows in the order the scenario lists them, the order in
-        # which the path clearing breaks ties.
-        self.obstacle_rows = np.searchsorted(self._rows.ids, [
-            tr.id for tr in self.nodes if tr.kind is not NodeKind.VIRTUAL])
+        # Non-virtual tracks and their rows in the order the scenario lists
+        # them, the order in which the path clearing breaks ties.
+        self.obstacles = [tr for tr in self.nodes if tr.kind is not NodeKind.VIRTUAL]
+        self.obstacle_rows = np.searchsorted(self._rows.ids,
+                                             [tr.id for tr in self.obstacles])
 
     @property
     def virtual_spacing(self) -> float:

@@ -2,7 +2,8 @@
 
 Both searches run one best-first loop over ``Mesh.neighbors`` and return a
 ``Channel``: the triangle sequence from the ego's triangle to the goal
-triangle and the estimated arrival time at each triangle's dual node.
+triangle and the estimated arrival time at each triangle's dual node,
+counted from the snapshot's own time, ``mesh.time``.
 """
 from __future__ import annotations
 
@@ -17,11 +18,10 @@ from .mesh import DualGraph, Mesh
 
 @dataclass
 class Channel:
-    """Edge-connected triangle sequence at one mesh topology."""
+    """Edge-connected triangle sequence of the snapshot it was searched on."""
 
-    time: float  # topology snapshot time
     triangles: List[int]  # triangle ids, ego first, goal last
-    etas: List[float]  # per-triangle arrival offset from ``time``, seconds
+    etas: List[float]  # per-triangle arrival offset from ``mesh.time``, seconds
     waypoints: List[Point]  # dual node placement per triangle
     start_point: Point
 
@@ -111,8 +111,8 @@ def _best_first(dual: DualGraph, mesh: Mesh, start_tri: int, goal_tri: int,
     return None
 
 
-def _channel(dual: DualGraph, tris: Optional[List[int]], time: float,
-             ego_position: Point, ego_speed: float) -> Optional[Channel]:
+def _channel(dual: DualGraph, tris: Optional[List[int]], ego_position: Point,
+             ego_speed: float) -> Optional[Channel]:
     if tris is None:
         return None
     waypoints = [dual.placements[t] for t in tris]
@@ -124,7 +124,7 @@ def _channel(dual: DualGraph, tris: Optional[List[int]], time: float,
     for w in waypoints[:-1]:
         etas.append(etas[-1] + dist(prev, w) / ego_speed)
         prev = w
-    return Channel(time=time, triangles=tris, etas=etas, waypoints=waypoints,
+    return Channel(triangles=tris, etas=etas, waypoints=waypoints,
                    start_point=ego_position)
 
 
@@ -140,11 +140,11 @@ def astar(dual: DualGraph, mesh: Mesh, start_tri: int, goal_tri: int, *,
     tris = _best_first(dual, mesh, start_tri, goal_tri, 0.0, 1.0, None)
     if ego_position is None:
         ego_position = dual.placements[start_tri]
-    return _channel(dual, tris, 0.0, ego_position, ego_speed)
+    return _channel(dual, tris, ego_position, ego_speed)
 
 
 def timed_astar(dual: DualGraph, mesh: Mesh, start_tri: int, goal_tri: int, *,
-                ego_speed: float, width_threshold: float, time: float = 0.0,
+                ego_speed: float, width_threshold: float,
                 ego_position: Optional[Point] = None) -> Optional[Channel]:
     """Time-aware channel search.
 
@@ -161,4 +161,4 @@ def timed_astar(dual: DualGraph, mesh: Mesh, start_tri: int, goal_tri: int, *,
     tris = _best_first(dual, mesh, start_tri, goal_tri,
                        dist(ego_position, dual.placements[start_tri]) / ego_speed,
                        ego_speed, width_threshold)
-    return _channel(dual, tris, time, ego_position, ego_speed)
+    return _channel(dual, tris, ego_position, ego_speed)

@@ -5,12 +5,14 @@ predict the first topological event, cut the unaffected prefix (anchored at
 its last triangle), then repeat from the anchor at the event time with all
 nodes advanced by the linear model.  Consecutive segments overlap on the
 anchor triangle, so the union forms one spatially and temporally connected
-corridor.  Each segment keeps its snapshot and its triangle ids in it.  The
-cut settles that the anchor survives into the next snapshot, so each cycle
-builds one snapshot, later than the last, and hands it to ``build_mesh`` to
-advance by edge flips into the next.  The first cycle passes none, so
-``build_mesh`` advances the last plan's first snapshot: Qhull runs on
-fallback only.
+corridor.  Each segment keeps its snapshot, whose time is the segment's
+start, and its triangle ids in it.  Each pass of the cut walks the ego once
+along its route to the cut time; that one estimate picks the anchor
+(``cut_index``) and is the subgoal's target.  The cut settles that the
+anchor survives into the next snapshot, so each cycle builds one snapshot,
+later than the last, and hands it to ``build_mesh`` to advance by edge
+flips into the next.  The first cycle passes none, so ``build_mesh``
+advances the last plan's first snapshot: Qhull runs on fallback only.
 """
 from __future__ import annotations
 
@@ -27,8 +29,6 @@ from .mesh import (Mesh, NodeTable, build_dual, build_mesh, find_triangle, locat
                    point_in_triangle)
 from .search import Channel, timed_astar
 from .transmission import TransmissionConfig, transmit
-
-VertexTriple = Tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -67,25 +67,13 @@ class SequencerConfig:
 
 @dataclass
 class ChannelSegment:
-    """Prefix of one channel, valid on [t_start, t_end): a run of
-    edge-connected triangles of the snapshot it was planned on."""
+    """Prefix of one channel, valid from its snapshot's time to ``t_end``: a
+    run of edge-connected triangles of the snapshot it was planned on."""
 
-    t_start: float
     t_end: Optional[float]  # None for the final segment
-    mesh: Mesh  # the snapshot at t_start
+    mesh: Mesh  # the snapshot at the segment's start time
     tri_ids: List[int]  # triangle ids in ``mesh``, ego first, anchor last
     subgoal: Point
-    start_point: Point
-
-    @property
-    def triangles(self) -> List[VertexTriple]:
-        """CCW node-id triples at t_start."""
-        ids = self.mesh.nodes.ids[self.mesh.triangles[self.tri_ids]]
-        return [tuple(row) for row in ids.tolist()]
-
-    @property
-    def anchor(self) -> VertexTriple:
-        return self.triangles[-1]
 
 
 @dataclass
@@ -105,52 +93,19 @@ class SequenceFailure:
 SequenceResult = Union[ChannelSequence, SequenceFailure]
 
 
-def last_triangle_index(e: int, m: int, channel_len: int) -> int:
-    """Index of the segment's last triangle given the ego and event indices.
+def cut_index(channel: Channel, mesh: Mesh, est: Point, m: int) -> int:
+    """Channel index ``k`` of the segment's last triangle, for the event at
+    channel index ``m``.
 
-    ``e`` is where the ego is estimated to be at the event time, ``m`` where
-    the event hits.  k = e when the ego is behind the event triangle, m - 1
-    when the event hits the ego's own triangle; e > m never occurs by
-    construction and is rejected.  k = -1 (e = m = 0) is not an empty
-    segment: it holds the ego's own triangle, ``max(k, 0)``.
+    The ego is at ``e``, the first channel index whose triangle holds the
+    estimate ``est``, or 0 when none does: a point on the route's first hop
+    can round out of the ego's own triangle.  k = e when the ego is behind
+    the event triangle, else m - 1.  k = -1 (e = m = 0) still keeps the
+    ego's own triangle, ``max(k, 0)``.
     """
-    if not (0 <= e < channel_len and 0 <= m < channel_len):
-        raise ValueError(f"indices out of range: e={e}, m={m}, len={channel_len}")
-    if e > m:
-        raise ValueError(f"e={e} > m={m} violates the event-ordering contract")
+    e = next((i for i, tri in enumerate(channel.triangles)
+              if point_in_triangle(mesh.triangle_points(tri), est)), 0)
     return e if e < m else m - 1
-
-
-def _dual_chain(channel: Channel) -> List[Point]:
-    return [channel.start_point] + list(channel.waypoints)
-
-
-def ego_index_at(channel: Channel, mesh: Mesh, tau: float, ego_speed: float,
-                 route: Optional[Sequence[Point]] = None) -> int:
-    """Channel index of the triangle holding the ego advanced to time ``tau``.
-
-    The ego is moved at ``ego_speed`` for (tau - channel.time) seconds along
-    ``route`` when given (normally the taut funnel polyline, the path the
-    ego actually follows), else along the dual-node chain; the result is
-    clamped to the channel.
-    """
-    if tau < channel.time:
-        raise ValueError(f"tau={tau} precedes channel time {channel.time}")
-    travel = ego_speed * (tau - channel.time)
-    p = point_along(route if route is not None else _dual_chain(channel), travel)
-    for idx, tri_id in enumerate(channel.triangles):
-        if point_in_triangle(mesh.triangle_points(tri_id), p):
-            return idx
-    # Point sits on numerical boundary: fall back to counting passed waypoints.
-    cum = 0.0
-    prev = channel.start_point
-    idx = 0
-    for i, w in enumerate(channel.waypoints):
-        cum += dist(prev, w)
-        prev = w
-        if cum <= travel:
-            idx = i
-    return min(idx, len(channel.triangles) - 1)
 
 
 def subgoal(anchor: TrianglePoints, est_ego: Point,
@@ -223,15 +178,14 @@ def _prefix_event(channel: Channel, mesh: Mesh, k: int, window: float,
     prefix must stay valid for the full window, not only until the ego
     reaches each triangle.
     """
-    probe = Channel(time=channel.time,
-                    triangles=channel.triangles[: k + 1],
+    probe = Channel(triangles=channel.triangles[: k + 1],
                     etas=[window] * (k + 1),
                     waypoints=channel.waypoints[: k + 1],
                     start_point=channel.start_point)
     report = compute_event_time(probe, mesh, sample_resolution)
     if report is None:
         return None
-    offset = report.time - channel.time
+    offset = report.time - mesh.time
     return (offset, report.triangle_index) if offset < window else None
 
 
@@ -246,7 +200,7 @@ def generate_sequence(nodes: Union[NodeTable, Sequence[NodeState]], start: Point
     table = nodes if isinstance(nodes, NodeTable) else NodeTable.of(nodes)
     tau = 0.0
     start_pt = start
-    anchor: Optional[VertexTriple] = None  # node indices
+    anchor: Optional[Tuple[int, int, int]] = None  # node indices
     segments: List[ChannelSegment] = []
     mesh: Optional[Mesh] = None  # the previous cycle's snapshot
 
@@ -271,7 +225,6 @@ def generate_sequence(nodes: Union[NodeTable, Sequence[NodeState]], start: Point
             dual, mesh, start_tri, goal_tri,
             ego_speed=cfg.ego_speed,
             width_threshold=cfg.effective_width_threshold,
-            time=tau,
             ego_position=start_pt,
         )
         if channel is None:
@@ -279,25 +232,24 @@ def generate_sequence(nodes: Union[NodeTable, Sequence[NodeState]], start: Point
 
         event = compute_event_time(channel, mesh, cfg.sample_resolution)
         if event is None or event.time > cfg.tau_threshold:
-            segments.append(ChannelSegment(tau, None, mesh, channel.triangles,
-                                           goal, start_pt))
+            segments.append(ChannelSegment(None, mesh, channel.triangles, goal))
             reason = "goal" if event is None else "threshold"
             return ChannelSequence(segments=segments, goal=goal, terminated=reason)
 
         tau_next = event.time
         m = event.triangle_index
-        # The ego advance estimate and the anchor index must use the same
-        # route, else the anchor can lag behind the estimated position and
+        # One ego estimate per cut time sets both the anchor index and the
+        # subgoal, else the anchor can lag behind the estimated position and
         # drag the subgoal backwards.  The executed path is a funnel path,
         # so walking the taut funnel polyline estimates the ego more
         # tightly than the dual-node chain, the fallback when a portal is
         # too narrow to thread.
         try:
-            taut = funnel(mesh, channel.triangles, channel.start_point, goal,
+            taut = funnel(mesh, channel.triangles, start_pt, goal,
                           cfg.effective_padding)
         except ValueError:  # a subgoal can sit just outside the snapshot anchor
             taut = None
-        route = taut.points if taut is not None else _dual_chain(channel)
+        route = taut.points if taut is not None else [start_pt, *channel.waypoints]
         # The prediction scans each triangle only until the ego reaches it,
         # so a kept triangle can still flip between its arrival and the cut
         # time.  Re-scan the kept prefix over the full window and pull the
@@ -308,9 +260,8 @@ def generate_sequence(nodes: Union[NodeTable, Sequence[NodeState]], start: Point
         # anchor toward its snapshot row, which ``build_mesh`` orients CCW.
         # Only a zero-area row could not pass.
         while True:
-            e = min(ego_index_at(channel, mesh, tau_next, cfg.ego_speed,
-                                 route=route), m)
-            k = last_triangle_index(e, m, len(channel))
+            est = point_along(route, cfg.ego_speed * (tau_next - tau))
+            k = cut_index(channel, mesh, est, m)
             if k >= 0:
                 refined = _prefix_event(channel, mesh, k, tau_next - tau,
                                         cfg.sample_resolution)
@@ -340,7 +291,6 @@ def generate_sequence(nodes: Union[NodeTable, Sequence[NodeState]], start: Point
             else:
                 break
 
-        est_ego = point_along(route, cfg.ego_speed * (tau_next - tau))
         # The subgoal targets the ego estimate but must sit inside the
         # anchor (a, b, c) as extrapolated to the cut time; when the event
         # hits the ego's own triangle (k < 0) that triangle doubles as the
@@ -349,15 +299,13 @@ def generate_sequence(nodes: Union[NodeTable, Sequence[NodeState]], start: Point
         # sits at exact contact distance from a vertex disc.
         margin = cfg.effective_padding - cfg.ego_radius
         radii = [mesh.nodes.r_list[v] + margin for v in verts]
-        target = start_pt if k < 0 else est_ego
+        target = start_pt if k < 0 else est
         sg = subgoal((a, b, c), target, radii, cfg.ego_radius)
-        seg = ChannelSegment(tau, tau_next, mesh, channel.triangles[:max(k, 0) + 1],
-                             sg, start_pt)
-        segments.append(seg)
+        segments.append(ChannelSegment(tau_next, mesh, channel.triangles[:max(k, 0) + 1], sg))
         if lost:
             return ChannelSequence(segments=segments, goal=goal, terminated="anchor_lost")
         anchor = tuple(verts)
-        start_pt = seg.subgoal
+        start_pt = sg
         tau = tau_next
 
     return ChannelSequence(segments=segments, goal=goal, terminated="max_segments")

@@ -5,6 +5,7 @@ channel-sequence pipeline, or the Timed A* / A* single-channel baselines),
 follows the resulting polyline, and accrues completion, planning-success
 and collision metrics.  Every method turns channel segments into a path
 with one loop (``_follow``); a baseline plan is one segment to the goal.
+A ``PlanResult`` keeps the segments it followed; the renderer draws them.
 ``rollout`` is the only loop over simulated time; ``run_scenario`` and the
 SVG renderer both consume it.  Runs are deterministic for a given
 scenario, method and configuration.
@@ -68,11 +69,11 @@ class SimConfig:
         )
 
 
-def colliding_ids(ego: Point, ego_radius: float, table: NodeTable,
-                  rows: Sequence[int]) -> Set[int]:
-    """Ids of the nodes in ``rows`` whose discs the ego disc overlaps strictly."""
-    ids, xy, r = (a[rows].tolist() for a in (table.ids, table.xy, table.r))
-    return {i for i, p, ri in zip(ids, xy, r) if dist(ego, p) < ego_radius + ri}
+def colliding_ids(ego: Point, ego_radius: float, scenario: Scenario,
+                  t: float) -> Set[int]:
+    """Ids of the non-virtual nodes whose discs the ego disc overlaps at ``t``, strictly."""
+    return {tr.id for tr in scenario.obstacles
+            if dist(ego, tr.position_at(t)) < ego_radius + tr.radius}
 
 
 def _nearest_in_triangle(tri: TrianglePoints, p: Point) -> Point:
@@ -158,7 +159,7 @@ def _clear_polyline(path: PathPolyline, table: NodeTable, rows: Sequence[int],
 @dataclass
 class PlanResult:
     path: Optional[PathPolyline]
-    corridor: List[TrianglePoints] = field(default_factory=list)
+    segments: Sequence[ChannelSegment] = ()  # the followed segments
 
 
 def _follow(segments: Sequence[ChannelSegment], ego: Point, table: NodeTable,
@@ -167,7 +168,6 @@ def _follow(segments: Sequence[ChannelSegment], ego: Point, table: NodeTable,
     """Funnel paths from the ego through each segment to its subgoal, joined
     and cleared of the discs of ``table``'s ``obstacle_rows``.  No path when
     the first segment's funnel fails; a later failure truncates the path."""
-    corridor = [seg.mesh.triangle_points(t) for seg in segments for t in seg.tri_ids]
     points: List[Point] = []
     segment_ids: List[int] = []
     cursor = ego
@@ -185,7 +185,7 @@ def _follow(segments: Sequence[ChannelSegment], ego: Point, table: NodeTable,
             part = None
         if part is None:
             if si == 0:
-                return PlanResult(path=None, corridor=corridor)
+                return PlanResult(path=None)
             break
         skip = 1 if points and part.points[0] == points[-1] else 0
         points.extend(part.points[skip:])
@@ -193,7 +193,7 @@ def _follow(segments: Sequence[ChannelSegment], ego: Point, table: NodeTable,
         cursor = seg.subgoal
     path = _clear_polyline(PathPolyline(points=points, segment_ids=segment_ids),
                            table, obstacle_rows, ego_radius)
-    return PlanResult(path=path, corridor=corridor)
+    return PlanResult(path=path, segments=segments)
 
 
 def plan_proposed(scenario: Scenario, ego: Point, t_now: float,
@@ -237,7 +237,7 @@ def plan_baseline(scenario: Scenario, ego: Point, t_now: float,
         return PlanResult(path=None)
     # ``locate`` found both ends inside their triangles by the exact test,
     # so ``_follow``'s projections leave them where they are.
-    segment = ChannelSegment(0.0, None, mesh, channel.triangles, scenario.goal, ego)
+    segment = ChannelSegment(None, mesh, channel.triangles, scenario.goal)
     return _follow([segment], ego, table, scenario.obstacle_rows, scenario.ego_radius,
                    cfg.effective_padding)
 
@@ -327,16 +327,14 @@ def run_scenario(scenario: Scenario, method: MethodId,
 
     attempted = succeeded = 0
     collision_count = 0
-    rows = scenario.obstacle_rows
-    colliding = colliding_ids(scenario.start, scenario.ego_radius,
-                              scenario.table_at(0.0), rows)
+    colliding = colliding_ids(scenario.start, scenario.ego_radius, scenario, 0.0)
     completion_time: Optional[float] = None
     for rec in rollout(scenario, cfg, timed_plan):
         if rec.planned is not None:
             attempted += 1
             succeeded += rec.planned.path is not None
-        now_colliding = colliding_ids(rec.after.ego, scenario.ego_radius,
-                                      scenario.table_at(rec.after.t), rows)
+        now_colliding = colliding_ids(rec.after.ego, scenario.ego_radius, scenario,
+                                      rec.after.t)
         collision_count += len(now_colliding - colliding)
         colliding = now_colliding
         if rec.at_goal:

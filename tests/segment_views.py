@@ -1,0 +1,22 @@
+"""Node-id views of channel segments, read only by the tests.
+
+A ``ChannelSegment`` keeps its snapshot and triangle ids in it; these
+helpers read the node-id triangles, the anchor and the start points that
+the tests check across segments and snapshots.
+"""
+
+
+def node_triangles(seg):
+    """CCW node-id triples of the segment's triangles at its snapshot time."""
+    ids = seg.mesh.nodes.ids[seg.mesh.triangles[seg.tri_ids]]
+    return [tuple(row) for row in ids.tolist()]
+
+
+def node_anchor(seg):
+    """The node-id triple of the segment's last triangle, its anchor."""
+    return node_triangles(seg)[-1]
+
+
+def start_points(start, segments):
+    """Where each segment starts: the plan's start, then each earlier subgoal."""
+    return [start, *(seg.subgoal for seg in segments[:-1])]

@@ -31,6 +31,8 @@ from trichannel.sequencer import (ChannelSequence, SequencerConfig,
                                   generate_sequence)
 from trichannel.simulate import MethodId, SimConfig, aggregate
 
+from segment_views import node_anchor, node_triangles, start_points
+
 WORKERS = max(1, min(8, os.cpu_count() or 1))
 
 
@@ -261,29 +263,29 @@ def test_criterion_4_sequence_invariants():
             continue
         sequences += 1
         segs = result.segments
-        if segs[0].t_start != 0.0:
+        if segs[0].mesh.time != 0.0:
             violations += 1
             details.append("window start")
         for cur, nxt in zip(segs, segs[1:]):
-            if frozenset(cur.anchor) != frozenset(nxt.triangles[0]):
+            if frozenset(node_anchor(cur)) != frozenset(node_triangles(nxt)[0]):
                 violations += 1
                 details.append("anchor continuity")
-            if cur.t_end != nxt.t_start:
+            if cur.t_end != nxt.mesh.time:
                 violations += 1
                 details.append("window contiguity")
-        for seg in segs:
+        for seg, seg_start in zip(segs, start_points(start, segs)):
             if seg.t_end is None:
                 continue
             closed += 1
-            if seg.t_end <= seg.t_start:
+            if seg.t_end <= seg.mesh.time:
                 violations += 1
                 details.append("empty window")
             # Subgoal containment against the anchor extrapolated to the
             # end of the validity window.
-            offset = seg.t_end - seg.t_start
+            offset = seg.t_end - seg.mesh.time
             tri = []
             at = dict(zip(seg.mesh.nodes.ids.tolist(), seg.mesh.xy_list))
-            for v in seg.anchor:
+            for v in node_anchor(seg):
                 p = at[v]
                 vel = next(n for n in nodes if n.id == v).velocity
                 tri.append((p[0] + vel[0] * offset, p[1] + vel[1] * offset))
@@ -292,7 +294,7 @@ def test_criterion_4_sequence_invariants():
                 details.append("subgoal containment")
             # Unaffectedness: re-predicting over the segment's own triangles
             # and window finds nothing strictly before the boundary event.
-            report_ = _segment_event(nodes, seg)
+            report_ = _segment_event(nodes, seg, seg_start)
             if report_ is not None and report_ < seg.t_end - 1e-9:
                 violations += 1
                 details.append("unaffectedness")
@@ -304,22 +306,22 @@ def test_criterion_4_sequence_invariants():
     assert violations == 0
 
 
-def _segment_event(nodes, seg):
+def _segment_event(nodes, seg, start_point):
     from trichannel.search import Channel
     from trichannel.transmission import TransmissionConfig, transmit
 
-    mesh = build_mesh(nodes, seg.t_start)
+    mesh = build_mesh(nodes, seg.mesh.time)
     by_verts = {frozenset(v): i for i, v in enumerate(mesh.triangles.tolist())}
     ids = []
-    for v in seg.triangles:
+    for v in node_triangles(seg):
         tid = by_verts.get(frozenset(v))
         if tid is None:
             return None  # triangle gone from this snapshot; skip
         ids.append(tid)
-    window = seg.t_end - seg.t_start
-    ch = Channel(time=seg.t_start, triangles=ids,
+    window = seg.t_end - seg.mesh.time
+    ch = Channel(triangles=ids,
                  etas=[window] * len(ids), waypoints=[(0, 0)] * len(ids),
-                 start_point=seg.start_point)
+                 start_point=start_point)
     # Same velocity model the sequencer predicted with.
     rep = compute_event_time(ch, transmit(mesh, TransmissionConfig()), 0.1)
     return None if rep is None else rep.time

@@ -126,6 +126,30 @@ class TestRun:
         assert summary["runs"] == 1
         assert len(summary["skipped"]) == 1
 
+    def test_other_schema_version_skipped(self, tmp_path):
+        good, future = tmp_path / "good.json", tmp_path / "future.json"
+        small_scenario(good)
+        data = json.loads(good.read_text())
+        data["schema_version"] = 99
+        future.write_text(json.dumps(data))
+        out = tmp_path / "res"
+        rc = main(["run", str(good), str(future), "--methods", "astar",
+                   "--out-dir", str(out)])
+        assert rc == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["runs"] == 1
+        assert len(summary["skipped"]) == 1 and "schema_version" in summary["skipped"][0]
+
+    def test_no_transmission_runs(self, tmp_path):
+        scene = tmp_path / "s.json"
+        small_scenario(scene)
+        out = tmp_path / "res"
+        rc = main(["run", str(scene), "--methods", "proposed", "--no-transmission",
+                   "--out-dir", str(out)])
+        assert rc == 0
+        rows = list(csv.reader((out / "metrics.csv").open()))[1:]
+        assert [r[2] for r in rows] == ["proposed"]
+
     def test_missing_file_reported(self, tmp_path):
         good = tmp_path / "good.json"
         small_scenario(good)

@@ -325,7 +325,7 @@ def moving_nodes(points, velocities):
 
 def channel_of(mesh, tri_ids, etas):
     """A channel over arbitrary triangles; the scan reads only ids and etas."""
-    return Channel(time=mesh.time, triangles=list(tri_ids), etas=list(etas),
+    return Channel(triangles=list(tri_ids), etas=list(etas),
                    waypoints=[(0.0, 0.0)] * len(tri_ids), start_point=(0.0, 0.0))
 
 

@@ -193,6 +193,13 @@ class TestScenario:
         with pytest.raises(ScenarioFormatError):
             Scenario.load(f)
 
+    @pytest.mark.parametrize("version", [0, 2, 99, "99"])
+    def test_from_dict_rejects_other_schema_versions(self, version):
+        data = simple_scenario().to_dict()
+        data["schema_version"] = version
+        with pytest.raises(ScenarioFormatError, match="schema_version"):
+            Scenario.from_dict(data)
+
     def test_load_rejects_missing_fields(self, tmp_path):
         f = tmp_path / "partial.json"
         f.write_text(json.dumps({"id": "x", "nodes": []}))

@@ -9,42 +9,22 @@ import pytest
 import trichannel.sequencer as sequencer
 import trichannel.simulate as simulate
 from trichannel.events import anchor_survives, compute_event_time
-from trichannel.geometry import NodeKind, NodeState, dist
+from trichannel.geometry import NodeKind, NodeState, dist, point_along
 from trichannel.mesh import build_dual, build_mesh, point_in_triangle
 from trichannel.scenario import generate_synthetic
 from trichannel.search import Channel, astar
 from trichannel.sequencer import (ChannelSequence, SequenceFailure,
-                                  SequencerConfig, ego_index_at,
-                                  generate_sequence, last_triangle_index,
-                                  subgoal)
+                                  SequencerConfig, cut_index,
+                                  generate_sequence, subgoal)
 from trichannel.simulate import MethodId, SimConfig, run_scenario
 from trichannel.transmission import transmit
+
+from segment_views import node_anchor, node_triangles, start_points
 
 
 def make_nodes(points, r=0.0):
     return [NodeState(id=i, x=x, y=y, vx=0.0, vy=0.0, r=r)
             for i, (x, y) in enumerate(points)]
-
-
-class TestLastTriangleIndex:
-    def test_ego_behind_event(self):
-        assert last_triangle_index(2, 5, 10) == 2
-
-    def test_event_at_ego_triangle(self):
-        assert last_triangle_index(4, 4, 10) == 3
-
-    def test_degenerate_first_triangle(self):
-        assert last_triangle_index(0, 0, 10) == -1
-
-    def test_ego_past_event_rejected(self):
-        with pytest.raises(ValueError):
-            last_triangle_index(5, 2, 10)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            last_triangle_index(0, 10, 10)
-        with pytest.raises(ValueError):
-            last_triangle_index(-1, 0, 10)
 
 
 def straight_strip():
@@ -58,36 +38,60 @@ def straight_strip():
     return mesh, ch
 
 
+def centroid(mesh, ch, i):
+    """A point inside channel triangle ``i``."""
+    pts = mesh.triangle_points(ch.triangles[i])
+    return (sum(p[0] for p in pts) / 3, sum(p[1] for p in pts) / 3)
+
+
+class TestLastTriangleIndex:
+    def test_ego_behind_event(self):
+        mesh, ch = straight_strip()
+        assert cut_index(ch, mesh, centroid(mesh, ch, 2), 5) == 2
+
+    def test_event_at_ego_triangle(self):
+        mesh, ch = straight_strip()
+        assert cut_index(ch, mesh, centroid(mesh, ch, 4), 4) == 3
+
+    def test_degenerate_first_triangle(self):
+        mesh, ch = straight_strip()
+        assert cut_index(ch, mesh, centroid(mesh, ch, 0), 0) == -1
+
+    def test_ego_past_event_capped(self):
+        # The ego index is capped at the event index.
+        mesh, ch = straight_strip()
+        assert cut_index(ch, mesh, centroid(mesh, ch, 5), 2) == 1
+
+    def test_estimate_in_no_triangle_keeps_the_first(self):
+        mesh, ch = straight_strip()
+        assert cut_index(ch, mesh, (50.0, 50.0), 3) == 0
+
+
+def walked_index(mesh, ch, travel):
+    """``cut_index`` of the ego walked ``travel`` along the dual-node chain,
+    with the event on the channel's last triangle."""
+    est = point_along([ch.start_point, *ch.waypoints], travel)
+    return cut_index(ch, mesh, est, len(ch) - 1)
+
+
 class TestEgoIndexAt:
     def test_no_motion_keeps_first_triangle(self):
         mesh, ch = straight_strip()
-        assert ego_index_at(ch, mesh, 0.0, 1.0) == 0
+        assert walked_index(mesh, ch, 0.0) == 0
 
     def test_advance_lands_in_later_triangle(self):
         mesh, ch = straight_strip()
         total = dist(ch.start_point, ch.waypoints[0]) + sum(
             dist(a, b) for a, b in zip(ch.waypoints, ch.waypoints[1:]))
-        e = ego_index_at(ch, mesh, total, 1.0)
+        e = walked_index(mesh, ch, total)
         # The chain end sits on shared triangle boundaries, so the located
         # index may be one short of the final triangle.
         assert e >= len(ch.triangles) - 2
 
     def test_monotone_in_time(self):
         mesh, ch = straight_strip()
-        idx = [ego_index_at(ch, mesh, t * 0.5, 1.0) for t in range(20)]
+        idx = [walked_index(mesh, ch, t * 0.5) for t in range(20)]
         assert all(b >= a for a, b in zip(idx, idx[1:]))
-
-    def test_route_override_used_when_given(self):
-        mesh, ch = straight_strip()
-        # A route that never leaves the first triangle pins the index at 0.
-        p = ch.start_point
-        route = [p, (p[0] + 0.01, p[1])]
-        assert ego_index_at(ch, mesh, 5.0, 1.0, route=route) == 0
-
-    def test_past_time_rejected(self):
-        mesh, ch = straight_strip()
-        with pytest.raises(ValueError):
-            ego_index_at(ch, mesh, -1.0, 1.0)
 
 
 def subgoal_oracle(anchor, est_ego, clearances, grid=300):
@@ -191,21 +195,21 @@ class TestGenerateSequence:
                                    (9.5, 3.0), self.cfg(ego_speed=0.4))
         assert isinstance(result, ChannelSequence)
         for cur, nxt in zip(result.segments, result.segments[1:]):
-            assert frozenset(cur.anchor) == frozenset(nxt.triangles[0])
+            assert frozenset(node_anchor(cur)) == frozenset(node_triangles(nxt)[0])
 
     def test_window_contiguity(self):
         result = generate_sequence(crossing_scene_nodes(), (0.5, 1.0),
                                    (9.5, 3.0), self.cfg(ego_speed=0.4))
         assert isinstance(result, ChannelSequence)
         for cur, nxt in zip(result.segments, result.segments[1:]):
-            assert cur.t_end == nxt.t_start
-        assert result.segments[0].t_start == 0.0
+            assert cur.t_end == nxt.mesh.time
+        assert result.segments[0].mesh.time == 0.0
         # Every closed window is non-empty: the sequence moves forward.
-        assert all(seg.t_end > seg.t_start for seg in result.segments
+        assert all(seg.t_end > seg.mesh.time for seg in result.segments
                    if seg.t_end is not None)
 
     def test_subgoal_inside_anchor(self):
-        # A segment's snapshot holds t_start positions; each anchor vertex
+        # A segment's snapshot holds its start positions; each anchor vertex
         # moves with its scene velocity to the segment's end time.
         nodes = crossing_scene_nodes()
         velocity = {n.id: n.velocity for n in nodes}
@@ -216,11 +220,11 @@ class TestGenerateSequence:
             closed = [seg for seg in result.segments if seg.t_end is not None]
             assert closed
             for seg in closed:
-                offset = seg.t_end - seg.t_start
+                offset = seg.t_end - seg.mesh.time
                 at = dict(zip(seg.mesh.nodes.ids.tolist(), seg.mesh.xy_list))
                 anchor = tuple((at[v][0] + velocity[v][0] * offset,
                                 at[v][1] + velocity[v][1] * offset)
-                               for v in seg.anchor)
+                               for v in node_anchor(seg))
                 assert point_in_triangle(anchor, seg.subgoal)
 
     def test_max_segments_cap(self):
@@ -256,21 +260,22 @@ class TestGenerateSequence:
         cfg = self.cfg(ego_speed=0.4)
         result = generate_sequence(nodes, (0.5, 1.0), (9.5, 3.0), cfg)
         assert isinstance(result, ChannelSequence)
-        for seg in result.segments:
+        for seg, start in zip(result.segments,
+                              start_points((0.5, 1.0), result.segments)):
             if seg.t_end is None:
                 continue
-            mesh = build_mesh(nodes, seg.t_start)
+            mesh = build_mesh(nodes, seg.mesh.time)
             ids = []
             by_verts = {frozenset(v): i for i, v in enumerate(mesh.triangles.tolist())}
-            ok = all(frozenset(v) in by_verts for v in seg.triangles)
+            ok = all(frozenset(v) in by_verts for v in node_triangles(seg))
             if not ok:
                 continue
-            ids = [by_verts[frozenset(v)] for v in seg.triangles]
-            window = seg.t_end - seg.t_start
+            ids = [by_verts[frozenset(v)] for v in node_triangles(seg)]
+            window = seg.t_end - seg.mesh.time
             etas = [window] * len(ids)
-            ch = Channel(time=seg.t_start, triangles=ids, etas=etas,
+            ch = Channel(triangles=ids, etas=etas,
                          waypoints=[(0, 0)] * len(ids),
-                         start_point=seg.start_point)
+                         start_point=start)
             report = compute_event_time(ch, mesh, cfg.sample_resolution)
             if report is not None:
                 assert report.time >= seg.t_end - 1e-9
@@ -402,9 +407,9 @@ def test_one_build_per_snapshot_time(monkeypatch):
     lost = [r.segments[-1] for r in results
             if not isinstance(r, SequenceFailure) and r.terminated == "anchor_lost"]
     assert lost
-    assert all(seg.t_end - seg.t_start <= 1.5 * cfg.sample_resolution for seg in lost)
+    assert all(seg.t_end - seg.mesh.time <= 1.5 * cfg.sample_resolution for seg in lost)
     # No closed window is a rounding artifact of the sample grid.
-    assert all(seg.t_end - seg.t_start > 1e-9 for r in results
+    assert all(seg.t_end - seg.mesh.time > 1e-9 for r in results
                if not isinstance(r, SequenceFailure)
                for seg in r.segments if seg.t_end is not None)
 
@@ -435,14 +440,15 @@ def test_segments_keep_their_snapshot(seed):
                                    scene.goal, cfg)
         if not isinstance(result, ChannelSequence):
             continue
-        for seg in result.segments:
+        starts = [0.0, *(seg.t_end for seg in result.segments[:-1])]
+        for seg, t_start in zip(result.segments, starts):
             mesh = seg.mesh
-            assert mesh.time == seg.t_start
+            assert mesh.time == t_start
             for a, b in zip(seg.tri_ids, seg.tri_ids[1:]):
                 assert b in mesh.neighbors[a].tolist()
             ids = mesh.nodes.ids[mesh.triangles[seg.tri_ids]]
-            assert seg.triangles == [tuple(row) for row in ids.tolist()]
-            assert seg.anchor == seg.triangles[-1]
+            assert node_triangles(seg) == [tuple(row) for row in ids.tolist()]
+            assert node_anchor(seg) == node_triangles(seg)[-1]
             segments += 1
     assert segments >= 4
 
@@ -462,7 +468,81 @@ def test_baseline_follows_one_segment(monkeypatch, method):
     planned = simulate.plan_detailed(scene, method, scene.start, 0.0, cfg)
     assert planned.path is not None
     [[seg]] = followed
-    assert (seg.t_start, seg.t_end, seg.subgoal) == (0.0, None, scene.goal)
-    assert planned.corridor == [seg.mesh.triangle_points(t) for t in seg.tri_ids]
+    assert (seg.mesh.time, seg.t_end, seg.subgoal) == (0.0, None, scene.goal)
+    [planned_seg] = planned.segments
+    assert planned_seg is seg
     assert planned.path.points[0] == scene.start
     assert planned.path.points[-1] == scene.goal
+
+
+# Plans whose ego estimate at one cut lies in no channel triangle: it is on
+# the route's first hop, rounded out of the ego's own triangle.  Each
+# segment is (snapshot time, t_end, triangle ids, subgoal), as the cut
+# planned them when it still fell back to counting passed waypoints.
+OUTSIDE_ESTIMATE_PLANS = [
+    (4, 1.0999999999999999, (2.6745781567623155, 4.66853920890974), [
+        (0.0, 0.1, [11, 9], (2.7041177647518633, 4.906193072796683)),
+        (0.1, 0.2, [9], (2.736577940084129, 5.103541336071024)),
+        (0.2, 0.30000000000000004, [9, 10], (2.766972544039515, 5.318247732391693)),
+        (0.30000000000000004, 0.5, [11], (2.92500211769801, 5.728005891505201)),
+        (0.5, 0.6, [11], (3.003660703989424, 5.937233296666942))]),
+    (4, 1.3, (2.731555752940185, 5.0643851347681315), [
+        (0.0, 0.1, [9, 10], (2.7619857637415635, 5.309601170570866)),
+        (0.1, 0.30000000000000004, [11], (2.92500211769801, 5.728005891505201)),
+        (0.30000000000000004, 0.4, [11], (3.003660703989424, 5.937233296666942)),
+        (0.4, 0.6000000000000001, [11], (3.002036211555337, 6.337229997933754)),
+        (0.6000000000000001, 0.7000000000000001, [12],
+         (2.9992213213737298, 6.537210187935828))]),
+    (5, 14.999999999999963, (19.903585088493045, 3.3564504286611396), [
+        (0.0, 0.1, [38], (19.941298477999617, 3.3968208852128936)),
+        (0.1, 0.6, [40], (19.903585088493045, 3.3965797522404646)),
+        (0.6, 0.9, [42], (19.903585088493045, 3.204080609211037)),
+        (0.9, 1.2000000000000002, [43], (19.84984974564195, 3.0267790728394632)),
+        (1.2000000000000002, 1.5000000000000002, [44, 42],
+         (20.42428645913284, 3.2491199086783347))]),
+]
+
+
+@pytest.mark.parametrize("seed, t, ego, want", OUTSIDE_ESTIMATE_PLANS)
+def test_estimate_in_no_triangle_keeps_the_ego_triangle(monkeypatch, seed, t, ego,
+                                                        want):
+    outside = []  # cut_index's result for each estimate in no channel triangle
+    real_cut_index = sequencer.cut_index
+
+    def recording_cut_index(channel, mesh, est, m):
+        k = real_cut_index(channel, mesh, est, m)
+        if not any(point_in_triangle(mesh.triangle_points(tri), est)
+                   for tri in channel.triangles):
+            outside.append(k)
+        return k
+
+    monkeypatch.setattr(sequencer, "cut_index", recording_cut_index)
+    scene = generate_synthetic(seed)
+    result = generate_sequence(scene.table_at(t), ego, scene.goal,
+                               SimConfig().sequencer_for(scene))
+    assert outside == [0]
+    assert result.terminated == "max_segments"
+    assert [(seg.mesh.time, seg.t_end, seg.tri_ids, seg.subgoal)
+            for seg in result.segments] == want
+
+
+@pytest.mark.parametrize("enabled", [False, True])
+def test_transmission_switch(monkeypatch, enabled):
+    # Without motion transmission every snapshot plans on the nodes' own
+    # velocities; with it, snapshots plan on transmitted ones.
+    scene = generate_synthetic(0)
+    cfg = dataclasses.replace(SimConfig().sequencer_for(scene),
+                              transmission_enabled=enabled)
+    results = []
+
+    def recording_sequence(*args):
+        results.append(generate_sequence(*args))
+        return results[-1]
+
+    monkeypatch.setattr(simulate, "generate_sequence", recording_sequence)
+    for t in (0.0, 1.0, 2.0):
+        simulate.plan(scene, MethodId.PROPOSED, scene.start, t, cfg)
+    own = [seg.mesh.vel is seg.mesh.nodes.vel for r in results
+           if isinstance(r, ChannelSequence) for seg in r.segments]
+    assert len(own) > 2
+    assert all(own) if not enabled else not any(own)

@@ -45,7 +45,7 @@ class TestDetectCollision:
 
     def colliding(self, ego, ego_radius=0.2):
         sc = self.scene()
-        return colliding_ids(ego, ego_radius, sc.table_at(0.0), sc.obstacle_rows)
+        return colliding_ids(ego, ego_radius, sc, 0.0)
 
     def test_overlap_detected(self):
         assert self.colliding((0.6, 0.0)) == {0}
@@ -178,7 +178,7 @@ class TestPlanning:
         sc = empty_road()
         cfg = SimConfig().sequencer_for(sc)
         res = plan_detailed(sc, MethodId.PROPOSED, sc.start, 0.0, cfg)
-        assert res.corridor
+        assert res.segments
 
     def test_unreachable_goal_fails(self):
         sc = empty_road()

@@ -153,7 +153,7 @@ def reference_best_first(dual, mesh, start_tri, goal_tri, start_cost, speed,
 
 
 def reference_search(dual, mesh, start_tri, goal_tri, *, ego_speed=1.0,
-                     width_threshold=None, time=0.0, ego_position=None):
+                     width_threshold=None, ego_position=None):
     """``astar`` (no ``width_threshold``) or ``timed_astar`` as triangle ids
     and arrival times, or None."""
     if ego_position is None:
@@ -466,7 +466,7 @@ def test_search_matches_reference():
             want = reference_search(dual, moved, start, end, ego_speed=speed,
                                     width_threshold=threshold, ego_position=ego)
             got = timed_astar(dual, moved, start, end, ego_speed=speed,
-                              width_threshold=threshold, time=1.0, ego_position=ego)
+                              width_threshold=threshold, ego_position=ego)
             assert searched(got) == want, (label, threshold)
             outcomes[key, got is None] += 1
             return want
