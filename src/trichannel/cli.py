@@ -185,8 +185,11 @@ def write_outputs(metrics: List[Metrics], skipped: List[str],
 
 
 def _parse_methods(spec: str) -> List[MethodId]:
-    names = [s.strip() for s in spec.split(",") if s.strip()]
-    return [MethodId(n) for n in names]
+    """Methods of a comma-separated list; ValueError for none, an unknown or a repeat."""
+    methods = [MethodId(s.strip()) for s in spec.split(",") if s.strip()]
+    if not methods or len(set(methods)) < len(methods):
+        raise ValueError(f"need distinct known methods, got {spec!r}")
+    return methods
 
 
 def _run_and_write(args: argparse.Namespace,
@@ -227,7 +230,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         methods = _parse_methods(args.methods)
     except ValueError as exc:
-        log.error("unknown method: %s", exc)
+        log.error("invalid --methods: %s", exc)
         return 2
     return 0 if _run_and_write(args, methods) is not None else 2
 

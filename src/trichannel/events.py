@@ -1,17 +1,17 @@
 """Prediction of the first topological event along a channel.
 
-An event is a probe vertex (the opposite vertex of a triangle that shares
-an edge with a channel triangle) entering, or touching, the channel
-triangle's circumcircle: the edge between them is about to flip.  Nodes
-are extrapolated linearly, and each channel triangle is sampled from one
+An event is a probe vertex (the vertex across a side of a channel
+triangle, ``Mesh.opposite``) entering, or touching, the channel triangle's
+circumcircle: the edge between them is about to flip.  Nodes are
+extrapolated linearly, and each channel triangle is sampled from one
 resolution step up to (excluding) the ego's arrival at that triangle.
 
-Every (channel triangle, probe) pair with a non-empty window is gathered
-into one array and scanned in a single pass: the floating-point in-circle
-and orientation filter, with the predicates' error bounds, runs over a
-(pairs x samples) grid in time blocks of 8, 16, 32, ... samples, and the
-scan stops at the first block that holds an event.  Only the cells the
-filter cannot decide go to the exact predicate.
+Each call gathers its channel's moving (triangle, probe) pairs with a
+non-empty window into one array and scans them in a single pass: the
+floating-point in-circle and orientation filter, with the predicates'
+error bounds, runs over a (pairs x samples) grid in time blocks of 8, 16,
+32, ... samples, and the scan stops at the first block that holds an
+event.  Only the cells the filter cannot decide go to the exact predicate.
 """
 from __future__ import annotations
 
@@ -47,35 +47,25 @@ class EventReport:
     node_id: int  # triggering external node
 
 
-def _probe_lists(mesh: Mesh) -> Tuple[np.ndarray, np.ndarray]:
-    """Probes of every triangle and which pairs move, cached per mesh.
-
-    Row ``t`` of the first ``(T, 3)`` table holds the probes of triangle
-    ``t`` (opposite vertices of its edge-adjacent triangles), sorted and
-    padded with the node count.  The second marks the pairs that are not
-    a rigid translation: four nodes sharing one velocity keep their
-    in-circle sign, so the triangle (cocircular neighbours included) stays
-    valid.  NaN compares unequal, as in ``np.array_equal``.
+def _gather(tri_ids: np.ndarray, mesh: Mesh, counts: np.ndarray
+            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Channel index, probe, and the (2, 6, pairs) x and y of the positions
+    and velocities of the ``_ROWS`` of each pair to scan, by channel index,
+    then probe id.  A triangle's probes are its ``Mesh.opposite`` row, each
+    once.  A pair with an empty window (``counts``) or with one velocity
+    for all four nodes (NaN compares unequal) is left out.
     """
-    cached = mesh.cache.get("probes")
-    if cached is not None:
-        return cached
-    tris, across = mesh.triangles, mesh.neighbors  # hull entries (-1) are masked
-    # A neighbour holds the shared edge and the probe, and the edge is the
-    # triangle less its vertex k, so the probe is a difference of index sums.
-    tsum = tris.sum(axis=1)
-    pad = len(mesh.xy)
-    probes = np.sort(np.where(across >= 0, tsum[across] - tsum[:, None] + tris, pad),
-                     axis=1)
+    probes = np.sort(mesh.opposite[tri_ids], axis=1)  # the hull's -1 first
     # Two neighbours can share a probe (a vertex of degree three).
-    probes[:, 1:][probes[:, 1:] == probes[:, :-1]] = pad
-    probes.sort(axis=1)
-    # Rigid: the triangle's three velocities and the probe's are equal.
-    vt = mesh.vel[tris]  # (T, 3, 2)
-    uniform = ((vt[:, 1] == vt[:, 0]) & (vt[:, 2] == vt[:, 0])).all(axis=1)
-    same = (mesh.vel[np.minimum(probes, pad - 1)] == vt[:, :1]).all(axis=2)
-    cached = mesh.cache["probes"] = (probes, (probes < pad) & ~(uniform[:, None] & same))
-    return cached
+    fresh = probes >= 0
+    fresh[:, 1:] &= probes[:, 1:] != probes[:, :-1]
+    chan, col = np.nonzero(fresh & (counts[:, None] > 0))
+    probe = probes[chan, col]
+    rows = np.column_stack([mesh.triangles[tri_ids[chan]], probe])[:, _ROWS]
+    vels = mesh.vel[rows].T
+    moving = (vels != vels[:, :1]).any(axis=(0, 1))
+    return (chan[moving], probe[moving], np.ascontiguousarray(mesh.xy[rows[moving]].T),
+            np.ascontiguousarray(vels[..., moving]))
 
 
 def _exact_is_event(pts: np.ndarray, vels: np.ndarray, tau: float) -> bool:
@@ -146,16 +136,10 @@ def compute_event_time(channel: Channel, mesh: Mesh, sample_resolution: float
     # computed as numpy does, ceil((eta - res) / res), floored at zero.
     counts = np.maximum(np.ceil((np.array(channel.etas, dtype=float) - res) / res),
                         0).astype(np.intp)
-    probes, moving = _probe_lists(mesh)
-    tri_ids = np.asarray(channel.triangles, dtype=np.intp)
-    # Pairs in (channel index, probe id) order.
-    chan, col = np.nonzero(moving[tri_ids] & (counts[:, None] > 0))
+    chan, probe, pts, vels = _gather(np.asarray(channel.triangles, dtype=np.intp),
+                                     mesh, counts)
     if chan.size == 0:
         return None
-    probe = probes[tri_ids[chan], col]
-    rows = np.column_stack([mesh.triangles[tri_ids[chan]], probe])[:, _ROWS]
-    pts = np.ascontiguousarray(mesh.xy[rows].T)  # (2, 6, pairs)
-    vels = np.ascontiguousarray(mesh.vel[rows].T)
     counts = counts[chan]
     # arange values depend only on the index, so the longest window's grid
     # holds every shorter window's samples as a prefix.

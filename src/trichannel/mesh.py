@@ -12,28 +12,29 @@ in id order) builds them only on fallback (``_advance`` lists when).  An
 advanced snapshot is the unique Delaunay triangulation of its nodes, so
 its tables equal Qhull's, whichever snapshot it came from.
 
-The topology is two ``(T, 3)`` tables, built once and read by every stage.
+The topology is three ``(T, 3)`` tables, read by every stage.
 ``triangles[t]`` holds the node indices of triangle ``t``, CCW at the
-snapshot time and starting at the lowest index, with rows ordered by sorted
-vertex triple, so the tables depend only on the set of triangles.
+snapshot time and starting at the lowest index, with rows ordered by
+sorted vertex triple, so the tables depend only on the set of triangles.
 ``neighbors[t, k]`` is the triangle across the edge opposite vertex ``k``,
 or -1 on the hull, so the edges ab, bc, ca of (a, b, c) lie opposite c, a,
-b.  An edge is written (lower index, higher index); edges are walked by
-triangle id, then ab, bc, ca (``mesh_edges``).  Channel search and the
-funnel step across ``neighbors`` itself, and the funnel reads each portal
-end's radius from ``nodes.r`` by index; a ``DualGraph`` holds only the
-goal's placements.
+b, and ``opposite[t, k]`` is its vertex across the edge, or -1: the edge's
+flip certificate is ``(triangles[t], opposite[t, k])``.  An edge is written
+(lower index, higher index); ``mesh_edges`` lists each once, by triangle
+id, then ab, bc, ca.  Channel search and the funnel step across
+``neighbors`` itself, and the funnel reads each portal end's radius from
+``nodes.r`` by index; a ``DualGraph`` holds only the goal's placements.
 
 ``Mesh.xy`` holds the positions at the snapshot time and ``Mesh.vel`` the
 motion that search and event prediction extrapolate with: the raw
 velocities, or the transmitted ones once ``transmission.transmit`` has
-run.  A snapshot's arrays are read-only; scalar code reads the list view
-``xy_list``, built once per snapshot.
+run.  A snapshot's arrays are read-only; ``opposite`` and ``xy_list``, the
+list view scalar code reads, are built once per snapshot, on first use.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -105,13 +106,19 @@ class Mesh:
     vel: np.ndarray  # (N, 2) planning motion of each node
     triangles: np.ndarray  # (T, 3) node indices, CCW from the lowest; rows by sorted triple
     neighbors: np.ndarray  # (T, 3) triangle across the edge opposite each vertex, or -1
-    # Tables later stages derive from this snapshot, ``vel`` included, so
-    # ``dataclasses.replace`` starts an empty one.
-    cache: Dict[str, object] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def xy_list(self) -> List[Point]:
         return list(zip(*self.xy.T.tolist()))
+
+    @cached_property
+    def opposite(self) -> np.ndarray:
+        """(T, 3) vertex of ``neighbors[t, k]`` across the edge opposite vertex
+        ``k`` of ``t``, or -1 on the hull.  The edge is ``t`` less vertex ``k``,
+        so it is the difference of the rows' index sums plus vertex ``k``."""
+        tris, nbrs = self.triangles, self.neighbors
+        tsum = tris.sum(axis=1)
+        return _frozen(np.where(nbrs >= 0, tsum[nbrs] - tsum[:, None] + tris, -1))
 
     def triangle_points(self, tri_id: int) -> TrianglePoints:
         xy = self.xy_list
@@ -178,12 +185,9 @@ def _advance(prior: Mesh, pts: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndar
     det, size = _orientation(pts, tris)
     if not (det > _ADVANCE_RTOL * size).all():
         return None
-    # Every interior edge once, from its lower-id triangle t.  The edge is
-    # t less its vertex k, so the neighbour's vertex across it is the
-    # difference of the two rows' index sums plus vertex k.
+    # Every interior edge once, from its lower-id triangle t.
     t, k = np.nonzero(nbrs > np.arange(len(tris))[:, None])
-    tsum = tris.sum(axis=1)
-    probe = pts[tsum[nbrs[t, k]] - tsum[t] + tris[t, k]]
+    probe = pts[prior.opposite[t, k]]
     rows = pts[tris[t][:, [0, 1, 2, 0, 1]]].T  # (2, 5, E): a, b, c, a, b
     det, perm = incircle_filter(rows[0] - probe[:, 0], rows[1] - probe[:, 1])
     if not (np.abs(det) > _ADVANCE_RTOL * perm).all():
@@ -270,10 +274,10 @@ def mesh_edges(mesh: Mesh) -> np.ndarray:
     An edge first occurs in the lower-id triangle of the two sharing it.
     """
     tris = mesh.triangles
-    ends = np.stack([tris, np.roll(tris, -1, axis=1)], axis=2)  # ab, bc, ca
     across = mesh.neighbors[:, _AB_BC_CA]
     first = (across < 0) | (across > np.arange(len(tris))[:, None])
-    return np.sort(ends[first], axis=1)
+    a, b = tris[first], tris[:, [1, 2, 0]][first]  # the ends of ab, bc, ca
+    return np.column_stack([np.minimum(a, b), np.maximum(a, b)])
 
 
 def find_triangle(mesh: Mesh, vertices: Sequence[int]) -> Optional[int]:

@@ -23,7 +23,6 @@ class Channel:
     triangles: List[int]  # triangle ids, ego first, goal last
     etas: List[float]  # per-triangle arrival offset from ``mesh.time``, seconds
     waypoints: List[Point]  # dual node placement per triangle
-    start_point: Point
 
     def __len__(self) -> int:
         return len(self.triangles)
@@ -124,8 +123,7 @@ def _channel(dual: DualGraph, tris: Optional[List[int]], ego_position: Point,
     for w in waypoints[:-1]:
         etas.append(etas[-1] + dist(prev, w) / ego_speed)
         prev = w
-    return Channel(triangles=tris, etas=etas, waypoints=waypoints,
-                   start_point=ego_position)
+    return Channel(triangles=tris, etas=etas, waypoints=waypoints)
 
 
 def astar(dual: DualGraph, mesh: Mesh, start_tri: int, goal_tri: int, *,

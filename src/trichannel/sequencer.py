@@ -44,8 +44,9 @@ class SequencerConfig:
     padding: Optional[float] = None  # default ego_radius + 0.1
 
     def __post_init__(self) -> None:
-        if self.max_segments < 1:
-            raise ValueError("max_segments must be >= 1")
+        if not isinstance(self.max_segments, int) or self.max_segments < 1:
+            raise ValueError(f"max_segments must be an integer >= 1, "
+                             f"got {self.max_segments!r}")
         # Chained comparisons: NaN fails them, so it is rejected too.
         for name in ("tau_threshold", "sample_resolution", "ego_speed"):
             value = getattr(self, name)
@@ -180,8 +181,7 @@ def _prefix_event(channel: Channel, mesh: Mesh, k: int, window: float,
     """
     probe = Channel(triangles=channel.triangles[: k + 1],
                     etas=[window] * (k + 1),
-                    waypoints=channel.waypoints[: k + 1],
-                    start_point=channel.start_point)
+                    waypoints=channel.waypoints[: k + 1])
     report = compute_event_time(probe, mesh, sample_resolution)
     if report is None:
         return None

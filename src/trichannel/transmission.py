@@ -9,10 +9,11 @@ A moving node ``i`` projects its velocity ``v`` along the displacement
 ``p`` to a neighbour as ``factor * v``, where
 ``factor = alpha / (|p| + alpha) * |pi/2 - theta| ** beta * cos(theta)``
 and ``theta`` is the angle between ``v`` and ``p``; nothing is projected
-when ``cos(theta) < 0``.  One sweep evaluates this over every directed
-edge at once.  numpy's ``+ - * /`` and ``abs`` give the bits that Python
-floats give; ``hypot``, ``acos`` and ``pow`` run as ``math`` and
-builtin calls, as numpy's can differ from them in the last bit.
+when ``cos(theta) < 0``.  One sweep evaluates this over both directions
+of every edge (``mesh_edges``) at once.  numpy's ``+ - * /`` and ``abs``
+give the bits that Python floats give; ``hypot``, ``acos`` and ``pow`` run
+as ``math`` and builtin calls, as numpy's can differ from them in the last
+bit.
 """
 from __future__ import annotations
 
@@ -22,10 +23,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .mesh import Mesh
-
-# The ends of the side opposite each vertex of a triangle row.
-_SIDE_ENDS = np.array([[1, 2], [2, 0], [0, 1]])
+from .mesh import Mesh, mesh_edges
 
 
 @dataclass(frozen=True)
@@ -40,8 +38,8 @@ class TransmissionConfig:
             raise ValueError(f"alpha must be >= 0 and finite, got {self.alpha}")
         if not 0 <= self.beta < math.inf:
             raise ValueError(f"beta must be >= 0 and finite, got {self.beta}")
-        if self.passes < 1:
-            raise ValueError(f"passes must be >= 1, got {self.passes}")
+        if not isinstance(self.passes, int) or self.passes < 1:
+            raise ValueError(f"passes must be an integer >= 1, got {self.passes!r}")
 
 
 def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -59,10 +57,9 @@ def transmit(mesh: Mesh, cfg: TransmissionConfig) -> Mesh:
     projection in source order that beats its own speed.  Raises
     ValueError when an edge that takes a projection has zero length.
     """
-    tris, nbrs = mesh.triangles, mesh.neighbors
-    # Each edge once, from the triangle whose neighbour across it is later
-    # or the hull, then in both directions.
-    ends = tris[:, _SIDE_ENDS][(nbrs < 0) | (nbrs > np.arange(len(tris))[:, None])]
+    # Each edge in both directions.  The winner is picked by (target,
+    # magnitude, source), so the order of the edges cannot change it.
+    ends = mesh_edges(mesh)
     tail, head = ends.ravel(), ends[:, ::-1].ravel()
     alpha, beta = float(cfg.alpha), float(cfg.beta)
     x, y = mesh.xy.T

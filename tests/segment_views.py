@@ -1,8 +1,8 @@
 """Node-id views of channel segments, read only by the tests.
 
 A ``ChannelSegment`` keeps its snapshot and triangle ids in it; these
-helpers read the node-id triangles, the anchor and the start points that
-the tests check across segments and snapshots.
+helpers read the node-id triangles and the anchor that the tests check
+across segments and snapshots.
 """
 
 
@@ -15,8 +15,3 @@ def node_triangles(seg):
 def node_anchor(seg):
     """The node-id triple of the segment's last triangle, its anchor."""
     return node_triangles(seg)[-1]
-
-
-def start_points(start, segments):
-    """Where each segment starts: the plan's start, then each earlier subgoal."""
-    return [start, *(seg.subgoal for seg in segments[:-1])]

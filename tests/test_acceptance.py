@@ -31,7 +31,7 @@ from trichannel.sequencer import (ChannelSequence, SequencerConfig,
                                   generate_sequence)
 from trichannel.simulate import MethodId, SimConfig, aggregate
 
-from segment_views import node_anchor, node_triangles, start_points
+from segment_views import node_anchor, node_triangles
 
 WORKERS = max(1, min(8, os.cpu_count() or 1))
 
@@ -273,7 +273,7 @@ def test_criterion_4_sequence_invariants():
             if cur.t_end != nxt.mesh.time:
                 violations += 1
                 details.append("window contiguity")
-        for seg, seg_start in zip(segs, start_points(start, segs)):
+        for seg in segs:
             if seg.t_end is None:
                 continue
             closed += 1
@@ -294,7 +294,7 @@ def test_criterion_4_sequence_invariants():
                 details.append("subgoal containment")
             # Unaffectedness: re-predicting over the segment's own triangles
             # and window finds nothing strictly before the boundary event.
-            report_ = _segment_event(nodes, seg, seg_start)
+            report_ = _segment_event(nodes, seg)
             if report_ is not None and report_ < seg.t_end - 1e-9:
                 violations += 1
                 details.append("unaffectedness")
@@ -306,7 +306,7 @@ def test_criterion_4_sequence_invariants():
     assert violations == 0
 
 
-def _segment_event(nodes, seg, start_point):
+def _segment_event(nodes, seg):
     from trichannel.search import Channel
     from trichannel.transmission import TransmissionConfig, transmit
 
@@ -320,8 +320,7 @@ def _segment_event(nodes, seg, start_point):
         ids.append(tid)
     window = seg.t_end - seg.mesh.time
     ch = Channel(triangles=ids,
-                 etas=[window] * len(ids), waypoints=[(0, 0)] * len(ids),
-                 start_point=start_point)
+                 etas=[window] * len(ids), waypoints=[(0, 0)] * len(ids))
     # Same velocity model the sequencer predicted with.
     rep = compute_event_time(ch, transmit(mesh, TransmissionConfig()), 0.1)
     return None if rep is None else rep.time

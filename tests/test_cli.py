@@ -160,12 +160,24 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert any("nope" in s for s in summary["skipped"])
 
-    def test_unknown_method_exit_code(self, tmp_path):
+    def test_unknown_method_exit_code(self, tmp_path, caplog):
         scene = tmp_path / "s.json"
         small_scenario(scene)
         rc = main(["run", str(scene), "--methods", "dijkstra",
                    "--out-dir", str(tmp_path / "res")])
         assert rc == 2
+        assert "invalid --methods" in caplog.text
+
+    @pytest.mark.parametrize("spec", [",", "", " , ", "astar,astar", "proposed, astar,proposed"])
+    def test_empty_or_repeated_methods_exit_code(self, tmp_path, caplog, spec):
+        # An empty list wrote a header-only metrics.csv; a repeat ran each
+        # scene twice and wrote duplicate rows.
+        scene = tmp_path / "s.json"
+        small_scenario(scene)
+        out = tmp_path / "res"
+        assert main(["run", str(scene), "--methods", spec, "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        assert "invalid --methods" in caplog.text
 
     def test_each_file_read_once(self, tmp_path, monkeypatch):
         scene = tmp_path / "s.json"

@@ -326,7 +326,7 @@ def moving_nodes(points, velocities):
 def channel_of(mesh, tri_ids, etas):
     """A channel over arbitrary triangles; the scan reads only ids and etas."""
     return Channel(triangles=list(tri_ids), etas=list(etas),
-                   waypoints=[(0.0, 0.0)] * len(tri_ids), start_point=(0.0, 0.0))
+                   waypoints=[(0.0, 0.0)] * len(tri_ids))
 
 
 def triangle_with(mesh, verts):
@@ -470,11 +470,11 @@ class TestBatchedScan:
             assert (report and report.time) == want
 
     def test_probe_cache_follows_transmitted_velocities(self):
-        # The per-mesh probe table marks rigid pairs from ``mesh.vel``.  The
-        # static triangle and its static probe form a rigid pair of the raw
-        # snapshot; transmission hands the probe the walker's motion, and
-        # the transmitted snapshot, which shares the raw one's topology,
-        # must scan the pair instead of reusing the raw table.
+        # Rigid pairs are told from ``mesh.vel``.  The static triangle and
+        # its static probe form a rigid pair of the raw snapshot;
+        # transmission hands the probe the walker's motion, and the
+        # transmitted snapshot, which has the raw one's topology, must scan
+        # the pair.
         pts = [(0, 0), (2, 0), (1, 1.8), (1, -1.5), (1, -3)]
         vels = [(0, 0), (0, 0), (0, 0), (0, 0), (0, 2)]
         raw = build_mesh(moving_nodes(pts, vels), 0.0)

@@ -1,10 +1,12 @@
 """Every name a ``trichannel`` module imports is referenced in that module,
-and every function and class it defines is referenced somewhere in ``src/``.
+and every function, class and module-level constant it defines is
+referenced somewhere in ``src/``.
 
 An AST scan, so it needs no linter.  ``__init__.py`` is exempt from the
 import check: its imports are the package's re-exports.  An import is not
-a reference, so a definition that only the re-exports and the tests reach
-fails the second check.  Dunders are exempt from it.
+a reference, nor is an assignment, so a definition that only the
+re-exports and the tests reach fails the second check.  Dunders are exempt
+from it.
 """
 import ast
 from pathlib import Path
@@ -31,7 +33,8 @@ def imported_names(tree):
 
 def referenced_names(tree):
     """Every bare name the module reads, string annotations included."""
-    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names = {n.id for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
     annotations = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -68,10 +71,17 @@ def test_scan_finds_an_unused_import():
 
 
 def defined_names(tree):
-    """Each function and class the module defines, dunders left out, with its line."""
-    return [(node.name, node.lineno) for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not (node.name.startswith("__") and node.name.endswith("__"))]
+    """Each function, class and module-level constant the module defines,
+    dunders left out, with its line."""
+    out = [(node.name, node.lineno) for node in ast.walk(tree)
+           if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        out += [(n.id, node.lineno) for target in targets for n in ast.walk(target)
+                if isinstance(n, ast.Name)]
+    return [(name, line) for name, line in out
+            if not (name.startswith("__") and name.endswith("__"))]
 
 
 def used_names(trees):
@@ -105,3 +115,18 @@ def test_scan_finds_a_definition_only_tests_call():
                        "make()\n")
     used = used_names([lib, caller])
     assert [n for n, _ in defined_names(lib) if n not in used] == ["only_tested"]
+
+
+def test_scan_finds_a_constant_nothing_reads():
+    lib = ast.parse("import numpy as np\n"
+                    "_ROWS = np.array([0, 1, 2])\n"
+                    "_UNREAD, _PAIR = 1, 2\n"
+                    "LIMIT: int = 3\n"
+                    "__all__ = ['f']\n"
+                    "def f(x):\n"
+                    "    _UNREAD = 4\n"
+                    "    return x[_ROWS] + _PAIR\n")
+    caller = ast.parse("import lib\n"
+                       "lib.f(lib.LIMIT)\n")
+    used = used_names([lib, caller])
+    assert [n for n, _ in defined_names(lib) if n not in used] == ["_UNREAD"]

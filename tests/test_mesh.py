@@ -242,8 +242,21 @@ def reference_triangles(nodes):
     return sorted(rows, key=sorted)
 
 
+def opposite_oracle(mesh):
+    """Per side: the vertex of the triangle across it that is not in the row, or -1."""
+    rows = mesh.triangles.tolist()
+    out = []
+    for verts, across in zip(rows, mesh.neighbors.tolist()):
+        out.append([])
+        for u in across:
+            extra = [] if u < 0 else [v for v in rows[u] if v not in verts]
+            assert len(extra) == (u >= 0)
+            out[-1].append(extra[0] if extra else -1)
+    return out
+
+
 class TestTopologyTables:
-    """The triangle and neighbour tables against brute-force scans."""
+    """The triangle, neighbour and opposite tables against brute-force scans."""
 
     @pytest.mark.parametrize("nodes", list(oracle_scenes()))
     def test_tables_match_brute_force(self, nodes):
@@ -267,6 +280,40 @@ class TestTopologyTables:
                 assert holders == [u]
                 assert shared_vertices(mesh, t, u) == edge
                 assert mesh.neighbors[u].tolist().count(t) == 1  # points back
+
+    def test_opposite_matches_brute_force(self, monkeypatch):
+        # Each scene's Qhull build, then that snapshot advanced by flips.
+        calls = count_qhull(monkeypatch)
+        advanced = 0
+        for label, nodes, t in corpus():
+            try:
+                built = qhull_build(nodes, t)
+            except DegenerateInputError:
+                continue
+            before = len(calls)
+            moved = build_mesh(built.nodes, t + 0.3, built)
+            advanced += len(calls) == before
+            for mesh in (built, moved):
+                assert mesh.opposite.tolist() == opposite_oracle(mesh), label
+                assert not mesh.opposite.flags.writeable
+        assert advanced > 30  # a moving hull node sends the rest back to Qhull
+
+    def test_opposite_matches_brute_force_in_closed_loop(self, monkeypatch):
+        # Snapshots a plan advances from the one before; the hull stays put.
+        calls = count_qhull(monkeypatch)
+        advanced = []
+
+        def checking_build(nodes, t, prior=None):
+            before = len(calls)
+            got = build_mesh(nodes, t, prior)
+            advanced.append(len(calls) == before)
+            assert got.opposite.tolist() == opposite_oracle(got)
+            return got
+
+        monkeypatch.setattr(sequencer, "build_mesh", checking_build)
+        run_scenario(dataclasses.replace(generate_synthetic(1), time_limit=4.0),
+                     MethodId.PROPOSED)
+        assert sum(advanced) > 0.8 * len(advanced) > 20
 
     @pytest.mark.parametrize("nodes", list(oracle_scenes()))
     def test_edges_in_first_occurrence_order(self, nodes):

@@ -19,7 +19,7 @@ from trichannel.sequencer import (ChannelSequence, SequenceFailure,
 from trichannel.simulate import MethodId, SimConfig, run_scenario
 from trichannel.transmission import transmit
 
-from segment_views import node_anchor, node_triangles, start_points
+from segment_views import node_anchor, node_triangles
 
 
 def make_nodes(points, r=0.0):
@@ -27,14 +27,17 @@ def make_nodes(points, r=0.0):
             for i, (x, y) in enumerate(points)]
 
 
+STRIP_START = (0.9, 0.6)
+
+
 def straight_strip():
-    """Six-triangle strip along +x with unit hop times."""
+    """Six-triangle strip along +x with unit hop times, entered at ``STRIP_START``."""
     pts = [(0, 0), (2, 0), (4, 0), (6, 0), (1, 2), (3, 2), (5, 2), (7, 2)]
     mesh = build_mesh(make_nodes(pts), 0.0)
     dual = build_dual(mesh, (7, 1))
     start = next(i for i, v in enumerate(mesh.triangles.tolist()) if 0 in v)
     end = next(i for i, v in enumerate(mesh.triangles.tolist()) if 7 in v)
-    ch = astar(dual, mesh, start, end, ego_position=(0.9, 0.6), ego_speed=1.0)
+    ch = astar(dual, mesh, start, end, ego_position=STRIP_START, ego_speed=1.0)
     return mesh, ch
 
 
@@ -70,7 +73,7 @@ class TestLastTriangleIndex:
 def walked_index(mesh, ch, travel):
     """``cut_index`` of the ego walked ``travel`` along the dual-node chain,
     with the event on the channel's last triangle."""
-    est = point_along([ch.start_point, *ch.waypoints], travel)
+    est = point_along([STRIP_START, *ch.waypoints], travel)
     return cut_index(ch, mesh, est, len(ch) - 1)
 
 
@@ -81,7 +84,7 @@ class TestEgoIndexAt:
 
     def test_advance_lands_in_later_triangle(self):
         mesh, ch = straight_strip()
-        total = dist(ch.start_point, ch.waypoints[0]) + sum(
+        total = dist(STRIP_START, ch.waypoints[0]) + sum(
             dist(a, b) for a, b in zip(ch.waypoints, ch.waypoints[1:]))
         e = walked_index(mesh, ch, total)
         # The chain end sits on shared triangle boundaries, so the located
@@ -260,8 +263,7 @@ class TestGenerateSequence:
         cfg = self.cfg(ego_speed=0.4)
         result = generate_sequence(nodes, (0.5, 1.0), (9.5, 3.0), cfg)
         assert isinstance(result, ChannelSequence)
-        for seg, start in zip(result.segments,
-                              start_points((0.5, 1.0), result.segments)):
+        for seg in result.segments:
             if seg.t_end is None:
                 continue
             mesh = build_mesh(nodes, seg.mesh.time)
@@ -273,9 +275,7 @@ class TestGenerateSequence:
             ids = [by_verts[frozenset(v)] for v in node_triangles(seg)]
             window = seg.t_end - seg.mesh.time
             etas = [window] * len(ids)
-            ch = Channel(triangles=ids, etas=etas,
-                         waypoints=[(0, 0)] * len(ids),
-                         start_point=start)
+            ch = Channel(triangles=ids, etas=etas, waypoints=[(0, 0)] * len(ids))
             report = compute_event_time(ch, mesh, cfg.sample_resolution)
             if report is not None:
                 assert report.time >= seg.t_end - 1e-9
@@ -287,6 +287,13 @@ class TestGenerateSequence:
             SequencerConfig(tau_threshold=0)
         with pytest.raises(ValueError):
             SequencerConfig(sample_resolution=0)
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, math.nan, "3", None])
+    def test_non_integer_max_segments_rejected(self, value):
+        # 2.5 used to pass validation and make ``generate_sequence`` raise
+        # TypeError.
+        with pytest.raises(ValueError, match="max_segments must be an integer"):
+            SequencerConfig(max_segments=value)
 
     @pytest.mark.parametrize("field", ["tau_threshold", "sample_resolution",
                                        "width_threshold", "padding",

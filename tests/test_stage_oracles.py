@@ -11,6 +11,9 @@ across the same neighbours with ``dist`` and one ``edge_gap_at`` call per
 edge.  ``funnel`` reads its portals from ``Mesh.neighbors`` and its radii
 by node index; its reference finds each portal by matching the points of
 consecutive triangles and reads radii from a map keyed by position.
+Event prediction gathers the probe pairs of its channel's triangles from
+``Mesh.opposite`` on each call; its reference builds the probe table of
+the whole snapshot from index sums.
 """
 import heapq
 import math
@@ -20,7 +23,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from trichannel import sequencer, simulate
+from trichannel import events, sequencer, simulate, transmission
 from trichannel.funnel import PathPolyline, _shrink_portal, _string_pull, funnel
 from trichannel.geometry import NodeKind, NodeState, dist, orient2d
 from trichannel.mesh import (DegenerateInputError, Mesh, NodeTable, build_dual,
@@ -329,6 +332,33 @@ def corridor_mesh(triangles, radius_of=None):
                 neighbors=np.array(neighbors, dtype=np.intp).reshape(-1, 3))
 
 
+def reference_probe_lists(mesh):
+    """Probes of every triangle and which pairs move.
+
+    Row ``t`` of the first ``(T, 3)`` table holds the probes of triangle
+    ``t`` (opposite vertices of its edge-adjacent triangles), sorted and
+    padded with the node count.  The second marks the pairs that are not
+    a rigid translation: four nodes sharing one velocity keep their
+    in-circle sign, so the triangle (cocircular neighbours included) stays
+    valid.  NaN compares unequal, as in ``np.array_equal``.
+    """
+    tris, across = mesh.triangles, mesh.neighbors  # hull entries (-1) are masked
+    # A neighbour holds the shared edge and the probe, and the edge is the
+    # triangle less its vertex k, so the probe is a difference of index sums.
+    tsum = tris.sum(axis=1)
+    pad = len(mesh.xy)
+    probes = np.sort(np.where(across >= 0, tsum[across] - tsum[:, None] + tris, pad),
+                     axis=1)
+    # Two neighbours can share a probe (a vertex of degree three).
+    probes[:, 1:][probes[:, 1:] == probes[:, :-1]] = pad
+    probes.sort(axis=1)
+    # Rigid: the triangle's three velocities and the probe's are equal.
+    vt = mesh.vel[tris]  # (T, 3, 2)
+    uniform = ((vt[:, 1] == vt[:, 0]) & (vt[:, 2] == vt[:, 0])).all(axis=1)
+    same = (mesh.vel[np.minimum(probes, pad - 1)] == vt[:, :1]).all(axis=2)
+    return probes, (probes < pad) & ~(uniform[:, None] & same)
+
+
 def bits(values):
     return np.array(values, dtype=float).tobytes()
 
@@ -435,6 +465,23 @@ def test_transmit_matches_reference_at_other_settings(cfg):
         adopted += int((got.vel != mesh.vel).any(axis=1).sum())
     # With alpha = 0 every projection is zero, and none beats a speed.
     assert adopted == 0 if cfg.alpha == 0.0 else adopted > 1000
+
+
+@pytest.mark.parametrize("cfg", [TransmissionConfig(), TransmissionConfig(passes=2)])
+def test_transmit_ignores_edge_order_and_direction(cfg, monkeypatch):
+    want = [transmit(mesh, cfg).vel.tobytes() for _, mesh in MESHES]
+    rng = np.random.default_rng(3)
+
+    def scrambled(mesh):
+        edges = mesh_edges(mesh)
+        edges = edges[rng.permutation(len(edges))]
+        flip = rng.random(len(edges)) < 0.5
+        edges[flip] = edges[flip, ::-1]
+        return edges
+
+    monkeypatch.setattr(transmission, "mesh_edges", scrambled)
+    got = [transmit(mesh, cfg).vel.tobytes() for _, mesh in MESHES]
+    assert got == want
 
 
 def test_first_strict_maximum_wins():
@@ -565,6 +612,31 @@ def test_funnel_matches_reference_in_closed_loop(monkeypatch):
     assert mismatches == []
     assert outcomes["path"] > 2000 and outcomes[None] > 100
     assert outcomes["ValueError"] > 0
+
+
+def test_event_pairs_match_probe_lists_in_closed_loop(monkeypatch):
+    # Every event prediction of the closed-loop runs, main scan and prefix
+    # re-scans, gathers the pairs that the snapshot's probe table holds.
+    gather, calls, mismatches = events._gather, Counter(), []
+
+    def checked(tri_ids, mesh, counts):
+        got = gather(tri_ids, mesh, counts)
+        probes, moving = reference_probe_lists(mesh)
+        chan, col = np.nonzero(moving[tri_ids] & (counts[:, None] > 0))
+        rows = np.column_stack([mesh.triangles[tri_ids[chan]], probes[tri_ids[chan], col]])
+        want = (chan, rows[:, 3], mesh.xy[rows[:, [0, 1, 2, 0, 1, 3]]].T,
+                mesh.vel[rows[:, [0, 1, 2, 0, 1, 3]]].T)
+        calls["call"] += 1
+        calls["pairs"] += len(chan)
+        if [a.tobytes() for a in got] != [np.ascontiguousarray(a).tobytes() for a in want]:
+            mismatches.append((mesh.time, tri_ids.tolist()))
+        return got
+
+    monkeypatch.setattr(events, "_gather", checked)
+    for seed in (0, 5):
+        run_scenario(generate_synthetic(seed), MethodId.PROPOSED)
+    assert mismatches == []
+    assert calls["call"] > 3000 and calls["pairs"] > 20 * calls["call"]
 
 
 def test_search_and_transmit_match_references_in_closed_loop(monkeypatch):

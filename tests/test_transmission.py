@@ -191,6 +191,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             TransmissionConfig(passes=0)
 
+    @pytest.mark.parametrize("passes", [1.5, 2.0, "2", None])
+    def test_non_integer_passes_rejected(self, passes):
+        # 1.5 used to pass validation and make ``transmit`` raise TypeError.
+        with pytest.raises(ValueError, match="passes must be an integer"):
+            TransmissionConfig(passes=passes)
+
     def test_defaults(self):
         cfg = TransmissionConfig()
         assert cfg.alpha == 1.0
