@@ -12,6 +12,8 @@ floating-point in-circle and orientation filter, with the predicates'
 error bounds, runs over a (pairs x samples) grid in time blocks of 8, 16,
 32, ... samples, and the scan stops at the first block that holds an
 event.  Only the cells the filter cannot decide go to the exact predicate.
+A call returns None before gathering when no channel triangle has a sample
+in its window or when no node of the snapshot moves.
 """
 from __future__ import annotations
 
@@ -122,7 +124,8 @@ def compute_event_time(channel: Channel, mesh: Mesh, sample_resolution: float
     four nodes share one velocity translates rigidly and is skipped.  The
     earliest sample wins; a tie goes to the lowest channel index, then to
     the lowest probe id.  Returns None when no triangle sees an event
-    before the ego reaches it.
+    before the ego reaches it, at once when no window holds a sample or
+    every velocity is zero.
 
     All pairs are scanned in one array pass, block by block in time; the
     cells the float filter cannot decide go to the exact predicate pair by
@@ -136,6 +139,8 @@ def compute_event_time(channel: Channel, mesh: Mesh, sample_resolution: float
     # computed as numpy does, ceil((eta - res) / res), floored at zero.
     counts = np.maximum(np.ceil((np.array(channel.etas, dtype=float) - res) / res),
                         0).astype(np.intp)
+    if not counts.any() or not mesh.vel.any():  # no sample, or every pair at rest
+        return None
     chan, probe, pts, vels = _gather(np.asarray(channel.triangles, dtype=np.intp),
                                      mesh, counts)
     if chan.size == 0:

@@ -154,7 +154,7 @@ def subgoal(anchor: TrianglePoints, est_ego: Point,
         improved = False
         for dx, dy in ((step, 0), (-step, 0), (0, step), (0, -step)):
             cand = (best[0] + dx, best[1] + dy)
-            if feasible(cand) and dist(cand, est_ego) < dist(best, est_ego):
+            if dist(cand, est_ego) < dist(best, est_ego) and feasible(cand):
                 best = cand
                 improved = True
         if not improved:

@@ -10,10 +10,11 @@ A moving node ``i`` projects its velocity ``v`` along the displacement
 ``factor = alpha / (|p| + alpha) * |pi/2 - theta| ** beta * cos(theta)``
 and ``theta`` is the angle between ``v`` and ``p``; nothing is projected
 when ``cos(theta) < 0``.  One sweep evaluates this over both directions
-of every edge (``mesh_edges``) at once.  numpy's ``+ - * /`` and ``abs``
-give the bits that Python floats give; ``hypot``, ``acos`` and ``pow`` run
-as ``math`` and builtin calls, as numpy's can differ from them in the last
-bit.
+of every edge (``mesh_edges``) at once; a snapshot in which no node moves
+is returned as it is, before the edges are listed.  numpy's ``+ - * /``
+and ``abs`` give the bits that Python floats give; ``hypot``, ``acos`` and
+``pow`` run as ``math`` and builtin calls, as numpy's can differ from them
+in the last bit.
 """
 from __future__ import annotations
 
@@ -54,9 +55,12 @@ def transmit(mesh: Mesh, cfg: TransmissionConfig) -> Mesh:
     for the current planning cycle, never for ground-truth state.  Each
     sweep projects every moving node's velocity along each of its edges
     that it moves toward, and each target keeps the first strictly largest
-    projection in source order that beats its own speed.  Raises
+    projection in source order that beats its own speed.  Returns
+    ``mesh`` itself when every velocity is zero (-0.0 included).  Raises
     ValueError when an edge that takes a projection has zero length.
     """
+    if not mesh.vel.any():  # no node moves: nothing to project
+        return mesh
     # Each edge in both directions.  The winner is picked by (target,
     # magnitude, source), so the order of the edges cannot change it.
     ends = mesh_edges(mesh)

@@ -10,6 +10,7 @@ import os
 import platform
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,11 +26,12 @@ from trichannel.geometry import (InCircleSide, NodeKind, NodeState, dist,
 from trichannel.mesh import (DegenerateInputError, build_dual, build_mesh,
                              locate, point_in_triangle)
 from trichannel.render import render_run
-from trichannel.scenario import SyntheticParams, generate_synthetic
+from trichannel import simulate
+from trichannel.scenario import ObjectTrack, SyntheticParams, generate_synthetic
 from trichannel.search import astar
 from trichannel.sequencer import (ChannelSequence, SequencerConfig,
                                   generate_sequence)
-from trichannel.simulate import MethodId, SimConfig, aggregate
+from trichannel.simulate import MethodId, SimConfig, aggregate, run_scenario
 
 from segment_views import node_anchor, node_triangles
 
@@ -554,4 +556,41 @@ def test_criterion_8_golden_render_frames(tmp_path, seed, method):
     same = digest == GOLDEN_RENDER_SHA256[seed, method.value]
     report(8, f"golden render frames, {method.value}", same,
            f"{len(frames)} frames, sha256 {digest[:12]}")
+    assert same
+
+
+# Every plan() path, points and segment ids, of proposed runs on parked
+# copies of four scenes, hashed on the toolchain of GOLDEN_METRICS_CSV.  A
+# parked copy freezes each track at its first waypoint, as the benchmark's
+# ``parked`` workload does, so no node moves in any snapshot.
+GOLDEN_PARKED_PATHS_SHA256 = "572e5e8b870435460c4e081d2be75896f8b46143257433879184272df0d0da48"
+
+
+def parked(sc):
+    return replace(sc, id=f"{sc.id}-parked", nodes=[
+        ObjectTrack(id=t.id, kind=NodeKind.STATIC, radius=t.radius,
+                    waypoints=[t.waypoints[0]])
+        for t in sc.nodes])
+
+
+def test_criterion_8_golden_parked_paths(monkeypatch):
+    skip_off_golden_toolchain()
+    digest, plans = hashlib.sha256(), []
+    plan = simulate.plan
+
+    def hashed(*args):
+        path = plan(*args)
+        plans.append(path is not None)
+        if path is not None:
+            digest.update(np.asarray(path.points, dtype=float).tobytes())
+            digest.update(np.asarray(path.segment_ids, dtype=np.int64).tobytes())
+        digest.update(b"|")
+        return path
+
+    monkeypatch.setattr(simulate, "plan", hashed)
+    for seed in range(4):
+        run_scenario(parked(generate_synthetic(seed)), MethodId.PROPOSED)
+    same = digest.hexdigest() == GOLDEN_PARKED_PATHS_SHA256
+    report(8, "golden parked paths", same,
+           f"{len(plans)} plans, {sum(plans)} paths, sha256 {digest.hexdigest()[:12]}")
     assert same

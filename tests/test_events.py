@@ -505,6 +505,53 @@ class TestBatchedScan:
 
 # Anchor survival into a later snapshot, against a brute-force scan.
 
+class TestEarlyReturns:
+    # No window with a sample, or no moving node: the scan returns None
+    # before it gathers a pair.
+    @pytest.fixture(params=["no sample", "still", "still -0.0"])
+    def unscanned(self, request, monkeypatch):
+        mesh, _ = crossing_channel()  # the walker moves
+        n = len(mesh.triangles)
+        if request.param == "no sample":
+            etas = [(0.0, 0.05, 0.1)[i % 3] for i in range(n)]  # each <= 0.1
+        else:
+            zero = -0.0 if request.param.endswith("-0.0") else 0.0
+            mesh = dataclasses.replace(mesh, vel=np.full_like(mesh.vel, zero))
+            etas = [8.0] * n
+
+        def refuse(*args):
+            raise AssertionError("gathered pairs")
+
+        monkeypatch.setattr(events, "_gather", refuse)
+        return channel_of(mesh, range(n), etas), mesh
+
+    def test_returns_none_without_gathering(self, unscanned):
+        ch, mesh = unscanned
+        assert compute_event_time(ch, mesh, 0.1) is None
+        assert reference_event_time(ch, mesh, 0.1) is None
+
+    def test_zero_resolution_still_raises(self, unscanned):
+        ch, mesh = unscanned
+        for scan in (compute_event_time, reference_event_time):
+            with pytest.raises(ValueError, match="sample_resolution"):
+                scan(ch, mesh, 0.0)
+
+    def test_one_moving_node_gathers(self, monkeypatch):
+        mesh, _ = crossing_channel()
+        assert np.count_nonzero(mesh.vel.any(axis=1)) == 1
+        ch = channel_of(mesh, range(len(mesh.triangles)), [8.0] * len(mesh.triangles))
+        gather, calls = events._gather, []
+
+        def counting(*args):
+            calls.append(args)
+            return gather(*args)
+
+        monkeypatch.setattr(events, "_gather", counting)
+        report = compute_event_time(ch, mesh, 0.1)
+        assert len(calls) == 1
+        assert report is not None and report == reference_event_time(ch, mesh, 0.1)
+
+
 def survives_oracle(table, t, tri):
     """No other node inside or on the circumcircle of ``tri`` at ``t``."""
     xy = [tuple(p) for p in (table.xy + table.vel * t).tolist()]

@@ -633,7 +633,7 @@ def test_event_pairs_match_probe_lists_in_closed_loop(monkeypatch):
         return got
 
     monkeypatch.setattr(events, "_gather", checked)
-    for seed in (0, 5):
+    for seed in (0, 1, 5):
         run_scenario(generate_synthetic(seed), MethodId.PROPOSED)
     assert mismatches == []
     assert calls["call"] > 3000 and calls["pairs"] > 20 * calls["call"]

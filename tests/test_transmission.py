@@ -3,6 +3,7 @@
 ``project_velocity`` is the scalar oracle that ``tests/test_stage_oracles.py``
 holds ``transmit`` to; its tests pin the formula.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -11,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_stage_oracles import project_velocity
+import trichannel.transmission as transmission
+from test_stage_oracles import bits, project_velocity, reference_transmit
 from trichannel.geometry import NodeKind, NodeState
-from trichannel.mesh import Mesh, NodeTable, build_mesh
+from trichannel.mesh import Mesh, NodeTable, build_mesh, mesh_edges
 from trichannel.transmission import TransmissionConfig, transmit
 
 
@@ -128,6 +130,35 @@ class TestTransmit:
         mesh = build_mesh(nodes, 0.0)
         out = transmit(mesh, TransmissionConfig())
         assert not out.vel.any()
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_still_snapshot_lists_no_edges(self, monkeypatch, zero):
+        # -0.0 is still too, as the sweep's ``== 0.0`` test reads it.
+        mesh = build_mesh(crossing_scene(), 0.0)
+        still = dataclasses.replace(mesh, vel=np.full_like(mesh.vel, zero))
+        cfg = TransmissionConfig(passes=2)
+        want = bits(reference_transmit(still, cfg))
+
+        def refuse(mesh):
+            raise AssertionError("a still snapshot listed its edges")
+
+        monkeypatch.setattr(transmission, "mesh_edges", refuse)
+        assert transmit(still, cfg).vel.tobytes() == want
+
+    def test_one_moving_node_sweeps(self, monkeypatch):
+        mesh = build_mesh(crossing_scene(), 0.0)
+        cfg = TransmissionConfig(passes=2)
+        calls = []
+
+        def counting(mesh):
+            calls.append(mesh)
+            return mesh_edges(mesh)
+
+        monkeypatch.setattr(transmission, "mesh_edges", counting)
+        out = transmit(mesh, cfg)
+        assert len(calls) == 1
+        assert out.vel.tobytes() == bits(reference_transmit(mesh, cfg))
+        assert out.vel.tobytes() != mesh.vel.tobytes()
 
     def test_sweeps_extend_reach(self):
         # With one pass the far node is untouched; a second pass reaches it
