@@ -5,6 +5,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import sys
 from multiprocessing import Pool
 from pathlib import Path
@@ -272,8 +273,8 @@ def cmd_render(args: argparse.Namespace) -> int:
     cfg = _sim_config(args)
     if cfg is None:
         return 2
-    if not args.frame_dt > 0:
-        log.error("invalid --frame-dt: must be positive, got %s", args.frame_dt)
+    if not 0 < args.frame_dt < math.inf:
+        log.error("invalid --frame-dt: must be positive and finite, got %s", args.frame_dt)
         return 2
     try:
         frames = render_run(scenario, MethodId(args.method), Path(args.out_dir),

@@ -7,8 +7,9 @@ index order is id order.  A plan reads one table (``Scenario.table_at``)
 and all its snapshots share it.  A snapshot's tables are an earlier
 snapshot's, taken to the new positions and Lawson-flipped until every edge
 is certainly locally Delaunay: a plan's later snapshots advance from the
-one before, its first from the last plan's first.  Qhull (``scipy.spatial.Delaunay``, nodes fed
-in id order) builds them only on fallback (``_advance`` lists when).  An
+one before, its first from the last plan's first; with no flip, it shares
+its seed's tables.  Qhull (``scipy.spatial.Delaunay``, nodes fed in id
+order) builds them only on fallback (``_advance`` lists when).  An
 advanced snapshot is the unique Delaunay triangulation of its nodes, so
 its tables equal Qhull's, whichever snapshot it came from.
 
@@ -83,6 +84,11 @@ class NodeTable:
     vel: np.ndarray  # (N, 2) velocities
     r: np.ndarray  # (N,) radii
 
+    def __post_init__(self) -> None:
+        if not (self.ids[1:] > self.ids[:-1]).all():
+            raise ValueError("duplicate node ids" if np.unique(self.ids).size < self.ids.size
+                             else "node ids not ascending")
+
     @classmethod
     def of(cls, nodes: Iterable[NodeState]) -> "NodeTable":
         node_list = sorted(nodes, key=lambda n: n.id)
@@ -126,13 +132,23 @@ class Mesh:
         return (xy[a], xy[b], xy[c])
 
 
-def _orientation(pts: np.ndarray, tris: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``orient2d``'s float determinant of every row, and the sum of the
-    magnitudes of its two products, which its error bound scales."""
-    a, b, c = (pts[tris[:, k]] for k in range(3))
-    detleft = (a[:, 0] - c[:, 0]) * (b[:, 1] - c[:, 1])
-    detright = (a[:, 1] - c[:, 1]) * (b[:, 0] - c[:, 0])
+def _orientation(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``orient2d``'s float determinant of every row of the ``(T, 3)`` corner
+    coordinates ``x`` and ``y``, and the sum of the magnitudes of its two
+    products, which its error bound scales."""
+    detleft = (x[:, 0] - x[:, 2]) * (y[:, 1] - y[:, 2])
+    detright = (y[:, 0] - y[:, 2]) * (x[:, 1] - x[:, 2])
     return detleft - detright, np.abs(detleft) + np.abs(detright)
+
+
+def _by_sorted_triple(triangles: np.ndarray, neighbors: np.ndarray
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """The tables with rows ordered by sorted vertex triple, neighbours renumbered."""
+    order = np.lexsort(np.sort(triangles, axis=1).T[::-1])
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    neighbors = neighbors[order]
+    return triangles[order], np.where(neighbors >= 0, rank[neighbors], -1)
 
 
 def _qhull_tables(pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -149,7 +165,7 @@ def _qhull_tables(pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     # Orient every triangle CCW: the float filter of ``orient2d`` decides
     # all rows at once, and only the rows inside its error bound go to the
     # exact predicate.
-    det, size = _orientation(pts, triangles)
+    det, size = _orientation(pts[:, 0][triangles], pts[:, 1][triangles])
     clockwise = det < 0
     for row in np.flatnonzero(~(np.abs(det) > CCW_ERRBOUND * size)):
         clockwise[row] = orient2d(*pts[triangles[row]].tolist()) < 0
@@ -158,7 +174,7 @@ def _qhull_tables(pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     # A neighbour column moves with the vertex it lies opposite.
     rows = np.arange(len(triangles))[:, None]
     cols = _ROW_ORDERS[clockwise.astype(np.intp), triangles.argmin(axis=1)]
-    return triangles[rows, cols], neighbors[rows, cols]
+    return _by_sorted_triple(triangles[rows, cols], neighbors[rows, cols])
 
 
 def _advance(prior: Mesh, pts: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -173,7 +189,9 @@ def _advance(prior: Mesh, pts: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndar
     CCW, the tables cover the hull once; a flip happens only where the
     opposite vertex is certainly inside, which keeps both new triangles
     CCW, and every edge of the result is certainly locally Delaunay: it
-    is the unique Delaunay triangulation, Qhull's.
+    is the unique Delaunay triangulation, Qhull's.  With no flip, that is
+    ``prior``'s own read-only tables, returned as they are; else new ones
+    in sorted-triple row order.
     """
     tris, nbrs = prior.triangles, prior.neighbors
     # Every hull vertex starts one hull edge: ab, bc or ca with no triangle across.
@@ -182,17 +200,21 @@ def _advance(prior: Mesh, pts: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndar
             or not np.bincount(tris.ravel(), minlength=len(pts)).all()
             or (prior.xy[hull] != pts[hull]).any()):
         return None
-    det, size = _orientation(pts, tris)
+    x, y = pts[:, 0][tris], pts[:, 1][tris]  # (T, 3) corner coordinates
+    det, size = _orientation(x, y)
     if not (det > _ADVANCE_RTOL * size).all():
         return None
     # Every interior edge once, from its lower-id triangle t.
     t, k = np.nonzero(nbrs > np.arange(len(tris))[:, None])
-    probe = pts[prior.opposite[t, k]]
-    rows = pts[tris[t][:, [0, 1, 2, 0, 1]]].T  # (2, 5, E): a, b, c, a, b
-    det, perm = incircle_filter(rows[0] - probe[:, 0], rows[1] - probe[:, 1])
+    probe = prior.opposite[t, k]
+    det, perm = incircle_filter((x[t] - pts[probe, 0, None]).T[[0, 1, 2, 0, 1]],
+                                (y[t] - pts[probe, 1, None]).T[[0, 1, 2, 0, 1]])
     if not (np.abs(det) > _ADVANCE_RTOL * perm).all():
         return None
-    stack = np.column_stack([t, k])[det > 0].tolist()
+    flip = det > 0
+    if not flip.any():
+        return tris, nbrs
+    stack = np.column_stack([t[flip], k[flip]]).tolist()
     tris, nbrs, xy = tris.copy(), nbrs.copy(), pts.tolist()
     flips = 0
     while stack:
@@ -224,7 +246,7 @@ def _advance(prior: Mesh, pts: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndar
         for w, old, new in ((across_bd, u, t), (across_ca, t, u)):
             if w >= 0:
                 nbrs[w, nbrs[w].tolist().index(old)] = new
-    return tris, nbrs
+    return _by_sorted_triple(tris, nbrs)
 
 
 def build_mesh(nodes: Union[NodeTable, Iterable[NodeState]], t: float,
@@ -242,26 +264,13 @@ def build_mesh(nodes: Union[NodeTable, Iterable[NodeState]], t: float,
     table = nodes if isinstance(nodes, NodeTable) else NodeTable.of(nodes)
     if len(table.ids) < 3:
         raise DegenerateInputError(f"need at least 3 nodes, got {len(table.ids)}")
-    if (table.ids[1:] == table.ids[:-1]).any():
-        raise ValueError("duplicate node ids")
 
     pts = table.xy + table.vel * t
     seed = _plan_start if prior is None else prior
     advanced = _advance(seed, pts) if seed is not None else None
     triangles, neighbors = advanced if advanced is not None else _qhull_tables(pts)
-    # Deterministic triangle ids: rows ordered by the sorted vertex triple.
-    order = np.lexsort(np.sort(triangles, axis=1).T[::-1])
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    neighbors = neighbors[order]
-    mesh = Mesh(
-        time=t,
-        nodes=table,
-        xy=_frozen(pts),
-        vel=table.vel,
-        triangles=_frozen(triangles[order]),
-        neighbors=_frozen(np.where(neighbors >= 0, rank[neighbors], -1)),
-    )
+    mesh = Mesh(time=t, nodes=table, xy=_frozen(pts), vel=table.vel,
+                triangles=_frozen(triangles), neighbors=_frozen(neighbors))
     if prior is None:
         _plan_start = mesh
     return mesh

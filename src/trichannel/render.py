@@ -6,6 +6,7 @@ the ego disc.
 """
 from __future__ import annotations
 
+import math
 from pathlib import Path as FsPath
 from typing import List, Optional, Sequence, Tuple
 
@@ -119,8 +120,8 @@ def render_frame(scenario: Scenario, t: float, ego: Point,
 def render_run(scenario: Scenario, method: MethodId, out_dir: FsPath,
                cfg: Optional[SimConfig] = None, frame_dt: float = 0.5) -> List[FsPath]:
     """Simulate and write one SVG per frame step; returns the file paths."""
-    if frame_dt <= 0:
-        raise ValueError("frame_dt must be positive")
+    if not 0 < frame_dt < math.inf:
+        raise ValueError(f"frame_dt must be positive and finite, got {frame_dt}")
     cfg = cfg or SimConfig()
     seq_cfg = cfg.sequencer_for(scenario)
     out = FsPath(out_dir)

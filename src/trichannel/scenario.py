@@ -34,6 +34,13 @@ class ScenarioFormatError(ValueError):
     """Malformed scenario file content."""
 
 
+def _json_int(value: object, field: str) -> int:
+    """``value`` if it is a JSON integer; ``int`` would truncate 1.5 and take ``true``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioFormatError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def _all_finite(*values: float) -> bool:
     # NaN fails every comparison, so range checks alone would let it through.
     return all(math.isfinite(v) for v in values)
@@ -189,7 +196,7 @@ class Scenario:
         try:
             nodes = [
                 ObjectTrack(
-                    id=int(n["id"]),
+                    id=_json_int(n["id"], "node id"),
                     kind=NodeKind(n["kind"]),
                     radius=float(n["radius"]),
                     waypoints=[(float(w["t"]), float(w["x"]), float(w["y"]))
@@ -207,7 +214,8 @@ class Scenario:
                 ego_speed=float(data["ego"]["speed"]),
                 ego_radius=float(data["ego"]["radius"]),
                 time_limit=float(data["time_limit"]),
-                schema_version=int(data.get("schema_version", SCHEMA_VERSION)),
+                schema_version=_json_int(data.get("schema_version", SCHEMA_VERSION),
+                                         "schema_version"),
             )
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             if isinstance(exc, ScenarioFormatError):

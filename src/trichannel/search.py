@@ -1,9 +1,10 @@
 """Channel search on the dual graph: baseline A* and time-aware Timed A*.
 
-Both searches run one best-first loop over ``Mesh.neighbors`` and return a
-``Channel``: the triangle sequence from the ego's triangle to the goal
-triangle and the estimated arrival time at each triangle's dual node,
-counted from the snapshot's own time, ``mesh.time``.
+Both searches run one best-first loop over ``Mesh.neighbors``, read as one
+list row per triangle, and return a ``Channel``: the triangle sequence from
+the ego's triangle to the goal triangle and the estimated arrival time at
+each triangle's dual node, counted from the snapshot's own time,
+``mesh.time``.
 """
 from __future__ import annotations
 
@@ -46,12 +47,12 @@ def _best_first(dual: DualGraph, mesh: Mesh, start_tri: int, goal_tri: int,
             raise KeyError(f"unknown triangle id {tri}")
     gx, gy = dual.goal
     hypot, heappop, heappush, inf = math.hypot, heapq.heappop, heapq.heappush, math.inf
-    # Side k of triangle t is item 3 * t + k: the triangle across it, and
-    # vertex k of t, which it lies opposite.
-    across = mesh.neighbors.ravel().tolist()
+    # Row t of each: the triangle across side k of t, and vertex k of t,
+    # which it lies opposite.
+    across = mesh.neighbors.tolist()
     gated = width_threshold is not None
     if gated:
-        corners = mesh.triangles.ravel().tolist()
+        corners = mesh.triangles.tolist()
         xy, r = mesh.xy_list, mesh.nodes.r_list
         vx, vy = mesh.vel.T.tolist()
     # Cost and heuristic by triangle id; each heuristic is computed once.
@@ -62,12 +63,12 @@ def _best_first(dual: DualGraph, mesh: Mesh, start_tri: int, goal_tri: int,
     h0 = hypot(sx - gx, sy - gy) / speed
     g[start_tri], h[start_tri] = start_cost, h0
     open_heap: List[Tuple[float, float, int]] = [(start_cost + h0, h0, start_tri)]
-    closed = set()
+    closed = [False] * len(across)
     while open_heap:
         _, _, tri = heappop(open_heap)
-        if tri in closed:
+        if closed[tri]:
             continue
-        closed.add(tri)
+        closed[tri] = True
         if tri == goal_tri:
             path = [goal_tri]
             while path[-1] != start_tri:
@@ -77,9 +78,8 @@ def _best_first(dual: DualGraph, mesh: Mesh, start_tri: int, goal_tri: int,
         # cannot change which triangle pops next.
         g_tri = g[tri]
         px, py = place[tri]
-        base = 3 * tri
-        for k, neigh in enumerate(across[base:base + 3]):
-            if neigh < 0 or neigh in closed:
+        for k, neigh in enumerate(across[tri]):
+            if neigh < 0 or closed[neigh]:
                 continue
             qx, qy = place[neigh]
             cand = g_tri + hypot(px - qx, py - qy) / speed
@@ -92,7 +92,7 @@ def _best_first(dual: DualGraph, mesh: Mesh, start_tri: int, goal_tri: int,
                 # another, such as a relative position plus a relative
                 # velocity, rounds differently and can flip a width equal to
                 # the threshold.  A NaN width is admitted.
-                row = corners[base:base + 3]
+                row = corners[tri]
                 u, v = row[k - 2], row[k - 1]
                 if u > v:
                     u, v = v, u

@@ -370,7 +370,7 @@ class TestRender:
                    "--out-dir", str(tmp_path / "frames")])
         assert rc == 2
 
-    @pytest.mark.parametrize("frame_dt", ["0", "-0.5", "nan"])
+    @pytest.mark.parametrize("frame_dt", ["0", "-0.5", "nan", "inf"])
     def test_non_positive_frame_dt_exit_code(self, tmp_path, caplog, frame_dt):
         scene = tmp_path / "s.json"
         small_scenario(scene)

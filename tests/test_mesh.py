@@ -114,6 +114,15 @@ class TestBuildMesh:
         with pytest.raises(ValueError):
             build_mesh(nodes + [dup], 0.0)
 
+    @pytest.mark.parametrize("ids, message", [([2, 0, 2, 5], "duplicate node ids"),
+                                              ([0, 3, 1, 5], "not ascending")])
+    def test_table_ids_must_ascend(self, ids, message):
+        # Row index order is id order only when the ids strictly ascend.
+        with pytest.raises(ValueError, match=message):
+            NodeTable(ids=np.array(ids), xy=np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0],
+                                                      [4.0, 4.0]]),
+                      vel=np.zeros((4, 2)), r=np.zeros(4))
+
     def test_snapshot_is_immutable(self):
         # A plan reuses the snapshot built at a time, so nothing may edit it.
         mesh = build_mesh(make_nodes([(0, 0), (4, 0), (0, 4)]), 0.0)
@@ -515,6 +524,20 @@ class TestAdvance:
         monkeypatch.setattr(mesh_module, "_MAX_FLIPS", 0)
         assert_same_tables(build_mesh(table, 0.3, prior), flipped)
         assert calls == [len(table.ids)]
+
+    def test_advance_without_flips_shares_the_seed_tables(self, monkeypatch):
+        table = NodeTable.of(generate_synthetic(0).node_states_at(4.0))
+        prior = build_mesh(table, 0.0)
+        calls = count_qhull(monkeypatch)
+        still = build_mesh(table, 0.0, prior)
+        assert still.triangles is prior.triangles and still.neighbors is prior.neighbors
+        assert not (still.triangles.flags.writeable or still.neighbors.flags.writeable)
+        monkeypatch.setattr(mesh_module, "_plan_start", prior)
+        assert build_mesh(table, 0.0).triangles is prior.triangles
+        flipped = build_mesh(table, 0.3, prior)
+        assert calls == []
+        assert flipped.triangles.tolist() != prior.triangles.tolist()
+        assert_same_tables(flipped, qhull_build(table, 0.3))
 
     def test_new_table_with_same_positions_advances(self, monkeypatch):
         nodes = random_nodes(random.Random(2), 20)

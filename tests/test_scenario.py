@@ -193,11 +193,18 @@ class TestScenario:
         with pytest.raises(ScenarioFormatError):
             Scenario.load(f)
 
-    @pytest.mark.parametrize("version", [0, 2, 99, "99"])
+    @pytest.mark.parametrize("version", [0, 2, 99, "99", 1.5, True])
     def test_from_dict_rejects_other_schema_versions(self, version):
         data = simple_scenario().to_dict()
         data["schema_version"] = version
         with pytest.raises(ScenarioFormatError, match="schema_version"):
+            Scenario.from_dict(data)
+
+    @pytest.mark.parametrize("node_id", [2.7, 2.0, "2", True])
+    def test_from_dict_rejects_non_integer_node_ids(self, node_id):
+        data = simple_scenario().to_dict()
+        data["nodes"][0]["id"] = node_id
+        with pytest.raises(ScenarioFormatError, match="node id must be an integer"):
             Scenario.from_dict(data)
 
     def test_load_rejects_missing_fields(self, tmp_path):

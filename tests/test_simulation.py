@@ -231,6 +231,13 @@ class TestRunScenario:
         assert m.collision_count <= 2
 
 
+@pytest.mark.parametrize("frame_dt", [0.0, math.nan, math.inf])
+def test_render_rejects_bad_frame_step(tmp_path, frame_dt):
+    with pytest.raises(ValueError, match="frame_dt"):
+        render_run(empty_road(), MethodId.ASTAR, tmp_path, frame_dt=frame_dt)
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("method", [MethodId.ASTAR, MethodId.PROPOSED])
 def test_render_stops_where_run_stops(tmp_path, method):
     # One frame per step: the frames cover the steps the metrics count,
