@@ -7,9 +7,10 @@ index order is id order.  A plan reads one table (``Scenario.table_at``)
 and all its snapshots share it.  A snapshot's tables are an earlier
 snapshot's, taken to the new positions and Lawson-flipped until every edge
 is certainly locally Delaunay: a plan's later snapshots advance from the
-one before, its first from the last plan's first; with no flip, it shares
-its seed's tables.  Qhull (``scipy.spatial.Delaunay``, nodes fed in id
-order) builds them only on fallback (``_advance`` lists when).  An
+one before, its first from the last plan's first.  One whose nodes sit
+where its seed's do, bit for bit, shares the seed's tables untested, as
+does one that needs no flip.  Qhull (``scipy.spatial.Delaunay``, nodes fed
+in id order) builds them only on fallback (``_advance`` lists when).  An
 advanced snapshot is the unique Delaunay triangulation of its nodes, so
 its tables equal Qhull's, whichever snapshot it came from.
 
@@ -62,7 +63,7 @@ _ADVANCE_RTOL = 1e-9
 # Past this many flips, a Qhull build costs about as much.
 _MAX_FLIPS = 64
 # The last snapshot built without a prior (a plan's first), which seeds the
-# next such build.  ``_advance`` certifies any seed.
+# next such build.  ``_advance`` takes any seed safely.
 _plan_start: Optional["Mesh"] = None
 
 
@@ -180,20 +181,25 @@ def _qhull_tables(pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def _advance(prior: Mesh, pts: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """``prior``'s tables taken to the positions ``pts`` by Lawson flips.
 
-    None, for Qhull to build the tables instead, when ``prior`` (of any
-    node table) has another node count or misses a node (Qhull drops
-    duplicates), a hull vertex is not where ``prior`` has it, a prior
-    triangle's orientation (so it must be CCW) or an in-circle value is
-    not clear of zero by ``_ADVANCE_RTOL`` of its permanent, or more than
-    ``_MAX_FLIPS`` edges flip.  With the hull fixed and every triangle
-    CCW, the tables cover the hull once; a flip happens only where the
-    opposite vertex is certainly inside, which keeps both new triangles
-    CCW, and every edge of the result is certainly locally Delaunay: it
-    is the unique Delaunay triangulation, Qhull's.  With no flip, that is
-    ``prior``'s own read-only tables, returned as they are; else new ones
-    in sorted-triple row order.
+    At ``prior``'s own positions, bit for bit, its read-only tables as they
+    are, untested: an accepted advance certified them there, or Qhull built
+    them from these points.  Otherwise None, for Qhull to build the tables
+    instead, when ``prior`` (of any node table) has another node count or
+    misses a node (Qhull drops duplicates), a hull vertex is not where
+    ``prior`` has it, a prior triangle's orientation (so it must be CCW) or
+    an in-circle value is not clear of zero by ``_ADVANCE_RTOL`` of its
+    permanent, or more than ``_MAX_FLIPS`` edges flip.  With the hull fixed
+    and every triangle CCW, the tables cover the hull once; a flip happens
+    only where the opposite vertex is certainly inside, which keeps both new
+    triangles CCW, and every edge of the result is certainly locally
+    Delaunay: it is the unique Delaunay triangulation, Qhull's.  With no
+    flip, that is ``prior``'s own tables again; else new ones in
+    sorted-triple row order.
     """
     tris, nbrs = prior.triangles, prior.neighbors
+    # Raw bytes, so that -0.0 and 0.0 differ (and a count differs too).
+    if prior.xy.tobytes() == pts.tobytes():
+        return tris, nbrs
     # Every hull vertex starts one hull edge: ab, bc or ca with no triangle across.
     hull = tris[nbrs[:, _AB_BC_CA] < 0]
     if (len(prior.xy) != len(pts)
@@ -257,7 +263,9 @@ def build_mesh(nodes: Union[NodeTable, Iterable[NodeState]], t: float,
     Positions are ``xy + vel * t``, the operations of ``position_at``.
     ``prior``'s tables, or else those of the last build without a prior,
     are advanced to ``t`` by edge flips wherever that certainly gives
-    Qhull's (``_advance``); otherwise Qhull builds them.  Raises
+    Qhull's (``_advance``); otherwise Qhull builds them.  At the seed's very
+    positions the new snapshot shares the seed's tables, but keeps its own
+    time, node table, positions and the table's velocities.  Raises
     ``DegenerateInputError`` for fewer than 3 nodes or an all-collinear set.
     """
     global _plan_start

@@ -41,6 +41,20 @@ def _json_int(value: object, field: str) -> int:
     return value
 
 
+def _json_float(value: object, field: str) -> float:
+    """``value`` as a float if it is a JSON number; ``float`` takes ``true`` and ``"12"``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioFormatError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_point(value: object, field: str) -> Point:
+    """``value`` as a point if it is a list of exactly two JSON numbers."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ScenarioFormatError(f"{field} must be a point [x, y], got {value!r}")
+    return (_json_float(value[0], field), _json_float(value[1], field))
+
+
 def _all_finite(*values: float) -> bool:
     # NaN fails every comparison, so range checks alone would let it through.
     return all(math.isfinite(v) for v in values)
@@ -198,26 +212,28 @@ class Scenario:
                 ObjectTrack(
                     id=_json_int(n["id"], "node id"),
                     kind=NodeKind(n["kind"]),
-                    radius=float(n["radius"]),
-                    waypoints=[(float(w["t"]), float(w["x"]), float(w["y"]))
+                    radius=_json_float(n["radius"], "node radius"),
+                    waypoints=[tuple(_json_float(w[k], f"waypoint {k}") for k in "txy")
                                for w in n["waypoints"]],
                 )
                 for n in data["nodes"]
             ]
+            if not isinstance(data["id"], str):
+                raise ScenarioFormatError(f"scenario id must be a string, got {data['id']!r}")
             return cls(
-                id=str(data["id"]),
+                id=data["id"],
                 nodes=nodes,
-                boundaries=[[(float(p[0]), float(p[1])) for p in b]
+                boundaries=[[_json_point(p, "boundary point") for p in b]
                             for b in data["boundaries"]],
-                start=(float(data["start"][0]), float(data["start"][1])),
-                goal=(float(data["goal"][0]), float(data["goal"][1])),
-                ego_speed=float(data["ego"]["speed"]),
-                ego_radius=float(data["ego"]["radius"]),
-                time_limit=float(data["time_limit"]),
+                start=_json_point(data["start"], "start"),
+                goal=_json_point(data["goal"], "goal"),
+                ego_speed=_json_float(data["ego"]["speed"], "ego speed"),
+                ego_radius=_json_float(data["ego"]["radius"], "ego radius"),
+                time_limit=_json_float(data["time_limit"], "time_limit"),
                 schema_version=_json_int(data.get("schema_version", SCHEMA_VERSION),
                                          "schema_version"),
             )
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             if isinstance(exc, ScenarioFormatError):
                 raise
             raise ScenarioFormatError(f"malformed scenario: {exc}") from exc

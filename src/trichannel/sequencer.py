@@ -44,7 +44,9 @@ class SequencerConfig:
     padding: Optional[float] = None  # default ego_radius + 0.1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_segments, int) or self.max_segments < 1:
+        # ``bool`` is an ``int``, but ``True`` is no segment count.
+        if (isinstance(self.max_segments, bool) or not isinstance(self.max_segments, int)
+                or self.max_segments < 1):
             raise ValueError(f"max_segments must be an integer >= 1, "
                              f"got {self.max_segments!r}")
         # Chained comparisons: NaN fails them, so it is rejected too.

@@ -39,7 +39,8 @@ class TransmissionConfig:
             raise ValueError(f"alpha must be >= 0 and finite, got {self.alpha}")
         if not 0 <= self.beta < math.inf:
             raise ValueError(f"beta must be >= 0 and finite, got {self.beta}")
-        if not isinstance(self.passes, int) or self.passes < 1:
+        # ``bool`` is an ``int``, but ``True`` is no pass count.
+        if isinstance(self.passes, bool) or not isinstance(self.passes, int) or self.passes < 1:
             raise ValueError(f"passes must be an integer >= 1, got {self.passes!r}")
 
 

@@ -559,22 +559,9 @@ def test_criterion_8_golden_render_frames(tmp_path, seed, method):
     assert same
 
 
-# Every plan() path, points and segment ids, of proposed runs on parked
-# copies of four scenes, hashed on the toolchain of GOLDEN_METRICS_CSV.  A
-# parked copy freezes each track at its first waypoint, as the benchmark's
-# ``parked`` workload does, so no node moves in any snapshot.
-GOLDEN_PARKED_PATHS_SHA256 = "572e5e8b870435460c4e081d2be75896f8b46143257433879184272df0d0da48"
-
-
-def parked(sc):
-    return replace(sc, id=f"{sc.id}-parked", nodes=[
-        ObjectTrack(id=t.id, kind=NodeKind.STATIC, radius=t.radius,
-                    waypoints=[t.waypoints[0]])
-        for t in sc.nodes])
-
-
-def test_criterion_8_golden_parked_paths(monkeypatch):
-    skip_off_golden_toolchain()
+def plan_digest(monkeypatch, runs):
+    """sha256 of every plan() path, points and segment ids, over the closed-loop
+    ``runs`` of (scenario, method), and per plan whether it found a path."""
     digest, plans = hashlib.sha256(), []
     plan = simulate.plan
 
@@ -588,9 +575,46 @@ def test_criterion_8_golden_parked_paths(monkeypatch):
         return path
 
     monkeypatch.setattr(simulate, "plan", hashed)
-    for seed in range(4):
-        run_scenario(parked(generate_synthetic(seed)), MethodId.PROPOSED)
-    same = digest.hexdigest() == GOLDEN_PARKED_PATHS_SHA256
+    for scene, method in runs:
+        run_scenario(scene, method)
+    return digest.hexdigest(), plans
+
+
+# Every plan() path of proposed runs on parked copies of four scenes, hashed
+# (``plan_digest``) on the toolchain of GOLDEN_METRICS_CSV.  A parked copy
+# freezes each track at its first waypoint, as the benchmark's ``parked``
+# workload does, so no node moves in any snapshot.
+GOLDEN_PARKED_PATHS_SHA256 = "572e5e8b870435460c4e081d2be75896f8b46143257433879184272df0d0da48"
+
+
+def parked(sc):
+    return replace(sc, id=f"{sc.id}-parked", nodes=[
+        ObjectTrack(id=t.id, kind=NodeKind.STATIC, radius=t.radius,
+                    waypoints=[t.waypoints[0]])
+        for t in sc.nodes])
+
+
+def test_criterion_8_golden_parked_paths(monkeypatch):
+    skip_off_golden_toolchain()
+    digest, plans = plan_digest(monkeypatch, [(parked(generate_synthetic(seed)),
+                                               MethodId.PROPOSED) for seed in range(4)])
+    same = digest == GOLDEN_PARKED_PATHS_SHA256
     report(8, "golden parked paths", same,
-           f"{len(plans)} plans, {sum(plans)} paths, sha256 {digest.hexdigest()[:12]}")
+           f"{len(plans)} plans, {sum(plans)} paths, sha256 {digest[:12]}")
+    assert same
+
+
+# Every plan() path of all three methods on two moving scenes cut to their
+# first 8 s, hashed (``plan_digest``) on the toolchain of GOLDEN_METRICS_CSV.
+GOLDEN_MOVING_PATHS_SHA256 = "411ef13a7b4e6c31925c4bb56965c5bd9156400fafb9064527576560dbd406aa"
+
+
+def test_criterion_8_golden_moving_paths(monkeypatch):
+    skip_off_golden_toolchain()
+    digest, plans = plan_digest(monkeypatch, [
+        (replace(generate_synthetic(seed), time_limit=8.0), method)
+        for seed in range(2) for method in MethodId])
+    same = digest == GOLDEN_MOVING_PATHS_SHA256
+    report(8, "golden moving paths", same,
+           f"{len(plans)} plans, {sum(plans)} paths, sha256 {digest[:12]}")
     assert same

@@ -487,8 +487,13 @@ class TestAdvance:
         calls = count_qhull(monkeypatch)
         for table in grids:
             del calls[:]
+            # Grids of one size sit at the same positions at 0: empty the
+            # warm-start slot, so that the prior is Qhull's.
+            monkeypatch.setattr(mesh_module, "_plan_start", None)
             advance_or_raise(table, 0.0, t1)
-            assert calls == [len(table.ids)] * 3  # the advance ran Qhull too
+            # A moving grid's advance runs Qhull too; a still one shares
+            # the tables Qhull built for its prior.
+            assert calls == [len(table.ids)] * (3 if table.vel.any() else 2)
 
     @pytest.mark.parametrize("eps", [1e-13, -1e-13, 1e-15, 3e-11])
     def test_near_cocircular_quad_takes_the_fallback(self, eps, monkeypatch):
@@ -547,6 +552,41 @@ class TestAdvance:
         monkeypatch.setattr(mesh_module, "_plan_start", prior)
         assert_same_tables(build_mesh(NodeTable.of(nodes), 0.0), prior)
         assert calls == []
+
+    def test_seed_positions_share_the_tables_untested(self, monkeypatch):
+        # A new table whose nodes sit at a moving prior's positions, with
+        # other velocities.
+        prior = build_mesh(generate_synthetic(0).table_at(4.0), 1.5)
+        table = NodeTable(ids=prior.nodes.ids, xy=prior.xy,
+                          vel=mesh_module._frozen(-prior.vel), r=prior.nodes.r)
+
+        def untested(*args):
+            raise AssertionError("certified a snapshot at its seed's positions")
+
+        calls = count_qhull(monkeypatch)
+        monkeypatch.setattr(mesh_module, "incircle_filter", untested)
+        monkeypatch.setattr(mesh_module, "_orientation", untested)
+        shared = build_mesh(table, 0.0, prior)
+        monkeypatch.setattr(mesh_module, "_plan_start", prior)
+        for built in (shared, build_mesh(table, 0.0)):
+            assert built.triangles is prior.triangles and built.neighbors is prior.neighbors
+            assert built.nodes is table and built.vel is table.vel and built.time == 0.0
+            assert built.xy is not prior.xy and built.xy.tobytes() == prior.xy.tobytes()
+        assert calls == []
+
+    def test_interior_node_moved_by_one_ulp_is_certified(self, monkeypatch):
+        # Node 8 is the first inside a still frame.
+        nodes = square_framed(random.Random(3), 12)
+        prior = build_mesh(nodes, 0.0)
+        moved = [dataclasses.replace(n, x=np.nextafter(n.x, 21.0)) if n.id == 8 else n
+                 for n in nodes]
+        certified = []
+        real = mesh_module.incircle_filter
+        monkeypatch.setattr(mesh_module, "incircle_filter",
+                            lambda *args: certified.append(1) or real(*args))
+        calls = count_qhull(monkeypatch)
+        assert_same_tables(build_mesh(moved, 0.0, prior), qhull_build(moved, 0.0))
+        assert certified and calls == [len(nodes)]
 
     def test_hull_vertex_moved_by_one_ulp_is_rebuilt(self, monkeypatch):
         # Node 4 is the corner (20, 20) of a still frame.

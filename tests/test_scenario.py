@@ -166,7 +166,8 @@ class TestScenario:
         with pytest.raises(ScenarioFormatError):
             Scenario.load(f)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    # ``True`` and "12" are no numbers, though ``float`` takes both.
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "12"])
     @pytest.mark.parametrize("where", [
         lambda d, v: d["nodes"][0]["waypoints"][1].update(x=v),
         lambda d, v: d["nodes"][0]["waypoints"][0].update(t=v),
@@ -183,6 +184,32 @@ class TestScenario:
         where(data, bad)
         with pytest.raises(ScenarioFormatError):
             Scenario.from_dict(data)
+
+    @pytest.mark.parametrize("point", [[1.0], [1.0, 2.0, 3.0], 1.0, "12", {"x": 1.0}])
+    @pytest.mark.parametrize("where, field", [
+        (lambda d, p: d.update(start=p), "start"),
+        (lambda d, p: d.update(goal=p), "goal"),
+        (lambda d, p: d["boundaries"][1].__setitem__(0, p), "boundary point"),
+    ])
+    def test_from_dict_rejects_points_not_of_two_numbers(self, where, field, point):
+        data = simple_scenario().to_dict()
+        where(data, point)
+        with pytest.raises(ScenarioFormatError, match=f"{field} must be a point"):
+            Scenario.from_dict(data)
+
+    @pytest.mark.parametrize("scenario_id", [None, 7, True, ["t"]])
+    def test_from_dict_rejects_non_string_ids(self, scenario_id):
+        data = simple_scenario().to_dict()
+        data["id"] = scenario_id
+        with pytest.raises(ScenarioFormatError, match="scenario id must be a string"):
+            Scenario.from_dict(data)
+
+    def test_from_dict_loads_json_integers_as_floats(self):
+        data = simple_scenario().to_dict()
+        data["nodes"][1]["radius"], data["start"], data["time_limit"] = 1, [1, 4], 20
+        sc = Scenario.from_dict(data)
+        assert (sc.nodes[1].radius, sc.start, sc.time_limit) == (1.0, (1.0, 4.0), 20.0)
+        assert all(type(v) is float for v in (sc.nodes[1].radius, *sc.start, sc.time_limit))
 
     def test_load_rejects_nan_in_json(self, tmp_path):
         # Python's json module reads the NaN literal.

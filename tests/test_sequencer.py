@@ -288,7 +288,7 @@ class TestGenerateSequence:
         with pytest.raises(ValueError):
             SequencerConfig(sample_resolution=0)
 
-    @pytest.mark.parametrize("value", [2.5, 3.0, math.nan, "3", None])
+    @pytest.mark.parametrize("value", [2.5, 3.0, math.nan, "3", None, True])
     def test_non_integer_max_segments_rejected(self, value):
         # 2.5 used to pass validation and make ``generate_sequence`` raise
         # TypeError.

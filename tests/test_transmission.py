@@ -222,7 +222,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             TransmissionConfig(passes=0)
 
-    @pytest.mark.parametrize("passes", [1.5, 2.0, "2", None])
+    @pytest.mark.parametrize("passes", [1.5, 2.0, "2", None, True])
     def test_non_integer_passes_rejected(self, passes):
         # 1.5 used to pass validation and make ``transmit`` raise TypeError.
         with pytest.raises(ValueError, match="passes must be an integer"):
