@@ -2,8 +2,7 @@
 
 from .events import EventReport, compute_event_time
 from .funnel import PathPolyline, funnel
-from .geometry import (InCircleSide, NodeKind, NodeState, incircle, orient2d,
-                       position_at)
+from .geometry import InCircleSide, NodeKind, NodeState, incircle, orient2d
 from .mesh import (DegenerateInputError, DualGraph, Mesh, NodeTable, build_dual,
                    build_mesh, generate_virtual_nodes, locate)
 from .scenario import (ObjectTrack, Scenario, ScenarioFormatError,
@@ -53,7 +52,6 @@ __all__ = [
     "locate",
     "orient2d",
     "plan",
-    "position_at",
     "run_scenario",
     "timed_astar",
     "transmit",

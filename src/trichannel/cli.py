@@ -58,12 +58,13 @@ def _add_planner_args(parser: argparse.ArgumentParser) -> None:
 def _sim_config(args: argparse.Namespace) -> Optional[SimConfig]:
     """The run settings from the planner flags; None, logged, when one is invalid."""
     try:
+        # Checked even when ``--no-transmission`` leaves it unused.
+        transmission = TransmissionConfig(alpha=args.alpha, beta=args.beta,
+                                          passes=args.passes)
         planner = SequencerConfig(
             max_segments=args.max_segments,
             tau_threshold=args.tau_threshold,
-            transmission_enabled=not args.no_transmission,
-            transmission=TransmissionConfig(alpha=args.alpha, beta=args.beta,
-                                            passes=args.passes),
+            transmission=None if args.no_transmission else transmission,
             width_threshold=args.width_threshold,
             sample_resolution=args.sample_resolution,
             padding=args.padding,

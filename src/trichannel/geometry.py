@@ -1,4 +1,4 @@
-"""Planar predicates and the linear node motion model.
+"""Planar predicates and the node record.
 
 ``orient2d`` and ``incircle`` return exact signs: a floating-point filter
 decides the common case and a rational (``fractions.Fraction``) fallback
@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Sequence, Tuple
 
 Point = Tuple[float, float]
-Vector = Tuple[float, float]
 TrianglePoints = Tuple[Point, Point, Point]
 
 _EPS = math.ulp(1.0) / 2.0  # 2^-53
@@ -58,20 +57,11 @@ class NodeState:
     def position(self) -> Point:
         return (self.x, self.y)
 
-    @property
-    def velocity(self) -> Vector:
-        return (self.vx, self.vy)
-
 
 class InCircleSide(Enum):
     INSIDE = "inside"
     COCIRCULAR = "cocircular"
     OUTSIDE = "outside"
-
-
-def position_at(node: NodeState, t: float) -> Point:
-    """Linear motion model: position of ``node`` after ``t`` seconds."""
-    return (node.x + node.vx * t, node.y + node.vy * t)
 
 
 def _signed_float(value: Fraction) -> float:

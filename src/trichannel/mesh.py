@@ -38,14 +38,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial import Delaunay as _QhullDelaunay
 from scipy.spatial import QhullError
 
-from .geometry import (CCW_ERRBOUND, NodeKind, NodeState, Point, TrianglePoints,
-                       dist, incircle_det, incircle_filter, orient2d)
+from .geometry import (CCW_ERRBOUND, Point, TrianglePoints, dist, incircle_det,
+                       incircle_filter, orient2d)
 
 # Column of the vertex opposite each of the edges ab, bc and ca.
 _AB_BC_CA = [2, 0, 1]
@@ -89,16 +89,6 @@ class NodeTable:
         if not (self.ids[1:] > self.ids[:-1]).all():
             raise ValueError("duplicate node ids" if np.unique(self.ids).size < self.ids.size
                              else "node ids not ascending")
-
-    @classmethod
-    def of(cls, nodes: Iterable[NodeState]) -> "NodeTable":
-        node_list = sorted(nodes, key=lambda n: n.id)
-        return cls(
-            ids=_frozen(np.array([n.id for n in node_list], dtype=np.int64)),
-            xy=_frozen(np.array([n.position for n in node_list], dtype=float).reshape(-1, 2)),
-            vel=_frozen(np.array([n.velocity for n in node_list], dtype=float).reshape(-1, 2)),
-            r=_frozen(np.array([n.r for n in node_list], dtype=float)),
-        )
 
     @cached_property
     def r_list(self) -> List[float]:
@@ -255,12 +245,9 @@ def _advance(prior: Mesh, pts: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndar
     return _by_sorted_triple(tris, nbrs)
 
 
-def build_mesh(nodes: Union[NodeTable, Iterable[NodeState]], t: float,
-               prior: Optional[Mesh] = None) -> Mesh:
-    """Delaunay triangulation of the nodes at positions extrapolated to ``t``.
+def build_mesh(table: NodeTable, t: float, prior: Optional[Mesh] = None) -> Mesh:
+    """Delaunay triangulation of the table's nodes at ``t``: ``xy + vel * t``.
 
-    ``nodes`` is a ``NodeTable``, or node states to build one from.
-    Positions are ``xy + vel * t``, the operations of ``position_at``.
     ``prior``'s tables, or else those of the last build without a prior,
     are advanced to ``t`` by edge flips wherever that certainly gives
     Qhull's (``_advance``); otherwise Qhull builds them.  At the seed's very
@@ -269,7 +256,6 @@ def build_mesh(nodes: Union[NodeTable, Iterable[NodeState]], t: float,
     ``DegenerateInputError`` for fewer than 3 nodes or an all-collinear set.
     """
     global _plan_start
-    table = nodes if isinstance(nodes, NodeTable) else NodeTable.of(nodes)
     if len(table.ids) < 3:
         raise DegenerateInputError(f"need at least 3 nodes, got {len(table.ids)}")
 
@@ -365,14 +351,13 @@ def build_dual(mesh: Mesh, goal: Point, ego_radius: float = 0.5) -> DualGraph:
 
 
 def generate_virtual_nodes(boundary: Sequence[Point], spacing: float,
-                           id_start: int = 0, max_count: Optional[int] = None
-                           ) -> List[NodeState]:
-    """Evenly spaced zero-velocity, zero-radius virtual nodes along a polyline.
+                           max_count: Optional[int] = None) -> List[Point]:
+    """Evenly spaced virtual node positions along a polyline.
 
-    Nodes sit at arc-length intervals <= ``spacing`` and include both
+    Points sit at arc-length intervals <= ``spacing`` and include both
     endpoints.  A closed polyline (first point == last point) does not
-    duplicate the seam node.  Raises ValueError, before placing any, when
-    that takes more than ``max_count`` nodes.
+    duplicate the seam point.  Raises ValueError, before placing any, when
+    that takes more than ``max_count`` points.
     """
     if spacing <= 0:
         raise ValueError(f"spacing must be positive, got {spacing}")
@@ -393,25 +378,21 @@ def generate_virtual_nodes(boundary: Sequence[Point], spacing: float,
         raise ValueError(f"needs over {max_count} nodes at spacing {spacing}")
     targets = [i * total / intervals for i in range(count)]
 
-    nodes: List[NodeState] = []
+    points: List[Point] = []
     seg = 0
     walked = 0.0
-    for i, s in enumerate(targets):
+    for s in targets:
         while seg < len(seg_lengths) - 1 and walked + seg_lengths[seg] < s:
             walked += seg_lengths[seg]
             seg += 1
         a, b = boundary[seg], boundary[seg + 1]
         frac = 0.0 if seg_lengths[seg] == 0 else (s - walked) / seg_lengths[seg]
         frac = min(frac, 1.0)
-        p = (a[0] + frac * (b[0] - a[0]), a[1] + frac * (b[1] - a[1]))
-        nodes.append(NodeState(id=id_start + i, x=p[0], y=p[1], vx=0.0, vy=0.0,
-                               r=0.0, kind=NodeKind.VIRTUAL))
+        points.append((a[0] + frac * (b[0] - a[0]), a[1] + frac * (b[1] - a[1])))
     if not closed:
         # Force the exact endpoint: the arc-length walk can round short.
-        end = boundary[-1]
-        nodes[-1] = NodeState(id=nodes[-1].id, x=end[0], y=end[1], vx=0.0, vy=0.0,
-                              r=0.0, kind=NodeKind.VIRTUAL)
-    return nodes
+        points[-1] = boundary[-1]
+    return points
 
 
 def point_in_triangle(pts: TrianglePoints, p: Point) -> bool:

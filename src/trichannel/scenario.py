@@ -105,10 +105,6 @@ class ObjectTrack:
         (t0, x0, y0), (t1, x1, y1) = wp[-2], wp[-1]
         return ((x1 - x0) / (t1 - t0), (y1 - y0) / (t1 - t0))
 
-    def state_at(self, t: float) -> NodeState:
-        (x, y), (vx, vy) = self.position_at(t), self.velocity_at(t)
-        return NodeState(id=self.id, x=x, y=y, vx=vx, vy=vy, r=self.radius, kind=self.kind)
-
 
 @dataclass
 class Scenario:
@@ -142,21 +138,31 @@ class Scenario:
         if self.boundaries and self.ego_radius == 0:
             raise ScenarioFormatError("ego radius 0 leaves boundary nodes no spacing")
         # Placed once per scenario; ``dataclasses.replace`` runs this again.
-        next_id = max(ids, default=-1) + 1
-        self._virtual: List[NodeState] = []
+        walls: List[Point] = []
         for i, boundary in enumerate(self.boundaries):
             try:
-                vns = generate_virtual_nodes(
-                    boundary, self.virtual_spacing, id_start=next_id,
-                    max_count=MAX_VIRTUAL_NODES - len(self._virtual))
+                walls += generate_virtual_nodes(boundary, self.virtual_spacing,
+                                                max_count=MAX_VIRTUAL_NODES - len(walls))
             except ValueError as exc:
                 raise ScenarioFormatError(f"boundary {i}: {exc}") from None
-            self._virtual.extend(vns)
-            next_id += len(vns)
-        # Rows in id order (virtual ids follow every track's), built once;
-        # ``table_at`` fills only the rows of tracks with more than one waypoint.
+        # Rows built once: the tracks in id order, then the wall nodes, whose
+        # ids count on from the last track's.  ``table_at`` fills only the
+        # rows of tracks with more than one waypoint.
         tracks = sorted(self.nodes, key=lambda tr: tr.id)
-        self._rows = NodeTable.of([*(tr.state_at(0.0) for tr in tracks), *self._virtual])
+        first_wall = max(ids, default=-1) + 1
+        row_ids = np.array([tr.id for tr in tracks]
+                           + list(range(first_wall, first_wall + len(walls))), dtype=np.int64)
+        xy = np.array([tr.position_at(0.0) for tr in tracks] + walls, dtype=float)
+        vel = np.array([tr.velocity_at(0.0) for tr in tracks] + [(0.0, 0.0)] * len(walls),
+                       dtype=float)
+        r = np.array([tr.radius for tr in tracks] + [0.0] * len(walls), dtype=float)
+        xy, vel = xy.reshape(-1, 2), vel.reshape(-1, 2)
+        for column in (row_ids, xy, vel, r):
+            column.flags.writeable = False
+        self._rows = NodeTable(ids=row_ids, xy=xy, vel=vel, r=r)
+        self._kinds = [tr.kind for tr in tracks] + [NodeKind.VIRTUAL] * len(walls)
+        # Rows of the tracks in the order the scenario lists them.
+        self._listed_rows = np.searchsorted(self._rows.ids, ids)
         self._moving = [tr for tr in tracks if len(tr.waypoints) > 1]
         self._moving_rows = [row for row, tr in enumerate(tracks) if len(tr.waypoints) > 1]
         # Non-virtual tracks and their rows in the order the scenario lists
@@ -171,12 +177,21 @@ class Scenario:
         return 2.0 * self.ego_radius * 0.9
 
     def node_states_at(self, t: float, include_virtual: bool = True) -> List[NodeState]:
-        return ([track.state_at(t) for track in self.nodes]
-                + (self._virtual if include_virtual else []))
+        """The rows of ``table_at(t)`` as node states: the tracks in the order
+        the scenario lists them, then, with ``include_virtual``, the wall
+        nodes.  ``render`` and ``perfbench/run.py::_clear_steps`` read it."""
+        table = self.table_at(t)
+        rows = self._listed_rows.tolist()
+        if include_virtual:
+            rows += range(len(self.nodes), len(self._kinds))
+        ids, xy, vel, r = (column.tolist() for column in
+                           (table.ids, table.xy, table.vel, table.r))
+        return [NodeState(id=ids[i], x=xy[i][0], y=xy[i][1], vx=vel[i][0], vy=vel[i][1],
+                          r=r[i], kind=self._kinds[i]) for i in rows]
 
     def table_at(self, t: float) -> NodeTable:
-        """Every node at time ``t`` as a ``NodeTable``; equals
-        ``NodeTable.of(self.node_states_at(t))`` bit for bit."""
+        """Every node at time ``t`` as a ``NodeTable``: the tracks in id order,
+        then the wall nodes."""
         if not self._moving:
             return self._rows
         xy, vel = self._rows.xy.copy(), self._rows.vel.copy()

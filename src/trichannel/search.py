@@ -127,8 +127,7 @@ def _channel(dual: DualGraph, tris: Optional[List[int]], ego_position: Point,
 
 
 def astar(dual: DualGraph, mesh: Mesh, start_tri: int, goal_tri: int, *,
-          ego_position: Optional[Point] = None,
-          ego_speed: float = 1.0) -> Optional[Channel]:
+          ego_position: Point, ego_speed: float) -> Optional[Channel]:
     """Minimum-cost channel under static Euclidean edge costs.
 
     Heuristic is the straight-line distance from a dual placement to the
@@ -136,14 +135,12 @@ def astar(dual: DualGraph, mesh: Mesh, start_tri: int, goal_tri: int, *,
     Returns None when start and goal are disconnected.
     """
     tris = _best_first(dual, mesh, start_tri, goal_tri, 0.0, 1.0, None)
-    if ego_position is None:
-        ego_position = dual.placements[start_tri]
     return _channel(dual, tris, ego_position, ego_speed)
 
 
 def timed_astar(dual: DualGraph, mesh: Mesh, start_tri: int, goal_tri: int, *,
                 ego_speed: float, width_threshold: float,
-                ego_position: Optional[Point] = None) -> Optional[Channel]:
+                ego_position: Point) -> Optional[Channel]:
     """Time-aware channel search.
 
     Costs are travel times at ``ego_speed``; crossing a mesh edge is
@@ -154,8 +151,6 @@ def timed_astar(dual: DualGraph, mesh: Mesh, start_tri: int, goal_tri: int, *,
     """
     if ego_speed <= 0:
         raise ValueError(f"ego_speed must be positive, got {ego_speed}")
-    if ego_position is None:
-        ego_position = dual.placements[start_tri]
     tris = _best_first(dual, mesh, start_tri, goal_tri,
                        dist(ego_position, dual.placements[start_tri]) / ego_speed,
                        ego_speed, width_threshold)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .events import anchor_survives, compute_event_time
 from .funnel import funnel
-from .geometry import NodeState, Point, TrianglePoints, dist, orient2d, point_along
+from .geometry import Point, TrianglePoints, dist, orient2d, point_along
 from .mesh import (Mesh, NodeTable, build_dual, build_mesh, find_triangle, locate,
                    point_in_triangle)
 from .search import Channel, timed_astar
@@ -35,8 +35,8 @@ from .transmission import TransmissionConfig, transmit
 class SequencerConfig:
     max_segments: int = 5
     tau_threshold: float = 10.0  # planning horizon, seconds
-    transmission_enabled: bool = True
-    transmission: TransmissionConfig = field(default_factory=TransmissionConfig)
+    # None plans with the raw node velocities.
+    transmission: Optional[TransmissionConfig] = field(default_factory=TransmissionConfig)
     ego_radius: float = 0.5
     ego_speed: float = 2.0
     width_threshold: Optional[float] = None  # default 2 * ego_radius + 0.2
@@ -191,15 +191,14 @@ def _prefix_event(channel: Channel, mesh: Mesh, k: int, window: float,
     return (offset, report.triangle_index) if offset < window else None
 
 
-def generate_sequence(nodes: Union[NodeTable, Sequence[NodeState]], start: Point,
-                      goal: Point, cfg: SequencerConfig) -> SequenceResult:
+def generate_sequence(table: NodeTable, start: Point, goal: Point,
+                      cfg: SequencerConfig) -> SequenceResult:
     """Run the full pipeline from time 0 until a terminal condition.
 
-    ``nodes`` is a node table or states at time 0; later cycles extrapolate
-    them linearly.  Returns the channel sequence, or a failure naming the cycle
+    ``table`` holds the nodes at time 0; later cycles extrapolate them
+    linearly.  Returns the channel sequence, or a failure naming the cycle
     and its reason.
     """
-    table = nodes if isinstance(nodes, NodeTable) else NodeTable.of(nodes)
     tau = 0.0
     start_pt = start
     anchor: Optional[Tuple[int, int, int]] = None  # node indices
@@ -210,7 +209,7 @@ def generate_sequence(nodes: Union[NodeTable, Sequence[NodeState]], start: Point
     # segment, so the sequence is full when the loop runs out.
     for cycle in range(cfg.max_segments):
         mesh = build_mesh(table, tau, mesh)
-        if cfg.transmission_enabled:
+        if cfg.transmission is not None:
             mesh = transmit(mesh, cfg.transmission)
         dual = build_dual(mesh, goal, cfg.ego_radius)
         goal_tri = locate(mesh, goal)

@@ -33,6 +33,7 @@ from trichannel.sequencer import (ChannelSequence, SequencerConfig,
                                   generate_sequence)
 from trichannel.simulate import MethodId, SimConfig, aggregate, run_scenario
 
+from nodes import table_of
 from segment_views import node_anchor, node_triangles
 
 WORKERS = max(1, min(8, os.cpu_count() or 1))
@@ -118,7 +119,7 @@ def test_criterion_2_delaunay_validity():
         nodes = [NodeState(id=i, x=rng.uniform(0, 50), y=rng.uniform(0, 50),
                            vx=0.0, vy=0.0, r=0.0) for i in range(n)]
         try:
-            mesh = build_mesh(nodes, 0.0)
+            mesh = build_mesh(table_of(nodes), 0.0)
         except DegenerateInputError:
             continue
         sets += 1
@@ -173,7 +174,7 @@ def rebuild_first_change(channel, mesh, resolution):
 
 def build_channel(nodes, rng):
     try:
-        mesh = build_mesh(nodes, 0.0)
+        mesh = build_mesh(table_of(nodes), 0.0)
     except DegenerateInputError:
         return None, None
     hull_x = [p[0] for p in mesh.xy_list]
@@ -260,7 +261,7 @@ def test_criterion_4_sequence_invariants():
         goal = (rng.uniform(2, 18), rng.uniform(2, 10))
         if dist(start, goal) < 5.0:
             continue
-        result = generate_sequence(nodes, start, goal, cfg)
+        result = generate_sequence(table_of(nodes), start, goal, cfg)
         if not isinstance(result, ChannelSequence):
             continue
         sequences += 1
@@ -289,7 +290,7 @@ def test_criterion_4_sequence_invariants():
             at = dict(zip(seg.mesh.nodes.ids.tolist(), seg.mesh.xy_list))
             for v in node_anchor(seg):
                 p = at[v]
-                vel = next(n for n in nodes if n.id == v).velocity
+                vel = next((n.vx, n.vy) for n in nodes if n.id == v)
                 tri.append((p[0] + vel[0] * offset, p[1] + vel[1] * offset))
             if not point_in_triangle(tuple(tri), seg.subgoal):
                 violations += 1
@@ -312,7 +313,7 @@ def _segment_event(nodes, seg):
     from trichannel.search import Channel
     from trichannel.transmission import TransmissionConfig, transmit
 
-    mesh = build_mesh(nodes, seg.mesh.time)
+    mesh = build_mesh(table_of(nodes), seg.mesh.time)
     by_verts = {frozenset(v): i for i, v in enumerate(mesh.triangles.tolist())}
     ids = []
     for v in node_triangles(seg):

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 import trichannel.events as events
 import trichannel.sequencer as sequencer
 
+from nodes import table_of
 from trichannel.events import EventReport, compute_event_time
 from trichannel.geometry import (CCW_ERRBOUND, ICC_ERRBOUND,
                                  DegenerateTriangleError, InCircleSide,
                                  NodeKind, NodeState, incircle, orient2d)
-from trichannel.mesh import (DegenerateInputError, NodeTable, build_dual, build_mesh,
-                             find_triangle)
+from trichannel.mesh import DegenerateInputError, build_dual, build_mesh, find_triangle
 from trichannel.scenario import generate_synthetic
 from trichannel.search import Channel, astar
 from trichannel.simulate import MethodId, run_scenario
@@ -156,7 +156,7 @@ def exact_scan_oracle(tri_pts, tri_vels, probe_pt, probe_vel, taus):
 
 class TestNeighborsOf:
     def test_square_mesh(self):
-        mesh = build_mesh(make_nodes([(0, 0), (2, 0), (2, 2), (0, 2)]), 0.0)
+        mesh = build_mesh(table_of(make_nodes([(0, 0), (2, 0), (2, 2), (0, 2)])), 0.0)
         # Each triangle has exactly one neighbor; its opposite vertex is the
         # one not shared.
         for tri_id, verts in enumerate(mesh.triangles.tolist()):
@@ -165,7 +165,7 @@ class TestNeighborsOf:
             assert opp[0] not in verts
 
     def test_unknown_triangle(self):
-        mesh = build_mesh(make_nodes([(0, 0), (2, 0), (0, 2)]), 0.0)
+        mesh = build_mesh(table_of(make_nodes([(0, 0), (2, 0), (0, 2)])), 0.0)
         with pytest.raises(KeyError):
             neighbors_of(mesh, 5)
 
@@ -217,14 +217,14 @@ def crossing_channel(walker_speed=1.0):
     walker = NodeState(id=5, x=4.0, y=-6.0, vx=0.0, vy=walker_speed, r=0.2,
                        kind=NodeKind.DYNAMIC)
     nodes.append(walker)
-    mesh = build_mesh(nodes, 0.0)
+    mesh = build_mesh(table_of(nodes), 0.0)
     dual = build_dual(mesh, (7, 2))
     return mesh, dual
 
 
 class TestComputeEventTime:
     def test_static_scene_has_no_events(self):
-        mesh = build_mesh(make_nodes([(0, 0), (4, 0), (8, 0), (2, 3), (6, 3)]), 0.0)
+        mesh = build_mesh(table_of(make_nodes([(0, 0), (4, 0), (8, 0), (2, 3), (6, 3)])), 0.0)
         dual = build_dual(mesh, (7, 2))
         ch = astar(dual, mesh, 0, len(mesh.triangles) - 1, ego_position=(1, 1),
                    ego_speed=0.1)
@@ -271,7 +271,7 @@ class TestComputeEventTime:
                                kind=NodeKind.DYNAMIC))  # hits far triangle soon
         nodes.append(NodeState(id=8, x=2.0, y=-6.0, vx=0.0, vy=1.0, r=0.1,
                                kind=NodeKind.DYNAMIC))  # hits near triangle later
-        mesh = build_mesh(nodes, 0.0)
+        mesh = build_mesh(table_of(nodes), 0.0)
         dual = build_dual(mesh, (11, 2))
         start = next(i for i, v in enumerate(mesh.triangles.tolist()) if 0 in v)
         end = next(i for i, v in enumerate(mesh.triangles.tolist()) if 3 in v)
@@ -310,7 +310,7 @@ class TestComputeEventTime:
 
     def test_invalid_resolution(self):
         mesh, dual = crossing_channel()
-        ch = astar(dual, mesh, 0, 0)
+        ch = astar(dual, mesh, 0, 0, ego_position=dual.placements[0], ego_speed=1.0)
         with pytest.raises(ValueError):
             compute_event_time(ch, mesh, 0.0)
 
@@ -363,7 +363,7 @@ def test_batched_scan_matches_reference(scene, res, data):
     points, vels = scene
     t0 = data.draw(st.sampled_from([0.0, 1.5]), label="mesh time")
     try:
-        mesh = build_mesh(moving_nodes(points, vels), t0)
+        mesh = build_mesh(table_of(moving_nodes(points, vels)), t0)
     except DegenerateInputError:
         assume(False)
     tri_ids = data.draw(st.lists(st.integers(0, len(mesh.triangles) - 1),
@@ -392,7 +392,7 @@ class TestBatchedScan:
         # triangle reach its circumcircle at the same sample.
         pts = [(0, 0), (4, 0), (2, 3), (7, 2), (-3, 2)]
         vels = [(0, 0), (0, 0), (0, 0), (-1, 0), (1, 0)]
-        mesh = build_mesh(moving_nodes(pts, vels), 0.0)
+        mesh = build_mesh(table_of(moving_nodes(pts, vels)), 0.0)
         tri = triangle_with(mesh, (0, 1, 2))
         assert neighbors_of(mesh, tri) == [3, 4]
         ch = channel_of(mesh, [tri], [6.0])
@@ -411,7 +411,7 @@ class TestBatchedScan:
         # at the same sample, and the first copy wins.
         pts = [(0, 0), (4, 0), (2, 3), (7, 2), (-3, 2)]
         vels = [(0, 0), (0, 0), (0, 0), (-1, 0), (1, 0)]
-        mesh = build_mesh(moving_nodes(pts, vels), 0.0)
+        mesh = build_mesh(table_of(moving_nodes(pts, vels)), 0.0)
         tri = triangle_with(mesh, (0, 1, 2))
         other = triangle_with(mesh, (1, 2, 3))
         ch = channel_of(mesh, [other, tri, tri], [0.0, 6.0, 6.0])
@@ -421,7 +421,7 @@ class TestBatchedScan:
 
     def test_rigid_translation_is_skipped(self):
         pts = [(0, 0), (4, 0), (2, 3), (2, -1)]
-        mesh = build_mesh(moving_nodes(pts, [(0.5, -1.0)] * 4), 0.0)
+        mesh = build_mesh(table_of(moving_nodes(pts, [(0.5, -1.0)] * 4)), 0.0)
         ch = channel_of(mesh, range(len(mesh.triangles)), [8.0] * len(mesh.triangles))
         assert compute_event_time(ch, mesh, 0.1) is None
         assert reference_event_time(ch, mesh, 0.1) is None
@@ -437,7 +437,7 @@ class TestBatchedScan:
         # three corners are the triangle: exactly cocircular, float det 0.
         pts = [(0, 0), (2, 0), (0, 2), (2, 3)]
         vels = [(0, 0), (0, 0), (0, 0), (0, -1)]
-        mesh = build_mesh(moving_nodes(pts, vels), 0.0)
+        mesh = build_mesh(table_of(moving_nodes(pts, vels)), 0.0)
         ch = channel_of(mesh, [triangle_with(mesh, (0, 1, 2))], [3.0])
         calls = count_exact_calls(monkeypatch)
         report = compute_event_time(ch, mesh, 0.5)
@@ -450,7 +450,7 @@ class TestBatchedScan:
         # collinear there and the exact predicate reports an event.
         pts = [(0, 0), (2, 0), (1, 1), (1, -10)]
         vels = [(0, 0), (0, 0), (0, -1), (0, 0)]
-        mesh = build_mesh(moving_nodes(pts, vels), 0.0)
+        mesh = build_mesh(table_of(moving_nodes(pts, vels)), 0.0)
         ch = channel_of(mesh, [triangle_with(mesh, (0, 1, 2))], [3.0])
         calls = count_exact_calls(monkeypatch)
         report = compute_event_time(ch, mesh, 0.5)
@@ -461,7 +461,7 @@ class TestBatchedScan:
     def test_window_is_truncated_at_arrival(self):
         pts = [(0, 0), (2, 0), (0, 2), (2, 3)]
         vels = [(0, 0), (0, 0), (0, 0), (0, -1)]
-        mesh = build_mesh(moving_nodes(pts, vels), 0.0)
+        mesh = build_mesh(table_of(moving_nodes(pts, vels)), 0.0)
         tri = triangle_with(mesh, (0, 1, 2))
         for eta, want in ((0.0, None), (0.5, None), (1.0, None), (1.01, 1.0)):
             ch = channel_of(mesh, [tri], [eta])
@@ -477,7 +477,7 @@ class TestBatchedScan:
         # the pair.
         pts = [(0, 0), (2, 0), (1, 1.8), (1, -1.5), (1, -3)]
         vels = [(0, 0), (0, 0), (0, 0), (0, 0), (0, 2)]
-        raw = build_mesh(moving_nodes(pts, vels), 0.0)
+        raw = build_mesh(table_of(moving_nodes(pts, vels)), 0.0)
         ch = channel_of(raw, [triangle_with(raw, (0, 1, 2))], [3.0])
         assert compute_event_time(ch, raw, 0.1) is None
         moved = transmit(raw, TransmissionConfig())
@@ -587,7 +587,7 @@ class TestAnchorSurvives:
     def test_matches_brute_force_and_rebuild(self):
         outcomes = {True: 0, False: 0}
         for nodes, t0, later, stride in survival_scenes():
-            table = NodeTable.of(nodes)
+            table = table_of(nodes)
             try:
                 tris = build_mesh(table, t0).triangles[::stride].tolist()
             except DegenerateInputError:
@@ -604,16 +604,16 @@ class TestAnchorSurvives:
         assert min(outcomes.values()) >= 100, outcomes
 
     def test_node_on_circle_is_a_loss(self):
-        square = NodeTable.of(make_nodes([(0, 0), (1, 0), (1, 1), (0, 1)]))
+        square = table_of(make_nodes([(0, 0), (1, 0), (1, 1), (0, 1)]))
         assert not events.anchor_survives(square, 0.0, [0, 1, 2])
         # Node 3 moves off the circle, outward and then inward.
-        moving = NodeTable.of(moving_nodes([(0, 0), (1, 0), (1, 1), (0, 1)],
+        moving = table_of(moving_nodes([(0, 0), (1, 0), (1, 1), (0, 1)],
                                            [(0, 0), (0, 0), (0, 0), (-1, 1)]))
         assert events.anchor_survives(moving, 0.5, [0, 1, 2])
         assert not events.anchor_survives(moving, -0.25, [0, 1, 2])
 
     def test_collinear_and_coincident_are_losses(self):
-        line = NodeTable.of(make_nodes([(0, 0), (1, 0), (2, 0), (1, 5)]))
+        line = table_of(make_nodes([(0, 0), (1, 0), (2, 0), (1, 5)]))
         assert not events.anchor_survives(line, 0.0, [0, 1, 2])
-        twin = NodeTable.of(make_nodes([(0, 0), (4, 0), (0, 4), (0, 0)]))
+        twin = table_of(make_nodes([(0, 0), (4, 0), (0, 4), (0, 0)]))
         assert not events.anchor_survives(twin, 0.0, [0, 1, 2])

@@ -16,6 +16,7 @@ from trichannel.funnel import PathPolyline, _shrink_portal, funnel
 from trichannel.geometry import NodeKind, NodeState, dist
 from trichannel.mesh import build_mesh, locate, point_in_triangle
 
+from nodes import table_of
 from test_stage_oracles import _ccw, corridor_mesh, extract_portals
 
 
@@ -253,7 +254,7 @@ class TestPortals:
         nodes = [NodeState(id=i, x=x, y=y, vx=0.0, vy=0.0, r=r, kind=NodeKind.STATIC)
                  for i, (x, y, r) in enumerate([(0, 1, 0.0), (2, 0, 0.0), (2, 3, 0.3),
                                                 (2, 3, 0.7), (4, 1, 0.0)])]
-        mesh = build_mesh(nodes, 0.0)
+        mesh = build_mesh(table_of(nodes), 0.0)
         assert 2 in mesh.triangles and 3 not in mesh.triangles
         ids = [locate(mesh, (1.0, 1.2)), locate(mesh, (3.0, 1.2))]
         padding = 0.1

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trichannel.geometry import (DegenerateTriangleError, InCircleSide,
-                                 NodeKind, NodeState, dist, incircle, orient2d,
-                                 position_at)
+                                 NodeKind, NodeState, dist, incircle, orient2d)
 
 
 def orient_oracle(a, b, c):
@@ -129,14 +128,6 @@ class TestIncircle:
 
 
 class TestMotionModel:
-    def test_position_advances_linearly(self):
-        n = NodeState(id=0, x=1.0, y=2.0, vx=0.5, vy=-1.0, r=0.3)
-        assert position_at(n, 2.0) == (2.0, 0.0)
-
-    def test_zero_time_is_identity(self):
-        n = NodeState(id=0, x=1.0, y=2.0, vx=3.0, vy=4.0, r=0.0)
-        assert position_at(n, 0.0) == (1.0, 2.0)
-
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             NodeState(id=0, x=0, y=0, vx=0, vy=0, r=-0.1)
@@ -144,7 +135,6 @@ class TestMotionModel:
     def test_node_accessors(self):
         n = NodeState(id=7, x=1, y=2, vx=3, vy=4, r=0.5, kind=NodeKind.DYNAMIC)
         assert n.position == (1, 2)
-        assert n.velocity == (3, 4)
 
 
 def test_dist_is_euclidean():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import Delaunay
 
+from nodes import table_of
 from test_stage_oracles import corpus
 from trichannel import mesh as mesh_module
 from trichannel import sequencer, simulate
@@ -17,7 +18,7 @@ from trichannel.geometry import (InCircleSide, NodeKind, NodeState, dist, incirc
 from trichannel.mesh import (DegenerateInputError, NodeTable, build_dual, build_mesh,
                              find_triangle, generate_virtual_nodes, locate,
                              mesh_edges, point_in_triangle)
-from trichannel.scenario import generate_synthetic
+from trichannel.scenario import ObjectTrack, Scenario, generate_synthetic
 from trichannel.simulate import MethodId, run_scenario
 
 
@@ -60,12 +61,12 @@ def edge_triangle_count(mesh, u, v):
 
 class TestBuildMesh:
     def test_single_triangle(self):
-        mesh = build_mesh(make_nodes([(0, 0), (4, 0), (0, 4)]), 0.0)
+        mesh = build_mesh(table_of(make_nodes([(0, 0), (4, 0), (0, 4)])), 0.0)
         assert len(mesh.triangles) == 1
         assert neighbor_ids(mesh, 0) == []
 
     def test_square_gives_two_adjacent_triangles(self):
-        mesh = build_mesh(make_nodes([(0, 0), (2, 0), (2, 2), (0, 2)]), 0.0)
+        mesh = build_mesh(table_of(make_nodes([(0, 0), (2, 0), (2, 2), (0, 2)])), 0.0)
         assert len(mesh.triangles) == 2
         assert neighbor_ids(mesh, 0) == [1]
         assert neighbor_ids(mesh, 1) == [0]
@@ -74,7 +75,7 @@ class TestBuildMesh:
 
     def test_triangles_are_ccw(self):
         rng = random.Random(7)
-        mesh = build_mesh(random_nodes(rng, 30), 0.0)
+        mesh = build_mesh(table_of(random_nodes(rng, 30)), 0.0)
         for tri_id in range(len(mesh.triangles)):
             a, b, c = mesh.triangle_points(tri_id)
             assert orient2d(a, b, c) > 0
@@ -82,37 +83,37 @@ class TestBuildMesh:
     def test_delaunay_property_random_sets(self):
         rng = random.Random(1)
         for _ in range(5):
-            mesh = build_mesh(random_nodes(rng, 25), 0.0)
+            mesh = build_mesh(table_of(random_nodes(rng, 25)), 0.0)
             assert is_delaunay(mesh)
 
     def test_positions_extrapolated_to_time(self):
         nodes = make_nodes([(0, 0), (4, 0), (0, 4)])
         mover = NodeState(id=3, x=1.0, y=1.0, vx=1.0, vy=0.0, r=0.1,
                           kind=NodeKind.DYNAMIC)
-        mesh = build_mesh(nodes + [mover], 2.0)
+        mesh = build_mesh(table_of(nodes + [mover]), 2.0)
         assert mesh.xy_list[3] == (3.0, 1.0)
         assert mesh.time == 2.0
 
     def test_deterministic_triangle_ordering(self):
         rng = random.Random(3)
         nodes = random_nodes(rng, 40)
-        m1 = build_mesh(nodes, 0.0)
-        m2 = build_mesh(list(reversed(nodes)), 0.0)
+        m1 = build_mesh(table_of(nodes), 0.0)
+        m2 = build_mesh(table_of(list(reversed(nodes))), 0.0)
         assert m1.triangles.tolist() == m2.triangles.tolist()
 
     def test_too_few_nodes_raises(self):
         with pytest.raises(DegenerateInputError):
-            build_mesh(make_nodes([(0, 0), (1, 1)]), 0.0)
+            build_mesh(table_of(make_nodes([(0, 0), (1, 1)])), 0.0)
 
     def test_collinear_nodes_raise(self):
         with pytest.raises(DegenerateInputError):
-            build_mesh(make_nodes([(0, 0), (1, 0), (2, 0), (3, 0)]), 0.0)
+            build_mesh(table_of(make_nodes([(0, 0), (1, 0), (2, 0), (3, 0)])), 0.0)
 
     def test_duplicate_ids_rejected(self):
         nodes = make_nodes([(0, 0), (4, 0), (0, 4)])
         dup = NodeState(id=0, x=9, y=9, vx=0, vy=0, r=0)
         with pytest.raises(ValueError):
-            build_mesh(nodes + [dup], 0.0)
+            build_mesh(table_of(nodes + [dup]), 0.0)
 
     @pytest.mark.parametrize("ids, message", [([2, 0, 2, 5], "duplicate node ids"),
                                               ([0, 3, 1, 5], "not ascending")])
@@ -125,7 +126,7 @@ class TestBuildMesh:
 
     def test_snapshot_is_immutable(self):
         # A plan reuses the snapshot built at a time, so nothing may edit it.
-        mesh = build_mesh(make_nodes([(0, 0), (4, 0), (0, 4)]), 0.0)
+        mesh = build_mesh(table_of(make_nodes([(0, 0), (4, 0), (0, 4)])), 0.0)
         for table in (mesh.xy, mesh.vel, mesh.triangles, mesh.neighbors,
                       mesh.nodes.ids, mesh.nodes.r):
             with pytest.raises(ValueError):
@@ -135,7 +136,7 @@ class TestBuildMesh:
 
     def test_adjacency_is_symmetric(self):
         rng = random.Random(11)
-        mesh = build_mesh(random_nodes(rng, 30), 0.0)
+        mesh = build_mesh(table_of(random_nodes(rng, 30)), 0.0)
         for tid in range(len(mesh.triangles)):
             for n in neighbor_ids(mesh, tid):
                 assert tid in neighbor_ids(mesh, n)
@@ -154,7 +155,7 @@ def closest_point_oracle(pa, pb, goal, ego_radius):
 class TestDualGraph:
     def test_placement_on_goal_facing_edge(self):
         # Two triangles; the shared edge faces the goal for the left one.
-        mesh = build_mesh(make_nodes([(0, 0), (2, 0), (2, 2), (0, 2)]), 0.0)
+        mesh = build_mesh(table_of(make_nodes([(0, 0), (2, 0), (2, 2), (0, 2)])), 0.0)
         goal = (10.0, 1.0)
         dual = build_dual(mesh, goal, ego_radius=0.25)
         for tid, placement in dual.placements.items():
@@ -173,7 +174,7 @@ class TestDualGraph:
 
     def test_endpoint_clamp_margin(self):
         # Goal far beyond one endpoint: placement stops short of the vertex.
-        mesh = build_mesh(make_nodes([(0, 0), (2, 0), (2, 2), (0, 2)]), 0.0)
+        mesh = build_mesh(table_of(make_nodes([(0, 0), (2, 0), (2, 2), (0, 2)])), 0.0)
         goal = (100.0, 100.0)
         dual = build_dual(mesh, goal, ego_radius=0.25)
         shared = sorted(shared_vertices(mesh, 0, 1))
@@ -185,14 +186,14 @@ class TestDualGraph:
             assert dist(placement, pb) >= margin - 1e-12
 
     def test_isolated_triangle_uses_centroid(self):
-        mesh = build_mesh(make_nodes([(0, 0), (3, 0), (0, 3)]), 0.0)
+        mesh = build_mesh(table_of(make_nodes([(0, 0), (3, 0), (0, 3)])), 0.0)
         dual = build_dual(mesh, (10, 10))
         assert dual.placements[0] == (1.0, 1.0)
         assert mesh.neighbors.tolist() == [[-1, -1, -1]]
 
     def test_dual_edges_match_interior_mesh_edges(self):
         rng = random.Random(5)
-        mesh = build_mesh(random_nodes(rng, 20), 0.0)
+        mesh = build_mesh(table_of(random_nodes(rng, 20)), 0.0)
         dual = build_dual(mesh, (0, 0))
         count = len(mesh.triangles)
         interior = sum(1 for a in range(count) for b in range(a + 1, count)
@@ -269,7 +270,7 @@ class TestTopologyTables:
 
     @pytest.mark.parametrize("nodes", list(oracle_scenes()))
     def test_tables_match_brute_force(self, nodes):
-        mesh = build_mesh(nodes, 0.0)
+        mesh = build_mesh(table_of(nodes), 0.0)
         rows = mesh.triangles.tolist()
         assert rows == reference_triangles(nodes)
         assert mesh.nodes.ids.tolist() == sorted(n.id for n in nodes)
@@ -296,7 +297,7 @@ class TestTopologyTables:
         advanced = 0
         for label, nodes, t in corpus():
             try:
-                built = qhull_build(nodes, t)
+                built = qhull_build(table_of(nodes), t)
             except DegenerateInputError:
                 continue
             before = len(calls)
@@ -326,7 +327,7 @@ class TestTopologyTables:
 
     @pytest.mark.parametrize("nodes", list(oracle_scenes()))
     def test_edges_in_first_occurrence_order(self, nodes):
-        mesh = build_mesh(nodes, 0.0)
+        mesh = build_mesh(table_of(nodes), 0.0)
         want = []
         for a, b, c in mesh.triangles.tolist():
             for e in (sorted((a, b)), sorted((b, c)), sorted((c, a))):
@@ -338,7 +339,7 @@ class TestTopologyTables:
         # Qhull hands over CCW triangles; feed them clockwise to exercise
         # the orientation fix.  (A zero-area row keeps Qhull's order.)
         scenes = [make_nodes(SLIVERS[0]), random_nodes(random.Random(8), 30)]
-        want = [build_mesh(nodes, 0.0) for nodes in scenes]
+        want = [build_mesh(table_of(nodes), 0.0) for nodes in scenes]
 
         class Clockwise:
             def __init__(self, pts):
@@ -348,12 +349,12 @@ class TestTopologyTables:
 
         monkeypatch.setattr(mesh_module, "_QhullDelaunay", Clockwise)
         for nodes, expected in zip(scenes, want):
-            got = build_mesh(nodes, 0.0)
+            got = build_mesh(table_of(nodes), 0.0)
             assert got.triangles.tolist() == expected.triangles.tolist()
             assert got.neighbors.tolist() == expected.neighbors.tolist()
 
     def test_find_triangle_ignores_vertex_order(self):
-        mesh = build_mesh(random_nodes(random.Random(4), 20), 0.0)
+        mesh = build_mesh(table_of(random_nodes(random.Random(4), 20)), 0.0)
         for tri_id, (a, b, c) in enumerate(mesh.triangles.tolist()):
             assert find_triangle(mesh, (c, a, b)) == tri_id
             assert find_triangle(mesh, (b, a, c)) == tri_id
@@ -378,11 +379,11 @@ def count_qhull(monkeypatch):
     return calls
 
 
-def qhull_build(nodes, t):
+def qhull_build(table, t):
     """A Qhull build at ``t`` that leaves the warm-start slot as it was."""
     slot, mesh_module._plan_start = mesh_module._plan_start, None
     try:
-        return build_mesh(nodes, t)
+        return build_mesh(table, t)
     finally:
         mesh_module._plan_start = slot
 
@@ -474,15 +475,15 @@ class TestAdvance:
         nodes = [NodeState(id=i, x=x, y=y, vx=vx, vy=vy, r=0.0)
                  for i, ((x, y), (vx, vy)) in enumerate(zip(FRAME + inner, speeds))]
         t0 = data.draw(st.sampled_from([0.0, 0.5]), label="prior time")
-        advance_or_raise(NodeTable.of(nodes), t0, t0 + data.draw(st.floats(0.01, 3.0)))
+        advance_or_raise(table_of(nodes), t0, t0 + data.draw(st.floats(0.01, 3.0)))
 
     @pytest.mark.parametrize("t1", [0.5, 1.0, 2.0])
     def test_cocircular_grids_take_the_fallback(self, t1, monkeypatch):
         # Exactly cocircular integer grids with integer speeds, and still
         # ones: an in-circle value of zero is never decided by flips.
-        grids = [NodeTable.of(nodes) for label, nodes, _ in corpus()
+        grids = [table_of(nodes) for label, nodes, _ in corpus()
                  if label.startswith("grid-")]
-        grids += [NodeTable.of(make_nodes([(i, j) for i in range(k) for j in range(k)]))
+        grids += [table_of(make_nodes([(i, j) for i in range(k) for j in range(k)]))
                   for k in (2, 3, 5, 7)]
         calls = count_qhull(monkeypatch)
         for table in grids:
@@ -504,7 +505,7 @@ class TestAdvance:
         nodes = [NodeState(id=i, x=x, y=y, vx=0.0, vy=eps if i == 7 else 0.0, r=0.0)
                  for i, (x, y) in enumerate(pts)]
         calls = count_qhull(monkeypatch)
-        advance_or_raise(NodeTable.of(nodes), -1.0, 1.0)
+        advance_or_raise(table_of(nodes), -1.0, 1.0)
         assert calls == [8] * 3
 
     def test_inverted_triangle_takes_the_fallback(self, monkeypatch):
@@ -512,14 +513,14 @@ class TestAdvance:
         pts = [(0, 0), (10, 0), (10, 10), (0, 10), (3, 5), (8, 5), (4.5, 6.5)]
         nodes = [NodeState(id=i, x=x, y=y, vx=0.0, vy=-2.0 if i == 6 else 0.0, r=0.0)
                  for i, (x, y) in enumerate(pts)]
-        table = NodeTable.of(nodes)
+        table = table_of(nodes)
         assert find_triangle(build_mesh(table, 0.0), (4, 5, 6)) is not None
         calls = count_qhull(monkeypatch)
         advance_or_raise(table, 0.0, 1.0)
         assert calls == [7] * 3
 
     def test_flip_cap_takes_the_fallback(self, monkeypatch):
-        table = NodeTable.of(generate_synthetic(0).node_states_at(4.0))
+        table = generate_synthetic(0).table_at(4.0)
         prior = build_mesh(table, 0.0)
         flipped = build_mesh(table, 0.3, prior)
         assert flipped.triangles.tolist() != prior.triangles.tolist()
@@ -531,7 +532,7 @@ class TestAdvance:
         assert calls == [len(table.ids)]
 
     def test_advance_without_flips_shares_the_seed_tables(self, monkeypatch):
-        table = NodeTable.of(generate_synthetic(0).node_states_at(4.0))
+        table = generate_synthetic(0).table_at(4.0)
         prior = build_mesh(table, 0.0)
         calls = count_qhull(monkeypatch)
         still = build_mesh(table, 0.0, prior)
@@ -546,11 +547,11 @@ class TestAdvance:
 
     def test_new_table_with_same_positions_advances(self, monkeypatch):
         nodes = random_nodes(random.Random(2), 20)
-        prior = build_mesh(nodes, 0.0)
+        prior = build_mesh(table_of(nodes), 0.0)
         calls = count_qhull(monkeypatch)
-        assert_same_tables(build_mesh(NodeTable.of(nodes), 0.0, prior), prior)
+        assert_same_tables(build_mesh(table_of(nodes), 0.0, prior), prior)
         monkeypatch.setattr(mesh_module, "_plan_start", prior)
-        assert_same_tables(build_mesh(NodeTable.of(nodes), 0.0), prior)
+        assert_same_tables(build_mesh(table_of(nodes), 0.0), prior)
         assert calls == []
 
     def test_seed_positions_share_the_tables_untested(self, monkeypatch):
@@ -577,7 +578,7 @@ class TestAdvance:
     def test_interior_node_moved_by_one_ulp_is_certified(self, monkeypatch):
         # Node 8 is the first inside a still frame.
         nodes = square_framed(random.Random(3), 12)
-        prior = build_mesh(nodes, 0.0)
+        prior = build_mesh(table_of(nodes), 0.0)
         moved = [dataclasses.replace(n, x=np.nextafter(n.x, 21.0)) if n.id == 8 else n
                  for n in nodes]
         certified = []
@@ -585,17 +586,17 @@ class TestAdvance:
         monkeypatch.setattr(mesh_module, "incircle_filter",
                             lambda *args: certified.append(1) or real(*args))
         calls = count_qhull(monkeypatch)
-        assert_same_tables(build_mesh(moved, 0.0, prior), qhull_build(moved, 0.0))
+        assert_same_tables(build_mesh(table_of(moved), 0.0, prior), qhull_build(table_of(moved), 0.0))
         assert certified and calls == [len(nodes)]
 
     def test_hull_vertex_moved_by_one_ulp_is_rebuilt(self, monkeypatch):
         # Node 4 is the corner (20, 20) of a still frame.
         nodes = square_framed(random.Random(3), 12)
-        prior = build_mesh(nodes, 0.0)
+        prior = build_mesh(table_of(nodes), 0.0)
         moved = [dataclasses.replace(n, x=np.nextafter(n.x, 21.0)) if n.id == 4 else n
                  for n in nodes]
         calls = count_qhull(monkeypatch)
-        assert_same_tables(build_mesh(moved, 0.0, prior), qhull_build(moved, 0.0))
+        assert_same_tables(build_mesh(table_of(moved), 0.0, prior), qhull_build(table_of(moved), 0.0))
         assert calls == [len(nodes)] * 2
 
     @pytest.mark.parametrize("extra", [-1, 1])
@@ -603,16 +604,16 @@ class TestAdvance:
         # The prior has one node fewer or one more, the last by id.
         nodes = square_framed(random.Random(4), 12)
         grown = nodes + [NodeState(id=len(nodes), x=7.5, y=12.5, vx=0.0, vy=0.0, r=0.0)]
-        prior = build_mesh(nodes[:-1] if extra < 0 else grown, 0.0)
+        prior = build_mesh(table_of(nodes[:-1] if extra < 0 else grown), 0.0)
         calls = count_qhull(monkeypatch)
-        assert_same_tables(build_mesh(nodes, 0.0, prior), qhull_build(nodes, 0.0))
+        assert_same_tables(build_mesh(table_of(nodes), 0.0, prior), qhull_build(table_of(nodes), 0.0))
         assert calls == [len(nodes)] * 2
 
     def test_node_missing_from_prior_is_rebuilt(self, monkeypatch):
         # The last node starts on node 8, and Qhull drops it, the highest index.
         nodes = square_framed(random.Random(6), 12)
         x, y = nodes[8].position
-        table = NodeTable.of(nodes + [NodeState(id=len(nodes), x=x, y=y, vx=1.0,
+        table = table_of(nodes + [NodeState(id=len(nodes), x=x, y=y, vx=1.0,
                                                 vy=0.5, r=0.0)])
         prior = build_mesh(table, 0.0)
         assert np.unique(prior.triangles).tolist() == list(range(len(nodes)))
@@ -623,33 +624,40 @@ class TestAdvance:
     @pytest.mark.parametrize("seeds", [(0, 1), (3, 4)])
     def test_other_scenario_is_rebuilt(self, seeds, monkeypatch):
         # Scenes 3 and 4 have as many nodes, and the same hull.
-        prior_nodes, nodes = (generate_synthetic(s).node_states_at(0.0) for s in seeds)
-        prior = build_mesh(prior_nodes, 0.0)
+        prior_table, table = (generate_synthetic(s).table_at(0.0) for s in seeds)
+        prior = build_mesh(prior_table, 0.0)
         calls = count_qhull(monkeypatch)
         monkeypatch.setattr(mesh_module, "_plan_start", prior)
-        assert_same_tables(build_mesh(nodes, 0.0), qhull_build(nodes, 0.0))
-        assert calls == [len(nodes)] * 2
+        assert_same_tables(build_mesh(table, 0.0), qhull_build(table, 0.0))
+        assert calls == [len(table.ids)] * 2
 
 
 class TestVirtualNodes:
     def test_spacing_respected(self):
-        nodes = generate_virtual_nodes([(0, 0), (10, 0)], spacing=1.0)
-        assert nodes[0].position == (0, 0)
-        assert nodes[-1].position == (10, 0)
-        for a, b in zip(nodes, nodes[1:]):
-            assert dist(a.position, b.position) <= 1.0 + 1e-9
+        points = generate_virtual_nodes([(0, 0), (10, 0)], spacing=1.0)
+        assert points[0] == (0, 0)
+        assert points[-1] == (10, 0)
+        for a, b in zip(points, points[1:]):
+            assert dist(a, b) <= 1.0 + 1e-9
 
     def test_all_virtual_zero_velocity(self):
-        nodes = generate_virtual_nodes([(0, 0), (3, 4)], spacing=0.7, id_start=5)
-        assert all(n.kind is NodeKind.VIRTUAL for n in nodes)
-        assert all(n.velocity == (0, 0) for n in nodes)
-        assert [n.id for n in nodes] == list(range(5, 5 + len(nodes)))
+        # A scenario's wall rows: virtual, still and zero-radius, with ids
+        # counting on from its largest track id.
+        sc = Scenario(id="wall", nodes=[ObjectTrack(id=4, kind=NodeKind.STATIC, radius=0.2,
+                                                    waypoints=[(0.0, 1.0, 3.0)])],
+                      boundaries=[[(0, 0), (3, 4)]], start=(0.5, 0.0), goal=(2.5, 0.0),
+                      ego_speed=1.0, ego_radius=0.4, time_limit=1.0)
+        walls = sc.node_states_at(0.0)[1:]
+        assert [n.position for n in walls] == generate_virtual_nodes([(0, 0), (3, 4)],
+                                                                     sc.virtual_spacing)
+        assert all(n.kind is NodeKind.VIRTUAL for n in walls)
+        assert all((n.vx, n.vy, n.r) == (0, 0, 0) for n in walls)
+        assert [n.id for n in walls] == list(range(5, 5 + len(walls)))
 
     def test_closed_polyline_no_seam_duplicate(self):
         square = [(0, 0), (4, 0), (4, 4), (0, 4), (0, 0)]
-        nodes = generate_virtual_nodes(square, spacing=1.0)
-        positions = [n.position for n in nodes]
-        assert len(positions) == len(set(positions))
+        points = generate_virtual_nodes(square, spacing=1.0)
+        assert len(points) == len(set(points))
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -670,12 +678,12 @@ class TestVirtualNodes:
 
 class TestLocate:
     def test_inside_and_outside(self):
-        mesh = build_mesh(make_nodes([(0, 0), (4, 0), (0, 4)]), 0.0)
+        mesh = build_mesh(table_of(make_nodes([(0, 0), (4, 0), (0, 4)])), 0.0)
         assert locate(mesh, (1, 1)) == 0
         assert locate(mesh, (10, 10)) is None
 
     def test_boundary_inclusive(self):
-        mesh = build_mesh(make_nodes([(0, 0), (4, 0), (0, 4)]), 0.0)
+        mesh = build_mesh(table_of(make_nodes([(0, 0), (4, 0), (0, 4)])), 0.0)
         assert locate(mesh, (2, 0)) == 0
         assert locate(mesh, (0, 0)) == 0
 

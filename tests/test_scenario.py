@@ -3,11 +3,12 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from trichannel import scenario as scenario_module
 from trichannel.geometry import NodeKind
-from trichannel.mesh import NodeTable
+from trichannel.mesh import generate_virtual_nodes
 from trichannel.scenario import (MAX_BOUNCES, ObjectTrack, Scenario,
                                  ScenarioFormatError, SyntheticParams,
                                  generate_synthetic)
@@ -112,7 +113,7 @@ class TestScenario:
         first = [s for s in sc.node_states_at(0.0) if s.kind is NodeKind.VIRTUAL]
         for t in (0.0, 1.0, 7.5):
             again = [s for s in sc.node_states_at(t) if s.kind is NodeKind.VIRTUAL]
-            assert all(a is b for a, b in zip(first, again))
+            assert again == first
             assert len(again) == len(first)
         assert len(calls) == len(sc.boundaries)
 
@@ -241,15 +242,35 @@ class TestScenario:
             Scenario.load(f)
 
 
-def assert_table_at_matches_states(sc, times):
-    """``table_at`` gives ``NodeTable.of(node_states_at)``'s arrays, bit for bit."""
+def assert_table_at_matches_tracks(sc, times):
+    """``table_at`` holds, bit for bit, each track's own position, velocity
+    and radius in id order, then the ``generate_virtual_nodes`` points of
+    every boundary with ids counting on from the largest track id, zero
+    velocity and zero radius; ``node_states_at`` reads its rows."""
+    tracks = sorted(sc.nodes, key=lambda tr: tr.id)
+    walls = [p for b in sc.boundaries for p in generate_virtual_nodes(b, sc.virtual_spacing)]
+    first_wall = max((tr.id for tr in tracks), default=-1) + 1
     for t in times:
-        got, want = sc.table_at(t), NodeTable.of(sc.node_states_at(t))
-        for name in ("ids", "xy", "vel", "r"):
-            a, b = getattr(got, name), getattr(want, name)
+        want = {
+            "ids": np.array([tr.id for tr in tracks]
+                            + list(range(first_wall, first_wall + len(walls))), dtype=np.int64),
+            "xy": np.array([tr.position_at(t) for tr in tracks] + walls,
+                           dtype=float).reshape(-1, 2),
+            "vel": np.array([tr.velocity_at(t) for tr in tracks] + [(0.0, 0.0)] * len(walls),
+                            dtype=float).reshape(-1, 2),
+            "r": np.array([tr.radius for tr in tracks] + [0.0] * len(walls), dtype=float),
+        }
+        got = sc.table_at(t)
+        for name, b in want.items():
+            a = getattr(got, name)
             assert (a.dtype, a.shape) == (b.dtype, b.shape), (sc.id, t, name)
             assert a.tobytes() == b.tobytes(), (sc.id, t, name)
             assert not a.flags.writeable, (sc.id, t, name)
+        rows = {i: row for row, i in enumerate(got.ids.tolist())}
+        for n in sc.node_states_at(t):
+            row = rows[n.id]
+            assert (n.x, n.y, n.vx, n.vy) == (*got.xy[row], *got.vel[row]), (sc.id, t, n.id)
+            assert n.r == got.r[row], (sc.id, t, n.id)
 
 
 def waypoint_times(sc):
@@ -263,7 +284,7 @@ class TestTableAt:
     @pytest.mark.parametrize("seed", range(12))
     def test_synthetic_matches_node_states(self, seed):
         sc = generate_synthetic(seed)
-        assert_table_at_matches_states(sc, waypoint_times(sc))
+        assert_table_at_matches_tracks(sc, waypoint_times(sc))
 
     def test_hand_made_scene_matches_node_states(self):
         sc = Scenario(
@@ -285,7 +306,27 @@ class TestTableAt:
         assert sc.table_at(0.0).ids.tolist() == [0, 2, 5, 9]
         # Obstacles keep the order the scenario lists them in.
         assert sc.table_at(0.0).ids[sc.obstacle_rows].tolist() == [9, 2, 5, 0]
-        assert_table_at_matches_states(sc, waypoint_times(sc))
+        assert_table_at_matches_tracks(sc, waypoint_times(sc))
+
+    def test_hand_made_scene_with_walls_matches_tracks(self):
+        sc = Scenario(
+            id="walled",
+            nodes=[
+                ObjectTrack(id=7, kind=NodeKind.DYNAMIC, radius=0.3,
+                            waypoints=[(0.0, 1.0, 1.0), (2.0, 3.0, 1.0)]),
+                ObjectTrack(id=3, kind=NodeKind.STATIC, radius=0.5,
+                            waypoints=[(0.0, 4.0, 4.0)]),
+                ObjectTrack(id=5, kind=NodeKind.DYNAMIC, radius=0.2,
+                            waypoints=[(1.0, 2.0, 5.0), (3.0, 2.0, 2.0), (4.0, 5.0, 2.0)]),
+            ],
+            boundaries=[[(0.0, 0.0), (10.0, 0.0)],  # open
+                        [(0.0, 8.0), (10.0, 8.0), (10.0, 12.0), (0.0, 8.0)]],  # closed
+            start=(0.5, 4.0), goal=(9.5, 4.0),
+            ego_speed=1.0, ego_radius=0.4, time_limit=10.0,
+        )
+        ids = sc.table_at(0.0).ids.tolist()
+        assert ids[:3] == [3, 5, 7] and ids[3:] == list(range(8, len(ids) + 5))
+        assert_table_at_matches_tracks(sc, waypoint_times(sc))
 
     def test_all_static_scene_matches_node_states(self):
         # Criterion 7's scenes: every walker parked at its first waypoint.
@@ -293,13 +334,24 @@ class TestTableAt:
         parked = dataclasses.replace(sc, nodes=[
             ObjectTrack(id=tr.id, kind=NodeKind.STATIC, radius=tr.radius,
                         waypoints=[tr.waypoints[0]]) for tr in sc.nodes])
-        assert_table_at_matches_states(parked, [0.0, 0.05, 3.0, 40.0])
+        assert_table_at_matches_tracks(parked, [0.0, 0.05, 3.0, 40.0])
 
     def test_ids_and_radii_shared_between_tables(self):
         sc = generate_synthetic(0)
         a, b = sc.table_at(0.0), sc.table_at(1.0)
         assert a.ids is b.ids and a.r is b.r
         assert a.xy is not b.xy
+
+    def test_node_states_keep_listed_order(self):
+        sc = dataclasses.replace(simple_scenario(), nodes=simple_scenario().nodes[::-1])
+        walls = [p for b in sc.boundaries for p in generate_virtual_nodes(b, sc.virtual_spacing)]
+        for t in (0.0, 1.3):
+            states = sc.node_states_at(t)
+            assert [n.id for n in states] == [1, 0, *range(2, 2 + len(walls))]
+            assert [n.position for n in states[2:]] == walls
+            assert {n.kind for n in states[2:]} == {NodeKind.VIRTUAL}
+            assert [n.position for n in states[:2]] == [tr.position_at(t) for tr in sc.nodes]
+            assert sc.node_states_at(t, include_virtual=False) == states[:2]
 
     def test_obstacle_rows_skip_virtual_nodes(self):
         sc = simple_scenario()

@@ -7,6 +7,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from nodes import table_of
 from test_stage_oracles import edge_gap_at
 from trichannel.geometry import NodeKind, NodeState, dist
 from trichannel.mesh import build_dual, build_mesh
@@ -50,39 +51,41 @@ def dijkstra_oracle(mesh, dual, start, goal):
 
 class TestAstar:
     def test_trivial_same_triangle(self):
-        mesh = build_mesh(make_nodes([(0, 0), (4, 0), (0, 4)]), 0.0)
+        mesh = build_mesh(table_of(make_nodes([(0, 0), (4, 0), (0, 4)])), 0.0)
         dual = build_dual(mesh, (1, 1))
-        ch = astar(dual, mesh, 0, 0)
+        ch = astar(dual, mesh, 0, 0, ego_position=dual.placements[0], ego_speed=1.0)
         assert ch.triangles == [0]
 
     def test_channel_is_edge_connected(self):
-        mesh = build_mesh(grid_scene(), 0.0)
+        mesh = build_mesh(table_of(grid_scene()), 0.0)
         dual = build_dual(mesh, (10, 4))
-        ch = astar(dual, mesh, 0, len(mesh.triangles) - 1)
+        ch = astar(dual, mesh, 0, len(mesh.triangles) - 1,
+                   ego_position=dual.placements[0], ego_speed=1.0)
         assert ch is not None
         for a, b in zip(ch.triangles, ch.triangles[1:]):
             assert shares_edge(mesh, a, b)
 
     def test_cost_matches_dijkstra(self):
         for seed in range(5):
-            mesh = build_mesh(grid_scene(jitter_seed=seed), 0.0)
+            mesh = build_mesh(table_of(grid_scene(jitter_seed=seed)), 0.0)
             goal = (10.0, 4.0)
             dual = build_dual(mesh, goal)
             start, end = 0, len(mesh.triangles) - 1
-            ch = astar(dual, mesh, start, end)
+            ch = astar(dual, mesh, start, end, ego_position=dual.placements[start],
+                       ego_speed=1.0)
             want = dijkstra_oracle(mesh, dual, start, end)
             got = sum(dist(dual.placements[a], dual.placements[b])
                       for a, b in zip(ch.triangles, ch.triangles[1:]))
             assert math.isclose(got, want, rel_tol=1e-9)
 
     def test_unknown_triangle_raises(self):
-        mesh = build_mesh(make_nodes([(0, 0), (4, 0), (0, 4)]), 0.0)
+        mesh = build_mesh(table_of(make_nodes([(0, 0), (4, 0), (0, 4)])), 0.0)
         dual = build_dual(mesh, (1, 1))
         with pytest.raises(KeyError):
-            astar(dual, mesh, 0, 99)
+            astar(dual, mesh, 0, 99, ego_position=dual.placements[0], ego_speed=1.0)
 
     def test_arrival_times_start_at_zero(self):
-        mesh = build_mesh(grid_scene(), 0.0)
+        mesh = build_mesh(table_of(grid_scene()), 0.0)
         dual = build_dual(mesh, (10, 4))
         ch = astar(dual, mesh, 0, len(mesh.triangles) - 1, ego_position=(0.5, 0.5),
                    ego_speed=2.0)
@@ -95,7 +98,7 @@ class TestAstar:
 
 class TestEdgeGap:
     def test_static_gap(self):
-        mesh = build_mesh(make_nodes([(0, 0), (3, 0), (0, 3)], r=0.5), 0.0)
+        mesh = build_mesh(table_of(make_nodes([(0, 0), (3, 0), (0, 3)], r=0.5)), 0.0)
         gap = edge_gap_at(mesh, (0, 1), 0.0)
         assert math.isclose(gap, 3.0 - 1.0)
 
@@ -105,7 +108,7 @@ class TestEdgeGap:
             NodeState(id=1, x=4, y=0, vx=-1.0, vy=0, r=0.5, kind=NodeKind.DYNAMIC),
             NodeState(id=2, x=2, y=3, vx=0, vy=0, r=0.0),
         ]
-        mesh = build_mesh(nodes, 0.0)
+        mesh = build_mesh(table_of(nodes), 0.0)
         assert math.isclose(edge_gap_at(mesh, (0, 1), 0.0), 3.0)
         assert math.isclose(edge_gap_at(mesh, (0, 1), 1.0), 1.0)
 
@@ -115,7 +118,7 @@ class TestEdgeGap:
             NodeState(id=1, x=4, y=0, vx=0.0, vy=0, r=0.0),
             NodeState(id=2, x=2, y=3, vx=0, vy=0, r=0.0),
         ]
-        mesh = build_mesh(nodes, 0.0)
+        mesh = build_mesh(table_of(nodes), 0.0)
         frozen = np.zeros((3, 2))
         assert math.isclose(
             edge_gap_at(replace(mesh, vel=frozen), (0, 1), 5.0), 4.0)
@@ -124,7 +127,7 @@ class TestEdgeGap:
 class TestTimedAstar:
     def test_reduces_to_astar_when_static(self):
         for seed in range(3):
-            mesh = build_mesh(grid_scene(jitter_seed=seed), 0.0)
+            mesh = build_mesh(table_of(grid_scene(jitter_seed=seed)), 0.0)
             goal = (10.0, 4.0)
             dual = build_dual(mesh, goal)
             start, end = 0, len(mesh.triangles) - 1
@@ -141,16 +144,16 @@ class TestTimedAstar:
         # Hourglass: two wide pockets joined by a pinch narrower than the
         # threshold, so no admissible channel crosses it.
         pts = [(0, 0), (0, 4), (2, 1.8), (2, 2.2), (4, 0), (4, 4)]
-        mesh = build_mesh(make_nodes(pts, r=0.0), 0.0)
+        mesh = build_mesh(table_of(make_nodes(pts, r=0.0)), 0.0)
         dual = build_dual(mesh, (4, 2))
         start = next(i for i, v in enumerate(mesh.triangles.tolist())
                      if {0, 1} <= set(v))
         end = next(i for i, v in enumerate(mesh.triangles.tolist())
                    if {4, 5} <= set(v))
         wide = timed_astar(dual, mesh, start, end, ego_speed=1.0,
-                           width_threshold=0.2)
+                           width_threshold=0.2, ego_position=dual.placements[start])
         tight = timed_astar(dual, mesh, start, end, ego_speed=1.0,
-                            width_threshold=3.0)
+                            width_threshold=3.0, ego_position=dual.placements[start])
         assert wide is not None
         assert tight is None
 
@@ -163,7 +166,7 @@ class TestTimedAstar:
                              kind=NodeKind.DYNAMIC)
         nodes[3] = NodeState(id=3, x=6, y=2.1, vx=0, vy=1.0, r=0.0,
                              kind=NodeKind.DYNAMIC)
-        mesh = build_mesh(nodes, 0.0)
+        mesh = build_mesh(table_of(nodes), 0.0)
         dual = build_dual(mesh, (12, 2))
         start = next(i for i, v in enumerate(mesh.triangles.tolist()) if {0, 1} <= set(v))
         end = next(i for i, v in enumerate(mesh.triangles.tolist()) if {4, 5} <= set(v))
@@ -172,7 +175,8 @@ class TestTimedAstar:
         assert ch is not None
 
     def test_invalid_speed(self):
-        mesh = build_mesh(make_nodes([(0, 0), (4, 0), (0, 4)]), 0.0)
+        mesh = build_mesh(table_of(make_nodes([(0, 0), (4, 0), (0, 4)])), 0.0)
         dual = build_dual(mesh, (1, 1))
         with pytest.raises(ValueError):
-            timed_astar(dual, mesh, 0, 0, ego_speed=0.0, width_threshold=0.1)
+            timed_astar(dual, mesh, 0, 0, ego_speed=0.0, width_threshold=0.1,
+                        ego_position=dual.placements[0])

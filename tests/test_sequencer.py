@@ -17,8 +17,9 @@ from trichannel.sequencer import (ChannelSequence, SequenceFailure,
                                   SequencerConfig, cut_index,
                                   generate_sequence, subgoal)
 from trichannel.simulate import MethodId, SimConfig, run_scenario
-from trichannel.transmission import transmit
+from trichannel.transmission import TransmissionConfig, transmit
 
+from nodes import table_of
 from segment_views import node_anchor, node_triangles
 
 
@@ -33,7 +34,7 @@ STRIP_START = (0.9, 0.6)
 def straight_strip():
     """Six-triangle strip along +x with unit hop times, entered at ``STRIP_START``."""
     pts = [(0, 0), (2, 0), (4, 0), (6, 0), (1, 2), (3, 2), (5, 2), (7, 2)]
-    mesh = build_mesh(make_nodes(pts), 0.0)
+    mesh = build_mesh(table_of(make_nodes(pts)), 0.0)
     dual = build_dual(mesh, (7, 1))
     start = next(i for i, v in enumerate(mesh.triangles.tolist()) if 0 in v)
     end = next(i for i, v in enumerate(mesh.triangles.tolist()) if 7 in v)
@@ -179,7 +180,7 @@ class TestGenerateSequence:
         return SequencerConfig(**defaults)
 
     def test_static_scene_single_segment(self):
-        result = generate_sequence(static_scene_nodes(), (0.5, 1.0), (9.5, 3.0),
+        result = generate_sequence(table_of(static_scene_nodes()), (0.5, 1.0), (9.5, 3.0),
                                    self.cfg())
         assert isinstance(result, ChannelSequence)
         assert len(result.segments) == 1
@@ -188,20 +189,20 @@ class TestGenerateSequence:
         assert result.segments[0].subgoal == (9.5, 3.0)
 
     def test_crossing_scene_multiple_segments(self):
-        result = generate_sequence(crossing_scene_nodes(), (0.5, 1.0),
+        result = generate_sequence(table_of(crossing_scene_nodes()), (0.5, 1.0),
                                    (9.5, 3.0), self.cfg(ego_speed=0.4))
         assert isinstance(result, ChannelSequence)
         assert len(result.segments) >= 2
 
     def test_anchor_continuity(self):
-        result = generate_sequence(crossing_scene_nodes(), (0.5, 1.0),
+        result = generate_sequence(table_of(crossing_scene_nodes()), (0.5, 1.0),
                                    (9.5, 3.0), self.cfg(ego_speed=0.4))
         assert isinstance(result, ChannelSequence)
         for cur, nxt in zip(result.segments, result.segments[1:]):
             assert frozenset(node_anchor(cur)) == frozenset(node_triangles(nxt)[0])
 
     def test_window_contiguity(self):
-        result = generate_sequence(crossing_scene_nodes(), (0.5, 1.0),
+        result = generate_sequence(table_of(crossing_scene_nodes()), (0.5, 1.0),
                                    (9.5, 3.0), self.cfg(ego_speed=0.4))
         assert isinstance(result, ChannelSequence)
         for cur, nxt in zip(result.segments, result.segments[1:]):
@@ -215,9 +216,9 @@ class TestGenerateSequence:
         # A segment's snapshot holds its start positions; each anchor vertex
         # moves with its scene velocity to the segment's end time.
         nodes = crossing_scene_nodes()
-        velocity = {n.id: n.velocity for n in nodes}
+        velocity = {n.id: (n.vx, n.vy) for n in nodes}
         for speed in (0.2, 0.4, 1.0):
-            result = generate_sequence(nodes, (0.5, 1.0), (9.5, 3.0),
+            result = generate_sequence(table_of(nodes), (0.5, 1.0), (9.5, 3.0),
                                        self.cfg(ego_speed=speed))
             assert isinstance(result, ChannelSequence)
             closed = [seg for seg in result.segments if seg.t_end is not None]
@@ -231,7 +232,7 @@ class TestGenerateSequence:
                 assert point_in_triangle(anchor, seg.subgoal)
 
     def test_max_segments_cap(self):
-        result = generate_sequence(crossing_scene_nodes(), (0.5, 1.0),
+        result = generate_sequence(table_of(crossing_scene_nodes()), (0.5, 1.0),
                                    (9.5, 3.0),
                                    self.cfg(ego_speed=0.4, max_segments=1))
         assert isinstance(result, ChannelSequence)
@@ -241,7 +242,7 @@ class TestGenerateSequence:
 
     def test_failure_names_cycle(self):
         # Goal outside the convex hull of the nodes: no goal triangle.
-        result = generate_sequence(static_scene_nodes(), (0.5, 1.0),
+        result = generate_sequence(table_of(static_scene_nodes()), (0.5, 1.0),
                                    (50.0, 50.0), self.cfg())
         assert isinstance(result, SequenceFailure)
         assert result.cycle == 0
@@ -251,7 +252,7 @@ class TestGenerateSequence:
         # Width threshold above every edge gap in the scene: no channel.
         pts = [(0, 0), (0, 2), (5, 0.95), (5, 1.05), (10, 0), (10, 2)]
         nodes = make_nodes(pts, r=0.0)
-        result = generate_sequence(nodes, (0.5, 1.0), (9.5, 1.0),
+        result = generate_sequence(table_of(nodes), (0.5, 1.0), (9.5, 1.0),
                                    self.cfg(ego_radius=6.0))
         assert isinstance(result, SequenceFailure)
         assert result.reason == "no admissible channel"
@@ -261,12 +262,12 @@ class TestGenerateSequence:
         # nothing strictly inside its validity window.
         nodes = crossing_scene_nodes()
         cfg = self.cfg(ego_speed=0.4)
-        result = generate_sequence(nodes, (0.5, 1.0), (9.5, 3.0), cfg)
+        result = generate_sequence(table_of(nodes), (0.5, 1.0), (9.5, 3.0), cfg)
         assert isinstance(result, ChannelSequence)
         for seg in result.segments:
             if seg.t_end is None:
                 continue
-            mesh = build_mesh(nodes, seg.mesh.time)
+            mesh = build_mesh(table_of(nodes), seg.mesh.time)
             ids = []
             by_verts = {frozenset(v): i for i, v in enumerate(mesh.triangles.tolist())}
             ok = all(frozenset(v) in by_verts for v in node_triangles(seg))
@@ -428,7 +429,7 @@ def test_anchor_missing_from_snapshot_fails(monkeypatch):
         return None
 
     monkeypatch.setattr(sequencer, "find_triangle", no_anchor)
-    result = generate_sequence(crossing_scene_nodes(), (0.5, 1.0), (9.5, 3.0),
+    result = generate_sequence(table_of(crossing_scene_nodes()), (0.5, 1.0), (9.5, 3.0),
                                SequencerConfig(ego_radius=0.2, ego_speed=0.4))
     assert isinstance(result, SequenceFailure)
     assert result.cycle == 1
@@ -443,7 +444,7 @@ def test_segments_keep_their_snapshot(seed):
     cfg = SimConfig().sequencer_for(scene)
     segments = 0
     for t in (0.0, 1.5, 3.0, 4.5):
-        result = generate_sequence(scene.node_states_at(t), scene.start,
+        result = generate_sequence(scene.table_at(t), scene.start,
                                    scene.goal, cfg)
         if not isinstance(result, ChannelSequence):
             continue
@@ -533,13 +534,12 @@ def test_estimate_in_no_triangle_keeps_the_ego_triangle(monkeypatch, seed, t, eg
             for seg in result.segments] == want
 
 
-@pytest.mark.parametrize("enabled", [False, True])
-def test_transmission_switch(monkeypatch, enabled):
+@pytest.mark.parametrize("transmission", [None, TransmissionConfig()], ids=["False", "True"])
+def test_transmission_switch(monkeypatch, transmission):
     # Without motion transmission every snapshot plans on the nodes' own
     # velocities; with it, snapshots plan on transmitted ones.
     scene = generate_synthetic(0)
-    cfg = dataclasses.replace(SimConfig().sequencer_for(scene),
-                              transmission_enabled=enabled)
+    cfg = dataclasses.replace(SimConfig().sequencer_for(scene), transmission=transmission)
     results = []
 
     def recording_sequence(*args):
@@ -552,4 +552,4 @@ def test_transmission_switch(monkeypatch, enabled):
     own = [seg.mesh.vel is seg.mesh.nodes.vel for r in results
            if isinstance(r, ChannelSequence) for seg in r.segments]
     assert len(own) > 2
-    assert all(own) if not enabled else not any(own)
+    assert all(own) if transmission is None else not any(own)

@@ -23,6 +23,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from nodes import table_of
 from trichannel import events, sequencer, simulate, transmission
 from trichannel.funnel import PathPolyline, _shrink_portal, _string_pull, funnel
 from trichannel.geometry import NodeKind, NodeState, dist, orient2d
@@ -426,7 +427,7 @@ def meshes():
     out = []
     for label, nodes, t in corpus():
         try:
-            out.append((label, build_mesh(nodes, t)))
+            out.append((label, build_mesh(table_of(nodes), t)))
         except DegenerateInputError:
             continue
     return out

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trichannel.transmission as transmission
+from nodes import table_of
 from test_stage_oracles import bits, project_velocity, reference_transmit
 from trichannel.geometry import NodeKind, NodeState
 from trichannel.mesh import Mesh, NodeTable, build_mesh, mesh_edges
@@ -103,7 +104,7 @@ def crossing_scene():
 class TestTransmit:
     def test_static_neighbor_adopts_projection(self):
         nodes = crossing_scene()
-        mesh = build_mesh(nodes, 0.0)
+        mesh = build_mesh(table_of(nodes), 0.0)
         out = transmit(mesh, TransmissionConfig())
         assert math.hypot(*out.vel[1]) > 0
         # Adopted motion keeps the walker's direction.
@@ -112,14 +113,14 @@ class TestTransmit:
 
     def test_magnitudes_never_shrink(self):
         nodes = crossing_scene()
-        mesh = build_mesh(nodes, 0.0)
+        mesh = build_mesh(table_of(nodes), 0.0)
         out = transmit(mesh, TransmissionConfig(passes=2))
         for nid, v in enumerate(mesh.nodes.vel):
             assert math.hypot(*out.vel[nid]) >= math.hypot(*v) - 1e-12
 
     def test_positions_and_kinds_untouched(self):
         nodes = crossing_scene()
-        mesh = build_mesh(nodes, 0.0)
+        mesh = build_mesh(table_of(nodes), 0.0)
         out = transmit(mesh, TransmissionConfig())
         assert out.nodes is mesh.nodes
         assert np.array_equal(out.xy, mesh.xy)
@@ -127,14 +128,14 @@ class TestTransmit:
     def test_all_static_is_identity(self):
         nodes = [NodeState(id=i, x=float(i % 3), y=float(i // 3), vx=0, vy=0,
                            r=0.1) for i in range(6)]
-        mesh = build_mesh(nodes, 0.0)
+        mesh = build_mesh(table_of(nodes), 0.0)
         out = transmit(mesh, TransmissionConfig())
         assert not out.vel.any()
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_still_snapshot_lists_no_edges(self, monkeypatch, zero):
         # -0.0 is still too, as the sweep's ``== 0.0`` test reads it.
-        mesh = build_mesh(crossing_scene(), 0.0)
+        mesh = build_mesh(table_of(crossing_scene()), 0.0)
         still = dataclasses.replace(mesh, vel=np.full_like(mesh.vel, zero))
         cfg = TransmissionConfig(passes=2)
         want = bits(reference_transmit(still, cfg))
@@ -146,7 +147,7 @@ class TestTransmit:
         assert transmit(still, cfg).vel.tobytes() == want
 
     def test_one_moving_node_sweeps(self, monkeypatch):
-        mesh = build_mesh(crossing_scene(), 0.0)
+        mesh = build_mesh(table_of(crossing_scene()), 0.0)
         cfg = TransmissionConfig(passes=2)
         calls = []
 
@@ -170,7 +171,7 @@ class TestTransmit:
             NodeState(id=2, x=2.0, y=-0.2, vx=0.0, vy=0.0, r=0.1),
             NodeState(id=3, x=1.0, y=5.0, vx=0.0, vy=0.0, r=0.1),
         ]
-        mesh = build_mesh(nodes, 0.0)
+        mesh = build_mesh(table_of(nodes), 0.0)
         one = transmit(mesh, TransmissionConfig(passes=1))
         two = transmit(mesh, TransmissionConfig(passes=2))
         assert math.hypot(*two.vel[2]) >= math.hypot(*one.vel[2])
@@ -184,7 +185,7 @@ class TestTransmit:
                       kind=NodeKind.DYNAMIC),
             NodeState(id=2, x=0.5, y=2.0, vx=0.0, vy=0.0, r=0.1),
         ]
-        mesh = build_mesh(nodes, 0.0)
+        mesh = build_mesh(table_of(nodes), 0.0)
         out = transmit(mesh, TransmissionConfig())
         assert out.vel[1].tolist() == [3.0, 0.0]
 
@@ -198,7 +199,7 @@ class TestTransmit:
                            kind=NodeKind.DYNAMIC),
                  NodeState(id=1, x=p[0], y=p[1], vx=0.0, vy=0.0, r=0.1),
                  NodeState(id=2, x=1.0, y=-1.0, vx=0.0, vy=0.0, r=0.1)]
-        out = transmit(build_mesh(nodes, 0.0), TransmissionConfig(beta=0.0))
+        out = transmit(build_mesh(table_of(nodes), 0.0), TransmissionConfig(beta=0.0))
         assert out.vel[1].tolist() == [0.0, 0.0]
 
     def test_zero_length_edge_rejected(self):
