@@ -82,7 +82,6 @@ class ChannelSegment:
 @dataclass
 class ChannelSequence:
     segments: List[ChannelSegment]
-    goal: Point
     terminated: str  # "goal" | "threshold" | "max_segments" | "anchor_lost"
 
 
@@ -113,21 +112,17 @@ def cut_index(channel: Channel, mesh: Mesh, est: Point, m: int) -> int:
 
 def subgoal(anchor: TrianglePoints, est_ego: Point,
             vertex_radii: Sequence[float], ego_radius: float) -> Point:
-    """Point inside the anchor closest to ``est_ego`` with vertex clearance.
+    """Point inside the anchor near ``est_ego`` with vertex clearance.
 
     Clearance requires distance >= ego_radius + vertex radius from each
-    anchor vertex.  Falls back to the centroid when the clearance region is
-    empty.  The minimization runs on a barycentric grid with local
-    refinement, accurate to a small fraction of the triangle size.
+    anchor vertex.  The estimate itself when it clears; else the nearest
+    clear point of a 48-step barycentric grid; else the centroid.  With
+    zero clearance, ``est_ego`` is returned whenever the triangle holds it.
     """
     a, b, c = anchor
     clear = [ego_radius + r for r in vertex_radii]
-
-    def feasible(p: Point) -> bool:
-        return (point_in_triangle((a, b, c), p)
-                and all(dist(p, v) >= cr for v, cr in zip(anchor, clear)))
-
-    if feasible(est_ego):
+    if (point_in_triangle(anchor, est_ego)
+            and all(dist(est_ego, v) >= cr for v, cr in zip(anchor, clear))):
         return est_ego
 
     grid = 48  # barycentric steps per triangle side
@@ -141,31 +136,18 @@ def subgoal(anchor: TrianglePoints, est_ego: Point,
     ok = np.ones(xs.shape, dtype=bool)
     for vert, cr in zip(anchor, clear):
         ok &= (xs - vert[0]) ** 2 + (ys - vert[1]) ** 2 >= cr * cr
+    cen = ((a[0] + b[0] + c[0]) / 3.0, (a[1] + b[1] + c[1]) / 3.0)
     if not ok.any():
-        return ((a[0] + b[0] + c[0]) / 3.0, (a[1] + b[1] + c[1]) / 3.0)
+        return cen
 
     d2 = (xs - est_ego[0]) ** 2 + (ys - est_ego[1]) ** 2
     d2[~ok] = np.inf
     best_i = int(np.argmin(d2))
     best = (float(xs[best_i]), float(ys[best_i]))
-
-    # Local pattern-search refinement.
-    scale = max(dist(a, b), dist(b, c), dist(c, a))
-    step = scale / grid
-    for _ in range(24):
-        improved = False
-        for dx, dy in ((step, 0), (-step, 0), (0, step), (0, -step)):
-            cand = (best[0] + dx, best[1] + dy)
-            if dist(cand, est_ego) < dist(best, est_ego) and feasible(cand):
-                best = cand
-                improved = True
-        if not improved:
-            step *= 0.5
     # Boundary grid points can round a hair outside the triangle; pull
     # toward the centroid until the exact containment test agrees.
-    cen = ((a[0] + b[0] + c[0]) / 3.0, (a[1] + b[1] + c[1]) / 3.0)
     pull = 1e-9
-    while not point_in_triangle((a, b, c), best) and pull < 1.0:
+    while not point_in_triangle(anchor, best) and pull < 1.0:
         best = (best[0] + (cen[0] - best[0]) * pull,
                 best[1] + (cen[1] - best[1]) * pull)
         pull *= 10.0
@@ -235,7 +217,7 @@ def generate_sequence(table: NodeTable, start: Point, goal: Point,
         if event is None or event.time > cfg.tau_threshold:
             segments.append(ChannelSegment(None, mesh, channel.triangles, goal))
             reason = "goal" if event is None else "threshold"
-            return ChannelSequence(segments=segments, goal=goal, terminated=reason)
+            return ChannelSequence(segments=segments, terminated=reason)
 
         tau_next = event.time
         m = event.triangle_index
@@ -304,10 +286,10 @@ def generate_sequence(table: NodeTable, start: Point, goal: Point,
         sg = subgoal((a, b, c), target, radii, cfg.ego_radius)
         segments.append(ChannelSegment(tau_next, mesh, channel.triangles[:max(k, 0) + 1], sg))
         if lost:
-            return ChannelSequence(segments=segments, goal=goal, terminated="anchor_lost")
+            return ChannelSequence(segments=segments, terminated="anchor_lost")
         anchor = tuple(verts)
         start_pt = sg
         tau = tau_next
 
-    return ChannelSequence(segments=segments, goal=goal, terminated="max_segments")
+    return ChannelSequence(segments=segments, terminated="max_segments")
 

@@ -19,13 +19,12 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .funnel import PathPolyline, funnel
-from .geometry import Point, TrianglePoints, dist, point_along
-from .mesh import (DegenerateInputError, NodeTable, build_dual, build_mesh, locate,
-                   point_in_triangle)
+from .geometry import Point, dist, point_along
+from .mesh import DegenerateInputError, NodeTable, build_dual, build_mesh, locate
 from .scenario import Scenario
 from .search import astar, timed_astar
 from .sequencer import (ChannelSegment, SequenceFailure,
-                        SequencerConfig, generate_sequence)
+                        SequencerConfig, generate_sequence, subgoal)
 
 
 class MethodId(str, enum.Enum):
@@ -74,32 +73,6 @@ def colliding_ids(ego: Point, ego_radius: float, scenario: Scenario,
     """Ids of the non-virtual nodes whose discs the ego disc overlaps at ``t``, strictly."""
     return {tr.id for tr in scenario.obstacles
             if dist(ego, tr.position_at(t)) < ego_radius + tr.radius}
-
-
-def _nearest_in_triangle(tri: TrianglePoints, p: Point) -> Point:
-    """``p`` itself when inside, else near the closest boundary point.
-
-    The boundary projection is nudged toward the centroid so the result
-    passes an exact point-in-triangle test despite rounding.
-    """
-    if point_in_triangle(tri, p):
-        return p
-    best: Optional[Point] = None
-    best_d = math.inf
-    for i in range(3):
-        a, b = tri[i], tri[(i + 1) % 3]
-        abx, aby = b[0] - a[0], b[1] - a[1]
-        denom = abx * abx + aby * aby
-        t = 0.0 if denom == 0 else max(0.0, min(1.0, (
-            (p[0] - a[0]) * abx + (p[1] - a[1]) * aby) / denom))
-        q = (a[0] + t * abx, a[1] + t * aby)
-        d = dist(p, q)
-        if d < best_d:
-            best, best_d = q, d
-    cx = (tri[0][0] + tri[1][0] + tri[2][0]) / 3.0
-    cy = (tri[0][1] + tri[1][1] + tri[2][1]) / 3.0
-    f = 1e-6
-    return (best[0] + (cx - best[0]) * f, best[1] + (cy - best[1]) * f)
 
 
 def _clear_chord(a: Point, b: Point,
@@ -173,11 +146,13 @@ def _follow(segments: Sequence[ChannelSegment], ego: Point, table: NodeTable,
     cursor = ego
     for si, seg in enumerate(segments):
         # Subgoals live in the anchor extrapolated to the event time, so
-        # they can sit just outside the snapshot triangles the funnel sees;
-        # project both endpoints into their triangles before threading.
-        start_pt = _nearest_in_triangle(seg.mesh.triangle_points(seg.tri_ids[0]), cursor)
-        target_pt = _nearest_in_triangle(seg.mesh.triangle_points(seg.tri_ids[-1]),
-                                         seg.subgoal)
+        # they can sit just outside the snapshot triangles the funnel sees.
+        # ``subgoal`` at zero clearance keeps an endpoint its triangle holds
+        # and moves any other to the nearest grid point inside.
+        start_pt = subgoal(seg.mesh.triangle_points(seg.tri_ids[0]), cursor,
+                           (0.0, 0.0, 0.0), 0.0)
+        target_pt = subgoal(seg.mesh.triangle_points(seg.tri_ids[-1]), seg.subgoal,
+                            (0.0, 0.0, 0.0), 0.0)
         try:
             part = funnel(seg.mesh, seg.tri_ids, start_pt, target_pt, padding,
                           segment_id=si)
@@ -236,7 +211,7 @@ def plan_baseline(scenario: Scenario, ego: Point, t_now: float,
     if channel is None:
         return PlanResult(path=None)
     # ``locate`` found both ends inside their triangles by the exact test,
-    # so ``_follow``'s projections leave them where they are.
+    # so ``_follow``'s placement leaves them where they are.
     segment = ChannelSegment(None, mesh, channel.triangles, scenario.goal)
     return _follow([segment], ego, table, scenario.obstacle_rows, scenario.ego_radius,
                    cfg.effective_padding)

@@ -12,7 +12,6 @@ import random
 import time
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from trichannel.mesh import (DegenerateInputError, build_dual, build_mesh,
                              locate, point_in_triangle)
 from trichannel.render import render_run
 from trichannel import simulate
-from trichannel.scenario import ObjectTrack, SyntheticParams, generate_synthetic
+from trichannel.scenario import ObjectTrack, generate_synthetic
 from trichannel.search import astar
 from trichannel.sequencer import (ChannelSequence, SequencerConfig,
                                   generate_sequence)
@@ -518,7 +517,7 @@ def test_criterion_8_determinism(experiment, tmp_path):
 # the hash holds only there.  A deliberate behaviour change records the
 # new hash here and says so in CHANGES.md.
 GOLDEN_METRICS_CSV = {
-    "sha256": "5afcfd635c0cf73559a3d42618d6f288217793ca5e09c690f4ec30b69124ff51",
+    "sha256": "9c09296a9439fce0f2203916d3c37d8f003cd1a86b61518b559bb76f53ba48f6",
     "python": "3.11.7",
     "numpy": "2.4.6",
     "scipy": "1.17.1",
@@ -544,7 +543,7 @@ def test_criterion_8_golden_metrics_csv(experiment):
 # Every SVG frame of two short renders, in order, hashed on the toolchain
 # of GOLDEN_METRICS_CSV.
 GOLDEN_RENDER_SHA256 = {
-    (5, "proposed"): "4b35cf9e189a880ac6eed6d0fa52e06d1c015293904739ed503e082a86c9431d",
+    (5, "proposed"): "d5b1c5f3e33d6f483b165f079f56093dd1fe6541f2185139980ec5e68cdc899f",
     (7, "astar"): "1bad5d0b634adaa9216fa7f25b0d4b4c97eba434256dff59fa12bbdcf974ab3e",
 }
 
@@ -607,7 +606,7 @@ def test_criterion_8_golden_parked_paths(monkeypatch):
 
 # Every plan() path of all three methods on two moving scenes cut to their
 # first 8 s, hashed (``plan_digest``) on the toolchain of GOLDEN_METRICS_CSV.
-GOLDEN_MOVING_PATHS_SHA256 = "411ef13a7b4e6c31925c4bb56965c5bd9156400fafb9064527576560dbd406aa"
+GOLDEN_MOVING_PATHS_SHA256 = "af7c5e679af517cc69ea4764ebe880e00299428fca0e85462addd87194005141"
 
 
 def test_criterion_8_golden_moving_paths(monkeypatch):

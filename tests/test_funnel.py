@@ -5,11 +5,9 @@ the ``Mesh`` that ``funnel`` walks, triangle ``i`` being id ``i``.
 """
 import dataclasses
 import importlib
-import itertools
 import math
 import random
 
-import networkx as nx
 import pytest
 
 from trichannel.funnel import PathPolyline, _shrink_portal, funnel

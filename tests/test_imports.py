@@ -1,6 +1,6 @@
-"""Every name a ``trichannel`` module imports is referenced in that module,
-and every function, class and module-level constant it defines is
-referenced somewhere in ``src/``.
+"""Every name a ``trichannel`` or test module imports is referenced in
+that module, and every function, class and module-level constant a
+``trichannel`` module defines is referenced somewhere in ``src/``.
 
 An AST scan, so it needs no linter.  ``__init__.py`` is exempt from the
 import check: its imports are the package's re-exports.  An import is not
@@ -16,6 +16,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "trichannel"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SOURCES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def imported_names(tree):
@@ -52,7 +53,7 @@ def referenced_names(tree):
     return names
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = referenced_names(tree)

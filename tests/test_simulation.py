@@ -8,8 +8,7 @@ from trichannel import simulate
 from trichannel.funnel import PathPolyline
 from trichannel.geometry import NodeKind, dist, point_along
 from trichannel.render import _bounds, render_run
-from trichannel.scenario import (ObjectTrack, Scenario, SyntheticParams,
-                                 generate_synthetic)
+from trichannel.scenario import ObjectTrack, Scenario, generate_synthetic
 from trichannel.simulate import (Metrics, MethodId, SimConfig, SimState,
                                  aggregate, colliding_ids, plan_detailed,
                                  run_scenario, step)
