@@ -3,8 +3,8 @@
 from .events import EventReport, compute_event_time
 from .funnel import PathPolyline, funnel
 from .geometry import InCircleSide, NodeKind, NodeState, incircle, orient2d
-from .mesh import (DegenerateInputError, DualGraph, Mesh, NodeTable, build_dual,
-                   build_mesh, generate_virtual_nodes, locate)
+from .mesh import (DegenerateInputError, Mesh, NodeTable, build_dual, build_mesh,
+                   generate_virtual_nodes, locate)
 from .scenario import (ObjectTrack, Scenario, ScenarioFormatError,
                        SyntheticParams, generate_synthetic)
 from .search import Channel, astar, timed_astar
@@ -21,7 +21,6 @@ __all__ = [
     "ChannelSegment",
     "ChannelSequence",
     "DegenerateInputError",
-    "DualGraph",
     "EventReport",
     "InCircleSide",
     "Mesh",

@@ -33,25 +33,27 @@ SUMMARY_SCHEMA_VERSION = 1
 
 
 def _add_planner_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, default=1.0,
+    parser.add_argument("--alpha", type=float, default=TransmissionConfig.alpha,
                         help="motion transmission proximity balance (m)")
-    parser.add_argument("--beta", type=float, default=1.0,
+    parser.add_argument("--beta", type=float, default=TransmissionConfig.beta,
                         help="motion transmission heading exponent")
-    parser.add_argument("--passes", type=int, default=1,
+    parser.add_argument("--passes", type=int, default=TransmissionConfig.passes,
                         help="motion transmission sweep count")
     parser.add_argument("--no-transmission", action="store_true",
                         help="disable motion information transmission")
-    parser.add_argument("--sample-resolution", type=float, default=0.1,
+    parser.add_argument("--sample-resolution", type=float,
+                        default=SequencerConfig.sample_resolution,
                         help="event prediction time sampling step (s)")
     parser.add_argument("--width-threshold", type=float, default=None,
                         help="minimum edge clear width (m); default 2*ego_radius + 0.2")
     parser.add_argument("--padding", type=float, default=None,
                         help="funnel collision padding (m); default ego_radius + 0.1")
-    parser.add_argument("--max-segments", type=int, default=5,
+    parser.add_argument("--max-segments", type=int, default=SequencerConfig.max_segments,
                         help="channel sequence early-termination segment cap")
-    parser.add_argument("--tau-threshold", type=float, default=10.0,
+    parser.add_argument("--tau-threshold", type=float,
+                        default=SequencerConfig.tau_threshold,
                         help="channel sequence planning horizon (s)")
-    parser.add_argument("--replan-interval", type=float, default=0.1,
+    parser.add_argument("--replan-interval", type=float, default=SimConfig.replan_interval,
                         help="replanning cadence (s)")
 
 
@@ -129,7 +131,7 @@ def _run_task(scenario: Scenario, method: MethodId, cfg: SimConfig) -> Union[Met
 def run_batch(scenario_paths: Sequence[Path], methods: Sequence[MethodId],
               cfg: SimConfig, workers: int = 1
               ) -> Tuple[List[Metrics], List[str], List[str]]:
-    """Run every (scenario, method) pair; malformed files are skipped.
+    """Run every (scenario, method) pair; missing and malformed files are skipped.
 
     Each file is read once, here; the tasks carry the loaded scenarios.
     Returns the metrics, the skipped files and the runs that raised.
@@ -213,14 +215,9 @@ def _run_and_write(args: argparse.Namespace,
     except OSError as exc:
         log.error("cannot write outputs: %s", exc)
         return None
-    existing = [p for p in paths if p.exists()]
-    skipped_missing = [f"{p}: no such file" for p in paths if not p.exists()]
-    for entry in skipped_missing:
-        log.warning("skipping %s", entry)
-    metrics, skipped, errors = run_batch(existing, methods, cfg, workers=args.workers)
+    metrics, skipped, errors = run_batch(paths, methods, cfg, workers=args.workers)
     try:
-        csv_path, summary_path = write_outputs(metrics, skipped_missing + skipped,
-                                               out_dir, errors)
+        csv_path, summary_path = write_outputs(metrics, skipped, out_dir, errors)
     except OSError as exc:
         log.error("cannot write outputs: %s", exc)
         return None

@@ -1,4 +1,4 @@
-"""Delaunay mesh over node positions at a time snapshot, plus its dual graph.
+"""Delaunay mesh over node positions at a time snapshot, plus its dual placements.
 
 Nodes enter as a ``NodeTable``: ids in ascending order with positions,
 velocities and radii as arrays.  A node's row is its dense index; every
@@ -25,7 +25,7 @@ flip certificate is ``(triangles[t], opposite[t, k])``.  An edge is written
 (lower index, higher index); ``mesh_edges`` lists each once, by triangle
 id, then ab, bc, ca.  Channel search and the funnel step across
 ``neighbors`` itself, and the funnel reads each portal end's radius from
-``nodes.r`` by index; a ``DualGraph`` holds only the goal's placements.
+``nodes.r`` by index; ``build_dual`` lists the goal's placements by id.
 
 ``Mesh.xy`` holds the positions at the snapshot time and ``Mesh.vel`` the
 motion that search and event prediction extrapolate with: the raw
@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial import Delaunay as _QhullDelaunay
@@ -290,26 +290,15 @@ def find_triangle(mesh: Mesh, vertices: Sequence[int]) -> Optional[int]:
     return int(hit[0]) if hit.size else None
 
 
-@dataclass
-class DualGraph:
-    """One node per triangle, placed by the goal; the edges are ``Mesh.neighbors``.
+def build_dual(mesh: Mesh, goal: Point, ego_radius: float) -> List[Point]:
+    """Each triangle's dual node, in a list by triangle id, placed by the goal.
 
-    Dual node placement follows a goal-attraction rule: the point of the
-    triangle's goal-facing shared edge nearest to the goal, clamped off the
-    edge endpoints.
-    """
-
-    goal: Point
-    placements: Dict[int, Point]  # triangle id -> dual node position
-
-
-def build_dual(mesh: Mesh, goal: Point, ego_radius: float = 0.5) -> DualGraph:
-    """Dual graph with goal-attracted node placement.
-
-    Shared edges are tried in the order ab, bc, ca and the first nearest
-    candidate wins.  A triangle with no shared edge (single-triangle mesh)
-    gets its centroid.  One array pass places every candidate with the
-    operations of the scalar rule; ``math.hypot`` decides near ties.
+    A node is the point of the triangle's shared edges nearest to the goal,
+    clamped off the edge ends; the dual edges are ``Mesh.neighbors``.  Edges
+    are tried in the order ab, bc, ca and the first nearest wins.  A
+    triangle with no shared edge (single-triangle mesh) gets its centroid.
+    One array pass places every candidate with the operations of the scalar
+    rule; ``math.hypot`` decides near ties.
     """
     tris = mesh.triangles
     across = mesh.neighbors[:, _AB_BC_CA]  # triangle across ab, bc, ca
@@ -341,13 +330,13 @@ def build_dual(mesh: Mesh, goal: Point, ego_radius: float = 0.5) -> DualGraph:
     if lone.any():
         corners = mesh.xy[tris[lone]]
         px[lone], py[lone] = ((corners[:, 0] + corners[:, 1] + corners[:, 2]) / 3.0).T
-    placements = dict(enumerate(zip(px.tolist(), py.tolist())))
+    placements = list(zip(px.tolist(), py.tolist()))
     for row in np.flatnonzero(near).tolist():
         best_d = math.inf
         for j, point in enumerate(zip(cx[row].tolist(), cy[row].tolist())):
             if across[row, j] >= 0 and dist(point, goal) < best_d:
                 placements[row], best_d = point, dist(point, goal)
-    return DualGraph(goal=goal, placements=placements)
+    return placements
 
 
 def generate_virtual_nodes(boundary: Sequence[Point], spacing: float,

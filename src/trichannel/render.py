@@ -1,8 +1,9 @@
 """SVG frame rendering of a scenario run.
 
-One SVG per frame step of ``simulate.rollout``: boundary polylines, mesh
-edges, the active channel corridor, the planned polyline, node discs and
-the ego disc.
+One SVG per frame step of ``simulate.rollout``: boundary polylines, the
+edges of the current plan's first snapshot (it builds none of its own),
+the active channel corridor, the planned polyline, node discs and the
+ego disc.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .funnel import PathPolyline
 from .geometry import NodeKind, Point, TrianglePoints
-from .mesh import DegenerateInputError, build_mesh, mesh_edges
+from .mesh import Mesh, mesh_edges
 from .scenario import Scenario
 from .simulate import MethodId, PlanResult, SimConfig, plan_detailed, rollout
 
@@ -87,21 +88,17 @@ class SvgCanvas:
         )
 
 
-def render_frame(scenario: Scenario, t: float, ego: Point,
+def render_frame(scenario: Scenario, t: float, ego: Point, mesh: Optional[Mesh],
                  corridor: Sequence[TrianglePoints],
                  path: Optional[PathPolyline]) -> str:
     canvas = SvgCanvas(_bounds(scenario))
     nodes = scenario.node_states_at(t)
 
     # Mesh edges underneath everything else.
-    try:
-        mesh = build_mesh(scenario.table_at(t), 0.0)
+    if mesh is not None:
         xy = mesh.xy_list
         for u, v in mesh_edges(mesh).tolist():
-            canvas.polyline([xy[u], xy[v]],
-                            stroke="#cccccc", width=0.5)
-    except DegenerateInputError:
-        pass
+            canvas.polyline([xy[u], xy[v]], stroke="#cccccc", width=0.5)
 
     for tri in corridor:
         canvas.polygon(tri, fill="#ffd27f", opacity=0.35)
@@ -128,6 +125,7 @@ def render_run(scenario: Scenario, method: MethodId, out_dir: FsPath,
     out.mkdir(parents=True, exist_ok=True)
 
     next_frame = 0.0
+    mesh: Optional[Mesh] = None  # the current plan's first snapshot
     corridor: List[TrianglePoints] = []
     written: List[FsPath] = []
 
@@ -136,12 +134,14 @@ def render_run(scenario: Scenario, method: MethodId, out_dir: FsPath,
 
     for rec in rollout(scenario, cfg, replan):
         if rec.planned is not None:
-            corridor = [seg.mesh.triangle_points(t) for seg in rec.planned.segments
+            segments = rec.planned.segments
+            mesh = segments[0].mesh if segments else None
+            corridor = [seg.mesh.triangle_points(t) for seg in segments
                         for t in seg.tri_ids] if rec.planned.path is not None else []
         state = rec.before
         if state.t >= next_frame - 1e-9:
             next_frame += frame_dt
-            svg = render_frame(scenario, state.t, state.ego, corridor, state.path)
+            svg = render_frame(scenario, state.t, state.ego, mesh, corridor, state.path)
             path = out / f"{scenario.id}_{method.value}_{len(written):04d}.svg"
             path.write_text(svg)
             written.append(path)

@@ -11,10 +11,10 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .geometry import Point, dist
-from .mesh import DualGraph, Mesh
+from .mesh import Mesh
 
 
 @dataclass
@@ -29,23 +29,23 @@ class Channel:
         return len(self.triangles)
 
 
-def _best_first(dual: DualGraph, mesh: Mesh, start_tri: int, goal_tri: int,
-                start_cost: float, speed: float, width_threshold: Optional[float]
-                ) -> Optional[List[int]]:
+def _best_first(place: Sequence[Point], goal: Point, mesh: Mesh, start_tri: int,
+                goal_tri: int, speed: float, width_threshold: Optional[float],
+                start: Optional[Point] = None) -> Optional[List[int]]:
     """Triangle ids of the cheapest channel from ``start_tri`` to ``goal_tri``.
 
     Edge costs and the heuristic are dual-placement distances divided by
-    ``speed``.  With ``width_threshold`` given, an edge is crossed only when
-    its clear width at the arrival cost is not below it: the distance
-    between its two nodes, extrapolated with ``mesh.vel``, minus both
-    radii.  A triangle is expanded at most once.  None when no channel
-    exists.
+    ``speed``; the start triangle costs the way from ``start`` to its node,
+    or nothing without one.  With ``width_threshold`` given, an edge is
+    crossed only when its clear width at the arrival cost is not below it:
+    the distance between its two nodes, extrapolated with ``mesh.vel``,
+    minus both radii.  A triangle is expanded at most once.  None when no
+    channel exists; KeyError for a triangle id out of range, -1 included.
     """
-    place = dual.placements
     for tri in (start_tri, goal_tri):
-        if tri not in place:
+        if not 0 <= tri < len(place):
             raise KeyError(f"unknown triangle id {tri}")
-    gx, gy = dual.goal
+    gx, gy = goal
     hypot, heappop, heappush, inf = math.hypot, heapq.heappop, heapq.heappush, math.inf
     # Row t of each: the triangle across side k of t, and vertex k of t,
     # which it lies opposite.
@@ -58,8 +58,9 @@ def _best_first(dual: DualGraph, mesh: Mesh, start_tri: int, goal_tri: int,
     # Cost and heuristic by triangle id; each heuristic is computed once.
     g: List[float] = [inf] * len(mesh.triangles)
     h: List[Optional[float]] = [None] * len(mesh.triangles)
-    came: Dict[int, int] = {}
+    came = [-1] * len(mesh.triangles)
     sx, sy = place[start_tri]
+    start_cost = 0.0 if start is None else dist(start, (sx, sy)) / speed
     h0 = hypot(sx - gx, sy - gy) / speed
     g[start_tri], h[start_tri] = start_cost, h0
     open_heap: List[Tuple[float, float, int]] = [(start_cost + h0, h0, start_tri)]
@@ -110,11 +111,11 @@ def _best_first(dual: DualGraph, mesh: Mesh, start_tri: int, goal_tri: int,
     return None
 
 
-def _channel(dual: DualGraph, tris: Optional[List[int]], ego_position: Point,
-             ego_speed: float) -> Optional[Channel]:
+def _channel(placements: Sequence[Point], tris: Optional[List[int]],
+             ego_position: Point, ego_speed: float) -> Optional[Channel]:
     if tris is None:
         return None
-    waypoints = [dual.placements[t] for t in tris]
+    waypoints = [placements[t] for t in tris]
     # Arrival at triangle i is the time to reach waypoint i-1, the dual
     # placement on the portal into triangle i; the first triangle already
     # holds the ego, so its arrival time is zero.
@@ -126,21 +127,21 @@ def _channel(dual: DualGraph, tris: Optional[List[int]], ego_position: Point,
     return Channel(triangles=tris, etas=etas, waypoints=waypoints)
 
 
-def astar(dual: DualGraph, mesh: Mesh, start_tri: int, goal_tri: int, *,
-          ego_position: Point, ego_speed: float) -> Optional[Channel]:
+def astar(placements: Sequence[Point], mesh: Mesh, start_tri: int, goal_tri: int, *,
+          goal: Point, ego_position: Point, ego_speed: float) -> Optional[Channel]:
     """Minimum-cost channel under static Euclidean edge costs.
 
     Heuristic is the straight-line distance from a dual placement to the
     goal point.  ``ego_speed`` only sets the channel's arrival times.
     Returns None when start and goal are disconnected.
     """
-    tris = _best_first(dual, mesh, start_tri, goal_tri, 0.0, 1.0, None)
-    return _channel(dual, tris, ego_position, ego_speed)
+    tris = _best_first(placements, goal, mesh, start_tri, goal_tri, 1.0, None)
+    return _channel(placements, tris, ego_position, ego_speed)
 
 
-def timed_astar(dual: DualGraph, mesh: Mesh, start_tri: int, goal_tri: int, *,
-                ego_speed: float, width_threshold: float,
-                ego_position: Point) -> Optional[Channel]:
+def timed_astar(placements: Sequence[Point], mesh: Mesh, start_tri: int,
+                goal_tri: int, *, goal: Point, ego_speed: float,
+                width_threshold: float, ego_position: Point) -> Optional[Channel]:
     """Time-aware channel search.
 
     Costs are travel times at ``ego_speed``; crossing a mesh edge is
@@ -151,7 +152,6 @@ def timed_astar(dual: DualGraph, mesh: Mesh, start_tri: int, goal_tri: int, *,
     """
     if ego_speed <= 0:
         raise ValueError(f"ego_speed must be positive, got {ego_speed}")
-    tris = _best_first(dual, mesh, start_tri, goal_tri,
-                       dist(ego_position, dual.placements[start_tri]) / ego_speed,
-                       ego_speed, width_threshold)
-    return _channel(dual, tris, ego_position, ego_speed)
+    tris = _best_first(placements, goal, mesh, start_tri, goal_tri, ego_speed,
+                       width_threshold, ego_position)
+    return _channel(placements, tris, ego_position, ego_speed)

@@ -193,7 +193,7 @@ def generate_sequence(table: NodeTable, start: Point, goal: Point,
         mesh = build_mesh(table, tau, mesh)
         if cfg.transmission is not None:
             mesh = transmit(mesh, cfg.transmission)
-        dual = build_dual(mesh, goal, cfg.ego_radius)
+        placements = build_dual(mesh, goal, cfg.ego_radius)
         goal_tri = locate(mesh, goal)
         if anchor is None:
             start_tri, missing = locate(mesh, start_pt), "start point outside the mesh"
@@ -205,7 +205,7 @@ def generate_sequence(table: NodeTable, start: Point, goal: Point,
             return SequenceFailure(cycle, tau, "goal point outside the mesh")
 
         channel = timed_astar(
-            dual, mesh, start_tri, goal_tri,
+            placements, mesh, start_tri, goal_tri, goal=goal,
             ego_speed=cfg.ego_speed,
             width_threshold=cfg.effective_width_threshold,
             ego_position=start_pt,

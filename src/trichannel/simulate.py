@@ -5,7 +5,8 @@ channel-sequence pipeline, or the Timed A* / A* single-channel baselines),
 follows the resulting polyline, and accrues completion, planning-success
 and collision metrics.  Every method turns channel segments into a path
 with one loop (``_follow``); a baseline plan is one segment to the goal.
-A ``PlanResult`` keeps the segments it followed; the renderer draws them.
+A ``PlanResult`` keeps the segments it planned, with or without a path, and
+the renderer draws them.
 ``rollout`` is the only loop over simulated time; ``run_scenario`` and the
 SVG renderer both consume it.  Runs are deterministic for a given
 scenario, method and configuration.
@@ -132,15 +133,17 @@ def _clear_polyline(path: PathPolyline, table: NodeTable, rows: Sequence[int],
 @dataclass
 class PlanResult:
     path: Optional[PathPolyline]
-    segments: Sequence[ChannelSegment] = ()  # the followed segments
+    # The followed segments, or the planned ones when the first funnel fails.
+    segments: Sequence[ChannelSegment] = ()
 
 
 def _follow(segments: Sequence[ChannelSegment], ego: Point, table: NodeTable,
             obstacle_rows: Sequence[int], ego_radius: float, padding: float
             ) -> PlanResult:
     """Funnel paths from the ego through each segment to its subgoal, joined
-    and cleared of the discs of ``table``'s ``obstacle_rows``.  No path when
-    the first segment's funnel fails; a later failure truncates the path."""
+    and cleared of the discs of ``table``'s ``obstacle_rows``.  No path, but
+    the segments still, when the first segment's funnel fails; a later
+    failure truncates the path."""
     points: List[Point] = []
     segment_ids: List[int] = []
     cursor = ego
@@ -160,7 +163,7 @@ def _follow(segments: Sequence[ChannelSegment], ego: Point, table: NodeTable,
             part = None
         if part is None:
             if si == 0:
-                return PlanResult(path=None)
+                return PlanResult(path=None, segments=segments)
             break
         skip = 1 if points and part.points[0] == points[-1] else 0
         points.extend(part.points[skip:])
@@ -197,13 +200,13 @@ def plan_baseline(scenario: Scenario, ego: Point, t_now: float,
     goal_tri = locate(mesh, scenario.goal)
     if start_tri is None or goal_tri is None:
         return PlanResult(path=None)
-    dual = build_dual(mesh, scenario.goal, cfg.ego_radius)
+    placements = build_dual(mesh, scenario.goal, cfg.ego_radius)
     if method is MethodId.ASTAR:
-        channel = astar(dual, mesh, start_tri, goal_tri, ego_position=ego,
-                        ego_speed=cfg.ego_speed)
+        channel = astar(placements, mesh, start_tri, goal_tri, goal=scenario.goal,
+                        ego_position=ego, ego_speed=cfg.ego_speed)
     else:
         channel = timed_astar(
-            dual, mesh, start_tri, goal_tri,
+            placements, mesh, start_tri, goal_tri, goal=scenario.goal,
             ego_speed=cfg.ego_speed,
             width_threshold=cfg.effective_width_threshold,
             ego_position=ego,

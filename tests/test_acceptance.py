@@ -188,8 +188,8 @@ def build_channel(nodes, rng):
         s_tri, g_tri = locate(mesh, start), locate(mesh, goal)
         if s_tri is None or g_tri is None:
             continue
-        dual = build_dual(mesh, goal, 0.2)
-        ch = astar(dual, mesh, s_tri, g_tri, ego_position=start, ego_speed=1.0)
+        ch = astar(build_dual(mesh, goal, 0.2), mesh, s_tri, g_tri, goal=goal,
+                   ego_position=start, ego_speed=1.0)
         if ch is not None and len(ch.triangles) >= 2:
             return mesh, ch
     return None, None

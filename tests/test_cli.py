@@ -160,6 +160,17 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert any("nope" in s for s in summary["skipped"])
 
+    def test_skipped_files_listed_in_argument_order(self, tmp_path):
+        good, bad, missing = (tmp_path / n for n in ("good.json", "bad.json", "nope.json"))
+        small_scenario(good)
+        bad.write_text("{broken")
+        out = tmp_path / "res"
+        rc = main(["run", str(good), str(bad), str(missing), "--methods", "astar",
+                   "--out-dir", str(out)])
+        assert rc == 0
+        skipped = json.loads((out / "summary.json").read_text())["skipped"]
+        assert [s.split(":")[0] for s in skipped] == [str(bad), str(missing)]
+
     def test_unknown_method_exit_code(self, tmp_path, caplog):
         scene = tmp_path / "s.json"
         small_scenario(scene)
@@ -261,6 +272,11 @@ def test_non_finite_or_negative_planner_flag_exit_code(tmp_path, caplog, flag, v
         assert main([command, str(scene), f"{flag}={value}", "--out-dir", str(out)]) == 2
     assert not out.exists()
     assert caplog.text.count("invalid planner settings") == 3
+
+
+def test_planner_flag_defaults_are_the_config_defaults():
+    for command in (["run", "s.json"], ["compare", "s.json"], ["render", "s.json"]):
+        assert cli._sim_config(cli.build_parser().parse_args(command)) == SimConfig()
 
 
 def test_pool_no_larger_than_the_task_count(tmp_path, monkeypatch):

@@ -218,23 +218,23 @@ def crossing_channel(walker_speed=1.0):
                        kind=NodeKind.DYNAMIC)
     nodes.append(walker)
     mesh = build_mesh(table_of(nodes), 0.0)
-    dual = build_dual(mesh, (7, 2))
-    return mesh, dual
+    return mesh, build_dual(mesh, (7, 2), 0.5)
 
 
 class TestComputeEventTime:
     def test_static_scene_has_no_events(self):
         mesh = build_mesh(table_of(make_nodes([(0, 0), (4, 0), (8, 0), (2, 3), (6, 3)])), 0.0)
-        dual = build_dual(mesh, (7, 2))
-        ch = astar(dual, mesh, 0, len(mesh.triangles) - 1, ego_position=(1, 1),
-                   ego_speed=0.1)
+        placements = build_dual(mesh, (7, 2), 0.5)
+        ch = astar(placements, mesh, 0, len(mesh.triangles) - 1, goal=(7, 2),
+                   ego_position=(1, 1), ego_speed=0.1)
         assert compute_event_time(ch, mesh, 0.1) is None
 
     def test_report_fields(self):
-        mesh, dual = crossing_channel()
+        mesh, placements = crossing_channel()
         start = next(i for i, v in enumerate(mesh.triangles.tolist()) if {0, 1, 3} == set(v))
         end = next(i for i, v in enumerate(mesh.triangles.tolist()) if {1, 2, 4} == set(v))
-        ch = astar(dual, mesh, start, end, ego_position=(2.0, 1.0), ego_speed=0.2)
+        ch = astar(placements, mesh, start, end, goal=(7, 2), ego_position=(2.0, 1.0),
+                   ego_speed=0.2)
         report = compute_event_time(ch, mesh, 0.1)
         assert isinstance(report, EventReport)
         assert report.time > mesh.time
@@ -245,10 +245,11 @@ class TestComputeEventTime:
         # within one sample step of the reported time (a cocircular touch
         # is reported conservatively, with the flip right after it), and
         # must still exist one step before.
-        mesh, dual = crossing_channel()
+        mesh, placements = crossing_channel()
         start = next(i for i, v in enumerate(mesh.triangles.tolist()) if {0, 1, 3} == set(v))
         end = next(i for i, v in enumerate(mesh.triangles.tolist()) if {1, 2, 4} == set(v))
-        ch = astar(dual, mesh, start, end, ego_position=(2.0, 1.0), ego_speed=0.2)
+        ch = astar(placements, mesh, start, end, goal=(7, 2), ego_position=(2.0, 1.0),
+                   ego_speed=0.2)
         report = compute_event_time(ch, mesh, 0.1)
         assert report is not None
         tri_verts = frozenset(
@@ -272,10 +273,11 @@ class TestComputeEventTime:
         nodes.append(NodeState(id=8, x=2.0, y=-6.0, vx=0.0, vy=1.0, r=0.1,
                                kind=NodeKind.DYNAMIC))  # hits near triangle later
         mesh = build_mesh(table_of(nodes), 0.0)
-        dual = build_dual(mesh, (11, 2))
+        placements = build_dual(mesh, (11, 2), 0.5)
         start = next(i for i, v in enumerate(mesh.triangles.tolist()) if 0 in v)
         end = next(i for i, v in enumerate(mesh.triangles.tolist()) if 3 in v)
-        ch = astar(dual, mesh, start, end, ego_position=(1.0, 0.5), ego_speed=0.1)
+        ch = astar(placements, mesh, start, end, goal=(11, 2), ego_position=(1.0, 0.5),
+                   ego_speed=0.1)
         report = compute_event_time(ch, mesh, 0.1)
         assert report is not None
         assert report.node_id == 7
@@ -293,24 +295,27 @@ class TestComputeEventTime:
                     assert tau >= report.time - 1e-9
 
     def test_sampling_window_excludes_zero_and_arrival(self):
-        mesh, dual = crossing_channel(walker_speed=50.0)
+        mesh, placements = crossing_channel(walker_speed=50.0)
         start = next(i for i, v in enumerate(mesh.triangles.tolist()) if {0, 1, 3} == set(v))
-        ch = astar(dual, mesh, start, start, ego_position=(2.0, 1.0), ego_speed=1.0)
+        ch = astar(placements, mesh, start, start, goal=(7, 2), ego_position=(2.0, 1.0),
+                   ego_speed=1.0)
         # Single-triangle channel: arrival offset 0, so no samples, no event.
         assert compute_event_time(ch, mesh, 0.1) is None
 
     def test_velocity_table_overrides_node_motion(self):
-        mesh, dual = crossing_channel()
+        mesh, placements = crossing_channel()
         start = next(i for i, v in enumerate(mesh.triangles.tolist()) if {0, 1, 3} == set(v))
         end = next(i for i, v in enumerate(mesh.triangles.tolist()) if {1, 2, 4} == set(v))
-        ch = astar(dual, mesh, start, end, ego_position=(2.0, 1.0), ego_speed=0.2)
+        ch = astar(placements, mesh, start, end, goal=(7, 2), ego_position=(2.0, 1.0),
+                   ego_speed=0.2)
         assert compute_event_time(ch, mesh, 0.1) is not None
         frozen_mesh = dataclasses.replace(mesh, vel=np.zeros_like(mesh.vel))
         assert compute_event_time(ch, frozen_mesh, 0.1) is None
 
     def test_invalid_resolution(self):
-        mesh, dual = crossing_channel()
-        ch = astar(dual, mesh, 0, 0, ego_position=dual.placements[0], ego_speed=1.0)
+        mesh, placements = crossing_channel()
+        ch = astar(placements, mesh, 0, 0, goal=(7, 2), ego_position=placements[0],
+                   ego_speed=1.0)
         with pytest.raises(ValueError):
             compute_event_time(ch, mesh, 0.0)
 

@@ -157,8 +157,7 @@ class TestDualGraph:
         # Two triangles; the shared edge faces the goal for the left one.
         mesh = build_mesh(table_of(make_nodes([(0, 0), (2, 0), (2, 2), (0, 2)])), 0.0)
         goal = (10.0, 1.0)
-        dual = build_dual(mesh, goal, ego_radius=0.25)
-        for tid, placement in dual.placements.items():
+        for tid, placement in enumerate(build_dual(mesh, goal, ego_radius=0.25)):
             # The placement must be the best clamp point over the shared edges.
             best = None
             a, b, c = mesh.triangles[tid].tolist()
@@ -176,31 +175,30 @@ class TestDualGraph:
         # Goal far beyond one endpoint: placement stops short of the vertex.
         mesh = build_mesh(table_of(make_nodes([(0, 0), (2, 0), (2, 2), (0, 2)])), 0.0)
         goal = (100.0, 100.0)
-        dual = build_dual(mesh, goal, ego_radius=0.25)
+        placements = build_dual(mesh, goal, ego_radius=0.25)
         shared = sorted(shared_vertices(mesh, 0, 1))
         pa, pb = mesh.xy_list[shared[0]], mesh.xy_list[shared[1]]
         edge_len = dist(pa, pb)
         margin = min(0.1 * edge_len, 0.25)
-        for placement in dual.placements.values():
+        for placement in placements:
             assert dist(placement, pa) >= margin - 1e-12
             assert dist(placement, pb) >= margin - 1e-12
 
     def test_isolated_triangle_uses_centroid(self):
         mesh = build_mesh(table_of(make_nodes([(0, 0), (3, 0), (0, 3)])), 0.0)
-        dual = build_dual(mesh, (10, 10))
-        assert dual.placements[0] == (1.0, 1.0)
+        assert build_dual(mesh, (10, 10), 0.5) == [(1.0, 1.0)]
         assert mesh.neighbors.tolist() == [[-1, -1, -1]]
 
     def test_dual_edges_match_interior_mesh_edges(self):
         rng = random.Random(5)
         mesh = build_mesh(table_of(random_nodes(rng, 20)), 0.0)
-        dual = build_dual(mesh, (0, 0))
+        placements = build_dual(mesh, (0, 0), 0.5)
         count = len(mesh.triangles)
         interior = sum(1 for a in range(count) for b in range(a + 1, count)
                        if len(shared_vertices(mesh, a, b)) == 2)
         # The search steps across ``mesh.neighbors``; the dual places every node.
         assert (mesh.neighbors >= 0).sum() == 2 * interior
-        assert sorted(dual.placements) == list(range(count))
+        assert len(placements) == count
 
 
 def jittered_grid(rng, k, jitter):

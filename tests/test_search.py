@@ -31,7 +31,7 @@ def shares_edge(mesh, a, b):
     return len(set(mesh.triangles[a].tolist()) & set(mesh.triangles[b].tolist())) == 2
 
 
-def dijkstra_oracle(mesh, dual, start, goal):
+def dijkstra_oracle(mesh, placements, start, goal):
     """Shortest dual-graph path cost by networkx Dijkstra.
 
     The graph joins every pair of triangles that share two vertices.
@@ -40,7 +40,7 @@ def dijkstra_oracle(mesh, dual, start, goal):
     for a in range(len(mesh.triangles)):
         for b in range(a + 1, len(mesh.triangles)):
             if shares_edge(mesh, a, b):
-                g.add_edge(a, b, weight=dist(dual.placements[a], dual.placements[b]))
+                g.add_edge(a, b, weight=dist(placements[a], placements[b]))
     g.add_node(start)
     g.add_node(goal)
     try:
@@ -52,15 +52,15 @@ def dijkstra_oracle(mesh, dual, start, goal):
 class TestAstar:
     def test_trivial_same_triangle(self):
         mesh = build_mesh(table_of(make_nodes([(0, 0), (4, 0), (0, 4)])), 0.0)
-        dual = build_dual(mesh, (1, 1))
-        ch = astar(dual, mesh, 0, 0, ego_position=dual.placements[0], ego_speed=1.0)
+        place = build_dual(mesh, (1, 1), 0.5)
+        ch = astar(place, mesh, 0, 0, goal=(1, 1), ego_position=place[0], ego_speed=1.0)
         assert ch.triangles == [0]
 
     def test_channel_is_edge_connected(self):
         mesh = build_mesh(table_of(grid_scene()), 0.0)
-        dual = build_dual(mesh, (10, 4))
-        ch = astar(dual, mesh, 0, len(mesh.triangles) - 1,
-                   ego_position=dual.placements[0], ego_speed=1.0)
+        place = build_dual(mesh, (10, 4), 0.5)
+        ch = astar(place, mesh, 0, len(mesh.triangles) - 1, goal=(10, 4),
+                   ego_position=place[0], ego_speed=1.0)
         assert ch is not None
         for a, b in zip(ch.triangles, ch.triangles[1:]):
             assert shares_edge(mesh, a, b)
@@ -69,26 +69,32 @@ class TestAstar:
         for seed in range(5):
             mesh = build_mesh(table_of(grid_scene(jitter_seed=seed)), 0.0)
             goal = (10.0, 4.0)
-            dual = build_dual(mesh, goal)
+            place = build_dual(mesh, goal, 0.5)
             start, end = 0, len(mesh.triangles) - 1
-            ch = astar(dual, mesh, start, end, ego_position=dual.placements[start],
+            ch = astar(place, mesh, start, end, goal=goal, ego_position=place[start],
                        ego_speed=1.0)
-            want = dijkstra_oracle(mesh, dual, start, end)
-            got = sum(dist(dual.placements[a], dual.placements[b])
+            want = dijkstra_oracle(mesh, place, start, end)
+            got = sum(dist(place[a], place[b])
                       for a, b in zip(ch.triangles, ch.triangles[1:]))
             assert math.isclose(got, want, rel_tol=1e-9)
 
     def test_unknown_triangle_raises(self):
         mesh = build_mesh(table_of(make_nodes([(0, 0), (4, 0), (0, 4)])), 0.0)
-        dual = build_dual(mesh, (1, 1))
-        with pytest.raises(KeyError):
-            astar(dual, mesh, 0, 99, ego_position=dual.placements[0], ego_speed=1.0)
+        place = build_dual(mesh, (1, 1), 0.5)
+        # -1 too: as a list index it would read the last triangle.
+        for bad in (99, -1):
+            with pytest.raises(KeyError):
+                astar(place, mesh, 0, bad, goal=(1, 1), ego_position=place[0],
+                      ego_speed=1.0)
+            with pytest.raises(KeyError):
+                timed_astar(place, mesh, bad, 0, goal=(1, 1), ego_speed=1.0,
+                            width_threshold=0.1, ego_position=place[0])
 
     def test_arrival_times_start_at_zero(self):
         mesh = build_mesh(table_of(grid_scene()), 0.0)
-        dual = build_dual(mesh, (10, 4))
-        ch = astar(dual, mesh, 0, len(mesh.triangles) - 1, ego_position=(0.5, 0.5),
-                   ego_speed=2.0)
+        place = build_dual(mesh, (10, 4), 0.5)
+        ch = astar(place, mesh, 0, len(mesh.triangles) - 1, goal=(10, 4),
+                   ego_position=(0.5, 0.5), ego_speed=2.0)
         assert ch.etas[0] == 0.0
         assert all(b >= a for a, b in zip(ch.etas, ch.etas[1:]))
         # Arrival at triangle i+1 is the time to reach waypoint i.
@@ -129,14 +135,15 @@ class TestTimedAstar:
         for seed in range(3):
             mesh = build_mesh(table_of(grid_scene(jitter_seed=seed)), 0.0)
             goal = (10.0, 4.0)
-            dual = build_dual(mesh, goal)
+            place = build_dual(mesh, goal, 0.5)
             start, end = 0, len(mesh.triangles) - 1
-            plain = astar(dual, mesh, start, end, ego_position=(0, 0), ego_speed=1.0)
-            timed = timed_astar(dual, mesh, start, end, ego_speed=1.0,
+            plain = astar(place, mesh, start, end, goal=goal, ego_position=(0, 0),
+                          ego_speed=1.0)
+            timed = timed_astar(place, mesh, start, end, goal=goal, ego_speed=1.0,
                                 width_threshold=0.0, ego_position=(0, 0))
-            plain_cost = sum(dist(dual.placements[a], dual.placements[b])
+            plain_cost = sum(dist(place[a], place[b])
                              for a, b in zip(plain.triangles, plain.triangles[1:]))
-            timed_cost = sum(dist(dual.placements[a], dual.placements[b])
+            timed_cost = sum(dist(place[a], place[b])
                              for a, b in zip(timed.triangles, timed.triangles[1:]))
             assert math.isclose(plain_cost, timed_cost, rel_tol=1e-9)
 
@@ -145,15 +152,15 @@ class TestTimedAstar:
         # threshold, so no admissible channel crosses it.
         pts = [(0, 0), (0, 4), (2, 1.8), (2, 2.2), (4, 0), (4, 4)]
         mesh = build_mesh(table_of(make_nodes(pts, r=0.0)), 0.0)
-        dual = build_dual(mesh, (4, 2))
+        place = build_dual(mesh, (4, 2), 0.5)
         start = next(i for i, v in enumerate(mesh.triangles.tolist())
                      if {0, 1} <= set(v))
         end = next(i for i, v in enumerate(mesh.triangles.tolist())
                    if {4, 5} <= set(v))
-        wide = timed_astar(dual, mesh, start, end, ego_speed=1.0,
-                           width_threshold=0.2, ego_position=dual.placements[start])
-        tight = timed_astar(dual, mesh, start, end, ego_speed=1.0,
-                            width_threshold=3.0, ego_position=dual.placements[start])
+        wide = timed_astar(place, mesh, start, end, goal=(4, 2), ego_speed=1.0,
+                           width_threshold=0.2, ego_position=place[start])
+        tight = timed_astar(place, mesh, start, end, goal=(4, 2), ego_speed=1.0,
+                            width_threshold=3.0, ego_position=place[start])
         assert wide is not None
         assert tight is None
 
@@ -167,16 +174,16 @@ class TestTimedAstar:
         nodes[3] = NodeState(id=3, x=6, y=2.1, vx=0, vy=1.0, r=0.0,
                              kind=NodeKind.DYNAMIC)
         mesh = build_mesh(table_of(nodes), 0.0)
-        dual = build_dual(mesh, (12, 2))
+        place = build_dual(mesh, (12, 2), 0.5)
         start = next(i for i, v in enumerate(mesh.triangles.tolist()) if {0, 1} <= set(v))
         end = next(i for i, v in enumerate(mesh.triangles.tolist()) if {4, 5} <= set(v))
-        ch = timed_astar(dual, mesh, start, end, ego_speed=1.0,
+        ch = timed_astar(place, mesh, start, end, goal=(12, 2), ego_speed=1.0,
                          width_threshold=1.0, ego_position=(0.1, 2.0))
         assert ch is not None
 
     def test_invalid_speed(self):
         mesh = build_mesh(table_of(make_nodes([(0, 0), (4, 0), (0, 4)])), 0.0)
-        dual = build_dual(mesh, (1, 1))
+        place = build_dual(mesh, (1, 1), 0.5)
         with pytest.raises(ValueError):
-            timed_astar(dual, mesh, 0, 0, ego_speed=0.0, width_threshold=0.1,
-                        ego_position=dual.placements[0])
+            timed_astar(place, mesh, 0, 0, goal=(1, 1), ego_speed=0.0,
+                        width_threshold=0.1, ego_position=place[0])

@@ -35,10 +35,11 @@ def straight_strip():
     """Six-triangle strip along +x with unit hop times, entered at ``STRIP_START``."""
     pts = [(0, 0), (2, 0), (4, 0), (6, 0), (1, 2), (3, 2), (5, 2), (7, 2)]
     mesh = build_mesh(table_of(make_nodes(pts)), 0.0)
-    dual = build_dual(mesh, (7, 1))
+    placements = build_dual(mesh, (7, 1), 0.5)
     start = next(i for i, v in enumerate(mesh.triangles.tolist()) if 0 in v)
     end = next(i for i, v in enumerate(mesh.triangles.tolist()) if 7 in v)
-    ch = astar(dual, mesh, start, end, ego_position=STRIP_START, ego_speed=1.0)
+    ch = astar(placements, mesh, start, end, goal=(7, 1), ego_position=STRIP_START,
+               ego_speed=1.0)
     return mesh, ch
 
 

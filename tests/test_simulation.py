@@ -4,7 +4,8 @@ import re
 
 import pytest
 
-from trichannel import simulate
+from trichannel import mesh as mesh_module
+from trichannel import render, simulate
 from trichannel.funnel import PathPolyline
 from trichannel.geometry import NodeKind, dist, point_along
 from trichannel.render import _bounds, render_run
@@ -254,6 +255,22 @@ def test_render_stops_where_run_stops(tmp_path, method):
     ego = (x0 + cx / 20.0, y1 - cy / 20.0)
     gap = math.dist(ego, sc.goal)
     assert sc.ego_radius < gap <= sc.ego_radius + sc.ego_speed * cfg.dt + 1e-3
+
+
+def test_render_does_not_reseed_the_planner(tmp_path, monkeypatch):
+    # Frames draw the plan's own snapshot, so after a rendered run the
+    # warm-start slot holds the last plan's first snapshot, as after a run.
+    plans = []
+
+    def recorded(*args):
+        plans.append(plan_detailed(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(render, "plan_detailed", recorded)
+    cfg = SimConfig()
+    render_run(empty_road(time_limit=1.0), MethodId.ASTAR, tmp_path, cfg, frame_dt=cfg.dt)
+    assert len(plans) == 10
+    assert mesh_module._plan_start is plans[-1].segments[0].mesh
 
 
 class TestAggregate:

@@ -111,22 +111,22 @@ def reference_transmit(mesh, cfg):
     return [velocities[i] for i in ids]
 
 
-def reference_best_first(dual, mesh, start_tri, goal_tri, start_cost, speed,
-                         width_threshold):
+def reference_best_first(placements, goal, mesh, start_tri, goal_tri, start_cost,
+                         speed, width_threshold):
     """Best-first search, one ``dist`` and ``edge_gap_at`` call per edge.
 
     An edge is crossed only when its gap at the arrival cost is not below
     ``width_threshold`` (a NaN gap is admitted); a triangle is expanded at
     most once.
     """
-    place = dual.placements
+    place = dict(enumerate(placements))
     for tri in (start_tri, goal_tri):
         if tri not in place:
             raise KeyError(f"unknown triangle id {tri}")
     tris, nbrs = mesh.triangles.tolist(), mesh.neighbors.tolist()
     g = {start_tri: start_cost}
     came = {}
-    h0 = dist(place[start_tri], dual.goal) / speed
+    h0 = dist(place[start_tri], goal) / speed
     open_heap = [(start_cost + h0, h0, start_tri)]
     closed = set()
     while open_heap:
@@ -151,36 +151,36 @@ def reference_best_first(dual, mesh, start_tri, goal_tri, start_cost, speed,
             if cand < g.get(neigh, math.inf):
                 g[neigh] = cand
                 came[neigh] = tri
-                h = dist(place[neigh], dual.goal) / speed
+                h = dist(place[neigh], goal) / speed
                 heapq.heappush(open_heap, (cand + h, h, neigh))
     return None
 
 
-def reference_search(dual, mesh, start_tri, goal_tri, *, ego_speed=1.0,
+def reference_search(placements, mesh, start_tri, goal_tri, *, goal, ego_speed=1.0,
                      width_threshold=None, ego_position=None):
     """``astar`` (no ``width_threshold``) or ``timed_astar`` as triangle ids
     and arrival times, or None."""
     if ego_position is None:
-        ego_position = dual.placements[start_tri]
+        ego_position = placements[start_tri]
     if width_threshold is None:
-        tris = reference_best_first(dual, mesh, start_tri, goal_tri, 0.0, 1.0, None)
+        tris = reference_best_first(placements, goal, mesh, start_tri, goal_tri, 0.0,
+                                    1.0, None)
     else:
-        start_cost = dist(ego_position, dual.placements[start_tri]) / ego_speed
-        tris = reference_best_first(dual, mesh, start_tri, goal_tri, start_cost,
-                                    ego_speed, width_threshold)
+        start_cost = dist(ego_position, placements[start_tri]) / ego_speed
+        tris = reference_best_first(placements, goal, mesh, start_tri, goal_tri,
+                                    start_cost, ego_speed, width_threshold)
     if tris is None:
         return None
     etas, prev = [0.0], ego_position
     for t in tris[:-1]:
-        etas.append(etas[-1] + dist(prev, dual.placements[t]) / ego_speed)
-        prev = dual.placements[t]
+        etas.append(etas[-1] + dist(prev, placements[t]) / ego_speed)
+        prev = placements[t]
     return tris, bits(etas)
 
 
-def crossed_widths(dual, mesh, tris, ego_position, speed):
+def crossed_widths(place, mesh, tris, ego_position, speed):
     """``edge_gap_at`` of each edge that the channel ``tris`` crosses, at the
     search cost it crosses it."""
-    place = dual.placements
     widths = []
     if tris:
         cost = dist(ego_position, place[tris[0]]) / speed
@@ -502,18 +502,19 @@ def test_search_matches_reference():
         lo, hi = mesh.xy.min(axis=0), mesh.xy.max(axis=0)
         goal = (rng.uniform(lo[0], hi[0]), rng.uniform(lo[1], hi[1]))
         moved = transmit(mesh, TransmissionConfig())
-        dual = build_dual(moved, goal)
+        place = build_dual(moved, goal, 0.5)
         start, end = rng.randrange(len(mesh.triangles)), rng.randrange(len(mesh.triangles))
         ego = tuple(moved.xy[moved.triangles[start]].mean(axis=0).tolist())
         speed = rng.choice([0.7, 1.3, 2.0])
-        want = reference_search(dual, moved, start, end, ego_speed=speed, ego_position=ego)
-        got = astar(dual, moved, start, end, ego_speed=speed, ego_position=ego)
+        want = reference_search(place, moved, start, end, goal=goal, ego_speed=speed,
+                                ego_position=ego)
+        got = astar(place, moved, start, end, goal=goal, ego_speed=speed, ego_position=ego)
         assert searched(got) == want, label
 
         def timed(threshold, key):
-            want = reference_search(dual, moved, start, end, ego_speed=speed,
+            want = reference_search(place, moved, start, end, goal=goal, ego_speed=speed,
                                     width_threshold=threshold, ego_position=ego)
-            got = timed_astar(dual, moved, start, end, ego_speed=speed,
+            got = timed_astar(place, moved, start, end, goal=goal, ego_speed=speed,
                               width_threshold=threshold, ego_position=ego)
             assert searched(got) == want, (label, threshold)
             outcomes[key, got is None] += 1
@@ -524,7 +525,7 @@ def test_search_matches_reference():
         free = timed(0.0, 0.0)
         # The width of an edge that the free channel crosses, at the cost it
         # crosses it: a width rounded another way flips this threshold.
-        widths = crossed_widths(dual, moved, free[0] if free else [], ego, speed)
+        widths = crossed_widths(place, moved, free[0] if free else [], ego, speed)
         if widths:
             timed(rng.choice(widths), "crossed")
     # Every threshold finds channels, and the wider ones also block some.
@@ -545,8 +546,8 @@ def test_build_dual_matches_reference():
             for m in (mesh, transmit(mesh, TransmissionConfig())):
                 dual = build_dual(m, goal, ego_radius)
                 placements, adjacency = reference_dual(m, goal, ego_radius)
-                assert sorted(dual.placements) == sorted(placements), label
-                assert (bits([dual.placements[t] for t in sorted(placements)])
+                assert list(range(len(dual))) == sorted(placements), label
+                assert (bits([dual[t] for t in sorted(placements)])
                         == bits([placements[t] for t in sorted(placements)])), label
                 # The search reads the dual's edges from ``mesh.neighbors``:
                 # the triangle across the edge opposite each vertex.
@@ -651,10 +652,11 @@ def test_search_and_transmit_match_references_in_closed_loop(monkeypatch):
         return got
 
     def checking(search_fn):
-        def checked(dual, mesh, start_tri, goal_tri, **kwargs):
-            got = search_fn(dual, mesh, start_tri, goal_tri, **kwargs)
+        def checked(placements, mesh, start_tri, goal_tri, **kwargs):
+            got = search_fn(placements, mesh, start_tri, goal_tri, **kwargs)
             calls[search_fn.__name__, got is None] += 1
-            if searched(got) != reference_search(dual, mesh, start_tri, goal_tri, **kwargs):
+            if searched(got) != reference_search(placements, mesh, start_tri, goal_tri,
+                                                 **kwargs):
                 mismatches.append((search_fn.__name__, mesh.time, start_tri, goal_tri))
             return got
         return checked
