@@ -99,10 +99,6 @@ def funnel(mesh: Mesh, tri_ids: Sequence[int], start: Point, target: Point,
     if not point_in_triangle([xy[v] for v in rows[-1]], target):
         raise ValueError("target point outside the last corridor triangle")
 
-    if len(rows) == 1:
-        pts = [start, target] if start != target else [start]
-        return PathPolyline(points=pts, segment_ids=[segment_id] * len(pts))
-
     # The portal from t into u is t's edge opposite the column k that holds
     # u in t's neighbours, a -> b as in t's CCW cycle: the walker crosses
     # it with b on their left.

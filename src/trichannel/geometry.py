@@ -29,7 +29,6 @@ class NodeKind(str, Enum):
     STATIC = "static"
     DYNAMIC = "dynamic"
     VIRTUAL = "virtual"
-    EGO = "ego"
 
 
 @dataclass(frozen=True, slots=True)

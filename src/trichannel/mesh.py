@@ -7,7 +7,8 @@ index order is id order.  A plan reads one table (``Scenario.table_at``)
 and all its snapshots share it.  A snapshot's tables are an earlier
 snapshot's, taken to the new positions and Lawson-flipped until every edge
 is certainly locally Delaunay: a plan's later snapshots advance from the
-one before, its first from the last plan's first.  One whose nodes sit
+one before, its first from the run's last plan's first
+(``simulate.plan_detailed`` keeps that one).  One whose nodes sit
 where its seed's do, bit for bit, shares the seed's tables untested, as
 does one that needs no flip.  Qhull (``scipy.spatial.Delaunay``, nodes fed
 in id order) builds them only on fallback (``_advance`` lists when).  An
@@ -62,9 +63,6 @@ _TIE_RTOL = 1e-12
 _ADVANCE_RTOL = 1e-9
 # Past this many flips, a Qhull build costs about as much.
 _MAX_FLIPS = 64
-# The last snapshot built without a prior (a plan's first), which seeds the
-# next such build.  ``_advance`` takes any seed safely.
-_plan_start: Optional["Mesh"] = None
 
 
 class DegenerateInputError(ValueError):
@@ -248,26 +246,21 @@ def _advance(prior: Mesh, pts: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndar
 def build_mesh(table: NodeTable, t: float, prior: Optional[Mesh] = None) -> Mesh:
     """Delaunay triangulation of the table's nodes at ``t``: ``xy + vel * t``.
 
-    ``prior``'s tables, or else those of the last build without a prior,
-    are advanced to ``t`` by edge flips wherever that certainly gives
-    Qhull's (``_advance``); otherwise Qhull builds them.  At the seed's very
-    positions the new snapshot shares the seed's tables, but keeps its own
-    time, node table, positions and the table's velocities.  Raises
-    ``DegenerateInputError`` for fewer than 3 nodes or an all-collinear set.
+    ``prior``'s tables, of any node table, are advanced to ``t`` by edge
+    flips wherever that certainly gives Qhull's (``_advance``); otherwise,
+    or with no prior, Qhull builds them.  At the prior's very positions the
+    new snapshot shares its tables, but keeps its own time, node table,
+    positions and the table's velocities.  Raises ``DegenerateInputError``
+    for fewer than 3 nodes or an all-collinear set.
     """
-    global _plan_start
     if len(table.ids) < 3:
         raise DegenerateInputError(f"need at least 3 nodes, got {len(table.ids)}")
 
     pts = table.xy + table.vel * t
-    seed = _plan_start if prior is None else prior
-    advanced = _advance(seed, pts) if seed is not None else None
+    advanced = _advance(prior, pts) if prior is not None else None
     triangles, neighbors = advanced if advanced is not None else _qhull_tables(pts)
-    mesh = Mesh(time=t, nodes=table, xy=_frozen(pts), vel=table.vel,
+    return Mesh(time=t, nodes=table, xy=_frozen(pts), vel=table.vel,
                 triangles=_frozen(triangles), neighbors=_frozen(neighbors))
-    if prior is None:
-        _plan_start = mesh
-    return mesh
 
 
 def mesh_edges(mesh: Mesh) -> np.ndarray:

@@ -21,8 +21,8 @@ _KIND_FILL = {
     NodeKind.STATIC: "#777777",
     NodeKind.DYNAMIC: "#b0b0b0",
     NodeKind.VIRTUAL: "#d9d9d9",
-    NodeKind.EGO: "#cc2222",
 }
+_EGO_FILL = "#cc2222"
 
 
 def _bounds(scenario: Scenario, pad: float = 2.0) -> Tuple[float, float, float, float]:
@@ -110,7 +110,7 @@ def render_frame(scenario: Scenario, t: float, ego: Point, mesh: Optional[Mesh],
     if path is not None:
         canvas.polyline(path.points, stroke="#cc2222", width=2.0)
     canvas.circle(scenario.goal, 0.2, "#2266cc")
-    canvas.circle(ego, scenario.ego_radius, _KIND_FILL[NodeKind.EGO], opacity=0.9)
+    canvas.circle(ego, scenario.ego_radius, _EGO_FILL, opacity=0.9)
     return canvas.to_svg()
 
 

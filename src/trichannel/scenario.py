@@ -12,12 +12,12 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path as FsPath
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .geometry import NodeKind, NodeState, Point
-from .mesh import NodeTable, generate_virtual_nodes
+from .mesh import Mesh, NodeTable, generate_virtual_nodes
 
 SCHEMA_VERSION = 1
 # Virtual nodes one scenario may place along its boundaries (a synthetic
@@ -170,6 +170,9 @@ class Scenario:
         self.obstacles = [tr for tr in self.nodes if tr.kind is not NodeKind.VIRTUAL]
         self.obstacle_rows = np.searchsorted(self._rows.ids,
                                              [tr.id for tr in self.obstacles])
+        # The first snapshot of the run's last plan, the next one's warm
+        # start; ``simulate.plan_detailed`` keeps it and ``rollout`` empties it.
+        self.plan_start: Optional[Mesh] = None
 
     @property
     def virtual_spacing(self) -> float:

@@ -9,10 +9,10 @@ corridor.  Each segment keeps its snapshot, whose time is the segment's
 start, and its triangle ids in it.  Each pass of the cut walks the ego once
 along its route to the cut time; that one estimate picks the anchor
 (``cut_index``) and is the subgoal's target.  The cut settles that the
-anchor survives into the next snapshot, so each cycle builds one snapshot,
-later than the last, and hands it to ``build_mesh`` to advance by edge
-flips into the next.  The first cycle passes none, so ``build_mesh``
-advances the last plan's first snapshot: Qhull runs on fallback only.
+anchor survives into the next snapshot.  The first cycle plans on the
+snapshot it is given; each later one builds one snapshot, later than the
+last, by handing the one before to ``build_mesh`` to advance by edge flips:
+Qhull runs on fallback only.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ import numpy as np
 from .events import anchor_survives, compute_event_time
 from .funnel import funnel
 from .geometry import Point, TrianglePoints, dist, orient2d, point_along
-from .mesh import (Mesh, NodeTable, build_dual, build_mesh, find_triangle, locate,
+from .mesh import (Mesh, build_dual, build_mesh, find_triangle, locate,
                    point_in_triangle)
 from .search import Channel, timed_astar
 from .transmission import TransmissionConfig, transmit
@@ -173,24 +173,26 @@ def _prefix_event(channel: Channel, mesh: Mesh, k: int, window: float,
     return (offset, report.triangle_index) if offset < window else None
 
 
-def generate_sequence(table: NodeTable, start: Point, goal: Point,
+def generate_sequence(first: Mesh, start: Point, goal: Point,
                       cfg: SequencerConfig) -> SequenceResult:
     """Run the full pipeline from time 0 until a terminal condition.
 
-    ``table`` holds the nodes at time 0; later cycles extrapolate them
-    linearly.  Returns the channel sequence, or a failure naming the cycle
-    and its reason.
+    ``first`` is the snapshot at time 0 of ``first.nodes``; later cycles
+    extrapolate those nodes linearly.  Returns the channel sequence, or a
+    failure naming the cycle and its reason.
     """
+    table = first.nodes
     tau = 0.0
     start_pt = start
     anchor: Optional[Tuple[int, int, int]] = None  # node indices
     segments: List[ChannelSegment] = []
-    mesh: Optional[Mesh] = None  # the previous cycle's snapshot
+    mesh = first  # this cycle's snapshot; a later cycle advances the one before
 
-    # Each cycle builds one snapshot and returns or appends exactly one
+    # Each cycle plans on one snapshot and returns or appends exactly one
     # segment, so the sequence is full when the loop runs out.
     for cycle in range(cfg.max_segments):
-        mesh = build_mesh(table, tau, mesh)
+        if cycle:
+            mesh = build_mesh(table, tau, mesh)
         if cfg.transmission is not None:
             mesh = transmit(mesh, cfg.transmission)
         placements = build_dual(mesh, goal, cfg.ego_radius)

@@ -6,10 +6,11 @@ follows the resulting polyline, and accrues completion, planning-success
 and collision metrics.  Every method turns channel segments into a path
 with one loop (``_follow``); a baseline plan is one segment to the goal.
 A ``PlanResult`` keeps the segments it planned, with or without a path, and
-the renderer draws them.
+the renderer draws them.  ``plan_detailed`` builds every method's first
+snapshot, advanced from the run's last plan's first.
 ``rollout`` is the only loop over simulated time; ``run_scenario`` and the
-SVG renderer both consume it.  Runs are deterministic for a given
-scenario, method and configuration.
+SVG renderer both consume it, and it scopes that warm start to one run.
+Runs are deterministic for a given scenario, method and configuration.
 """
 from __future__ import annotations
 
@@ -174,57 +175,47 @@ def _follow(segments: Sequence[ChannelSegment], ego: Point, table: NodeTable,
     return PlanResult(path=path, segments=segments)
 
 
-def plan_proposed(scenario: Scenario, ego: Point, t_now: float,
-                  cfg: SequencerConfig) -> PlanResult:
-    """Channel sequence, followed segment by segment (``_follow``)."""
-    table = scenario.table_at(t_now)
-    try:
-        result = generate_sequence(table, ego, scenario.goal, cfg)
-    except DegenerateInputError:
-        return PlanResult(path=None)
-    if isinstance(result, SequenceFailure):
-        return PlanResult(path=None)
-    return _follow(result.segments, ego, table, scenario.obstacle_rows,
-                   scenario.ego_radius, cfg.effective_padding)
-
-
-def plan_baseline(scenario: Scenario, ego: Point, t_now: float,
-                  cfg: SequencerConfig, method: MethodId) -> PlanResult:
-    """Single-channel baseline: one search, followed as one segment to the goal."""
-    table = scenario.table_at(t_now)
-    try:
-        mesh = build_mesh(table, 0.0)
-    except DegenerateInputError:
-        return PlanResult(path=None)
-    start_tri = locate(mesh, ego)
-    goal_tri = locate(mesh, scenario.goal)
-    if start_tri is None or goal_tri is None:
-        return PlanResult(path=None)
-    placements = build_dual(mesh, scenario.goal, cfg.ego_radius)
-    if method is MethodId.ASTAR:
-        channel = astar(placements, mesh, start_tri, goal_tri, goal=scenario.goal,
-                        ego_position=ego, ego_speed=cfg.ego_speed)
-    else:
-        channel = timed_astar(
-            placements, mesh, start_tri, goal_tri, goal=scenario.goal,
-            ego_speed=cfg.ego_speed,
-            width_threshold=cfg.effective_width_threshold,
-            ego_position=ego,
-        )
-    if channel is None:
-        return PlanResult(path=None)
-    # ``locate`` found both ends inside their triangles by the exact test,
-    # so ``_follow``'s placement leaves them where they are.
-    segment = ChannelSegment(None, mesh, channel.triangles, scenario.goal)
-    return _follow([segment], ego, table, scenario.obstacle_rows, scenario.ego_radius,
-                   cfg.effective_padding)
-
-
 def plan_detailed(scenario: Scenario, method: MethodId, ego: Point,
                   t_now: float, cfg: SequencerConfig) -> PlanResult:
-    if method is MethodId.PROPOSED:
-        return plan_proposed(scenario, ego, t_now, cfg)
-    return plan_baseline(scenario, ego, t_now, cfg, method)
+    """One plan at ``t_now``: the channel sequence, or a baseline's single
+    channel to the goal as one segment, followed by ``_follow``.
+
+    The plan's first snapshot advances from the last plan's first, which
+    the scenario keeps for the run (``Scenario.plan_start``), and replaces
+    it before planning, so also when the plan then fails.
+    """
+    table = scenario.table_at(t_now)
+    goal = scenario.goal
+    try:
+        mesh = build_mesh(table, 0.0, scenario.plan_start)
+        scenario.plan_start = mesh
+        if method is MethodId.PROPOSED:
+            result = generate_sequence(mesh, ego, goal, cfg)
+            if isinstance(result, SequenceFailure):
+                return PlanResult(path=None)
+            segments = result.segments
+        else:
+            start_tri, goal_tri = locate(mesh, ego), locate(mesh, goal)
+            if start_tri is None or goal_tri is None:
+                return PlanResult(path=None)
+            placements = build_dual(mesh, goal, cfg.ego_radius)
+            if method is MethodId.ASTAR:
+                channel = astar(placements, mesh, start_tri, goal_tri, goal=goal,
+                                ego_position=ego, ego_speed=cfg.ego_speed)
+            else:
+                channel = timed_astar(placements, mesh, start_tri, goal_tri, goal=goal,
+                                      ego_speed=cfg.ego_speed,
+                                      width_threshold=cfg.effective_width_threshold,
+                                      ego_position=ego)
+            if channel is None:
+                return PlanResult(path=None)
+            # ``locate`` found both ends inside their triangles by the exact
+            # test, so ``_follow``'s placement leaves them where they are.
+            segments = [ChannelSegment(None, mesh, channel.triangles, goal)]
+    except DegenerateInputError:
+        return PlanResult(path=None)
+    return _follow(segments, ego, table, scenario.obstacle_rows, scenario.ego_radius,
+                   cfg.effective_padding)
 
 
 def plan(scenario: Scenario, method: MethodId, ego: Point, t_now: float,
@@ -269,21 +260,27 @@ def rollout(scenario: Scenario, cfg: SimConfig,
     advances by ``cfg.dt``, until the ego reaches the goal or the time
     limit runs out.  A replan always replaces the followed path, with None
     when planning failed, so the ego holds until a later replan succeeds.
+    The run owns the scenario's warm start: it starts and ends empty, so
+    that plans seed only from this run's own.
     """
     state = SimState(t=0.0, ego=scenario.start)
     next_replan = 0.0
-    while state.t < scenario.time_limit - 1e-9:
-        planned = None
-        if state.t >= next_replan - 1e-9:
-            next_replan += cfg.replan_interval
-            planned = replan(state.ego, state.t)
-            state = replace(state, path=planned.path, cursor=0.0)
-        after = step(state, scenario, cfg.dt)
-        at_goal = dist(after.ego, scenario.goal) <= scenario.ego_radius
-        yield RolloutStep(state, planned, after, at_goal)
-        if at_goal:
-            return
-        state = after
+    scenario.plan_start = None
+    try:
+        while state.t < scenario.time_limit - 1e-9:
+            planned = None
+            if state.t >= next_replan - 1e-9:
+                next_replan += cfg.replan_interval
+                planned = replan(state.ego, state.t)
+                state = replace(state, path=planned.path, cursor=0.0)
+            after = step(state, scenario, cfg.dt)
+            at_goal = dist(after.ego, scenario.goal) <= scenario.ego_radius
+            yield RolloutStep(state, planned, after, at_goal)
+            if at_goal:
+                return
+            state = after
+    finally:
+        scenario.plan_start = None
 
 
 def run_scenario(scenario: Scenario, method: MethodId,

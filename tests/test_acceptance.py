@@ -260,7 +260,7 @@ def test_criterion_4_sequence_invariants():
         goal = (rng.uniform(2, 18), rng.uniform(2, 10))
         if dist(start, goal) < 5.0:
             continue
-        result = generate_sequence(table_of(nodes), start, goal, cfg)
+        result = generate_sequence(build_mesh(table_of(nodes), 0.0), start, goal, cfg)
         if not isinstance(result, ChannelSequence):
             continue
         sequences += 1

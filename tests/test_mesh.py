@@ -295,7 +295,7 @@ class TestTopologyTables:
         advanced = 0
         for label, nodes, t in corpus():
             try:
-                built = qhull_build(table_of(nodes), t)
+                built = build_mesh(table_of(nodes), t)
             except DegenerateInputError:
                 continue
             before = len(calls)
@@ -319,6 +319,7 @@ class TestTopologyTables:
             return got
 
         monkeypatch.setattr(sequencer, "build_mesh", checking_build)
+        monkeypatch.setattr(simulate, "build_mesh", checking_build)
         run_scenario(dataclasses.replace(generate_synthetic(1), time_limit=4.0),
                      MethodId.PROPOSED)
         assert sum(advanced) > 0.8 * len(advanced) > 20
@@ -360,11 +361,7 @@ class TestTopologyTables:
 
 
 def count_qhull(monkeypatch):
-    """List that gains the node count of every Qhull build from now on.
-
-    The warm-start slot starts empty, so the counts do not depend on what
-    an earlier test built.
-    """
+    """List that gains the node count of every Qhull build from now on."""
     calls = []
     real = mesh_module._QhullDelaunay
 
@@ -373,17 +370,7 @@ def count_qhull(monkeypatch):
         return real(pts)
 
     monkeypatch.setattr(mesh_module, "_QhullDelaunay", counting)
-    monkeypatch.setattr(mesh_module, "_plan_start", None)
     return calls
-
-
-def qhull_build(table, t):
-    """A Qhull build at ``t`` that leaves the warm-start slot as it was."""
-    slot, mesh_module._plan_start = mesh_module._plan_start, None
-    try:
-        return build_mesh(table, t)
-    finally:
-        mesh_module._plan_start = slot
 
 
 def assert_same_tables(got, want):
@@ -394,7 +381,7 @@ def assert_same_tables(got, want):
 def advance_or_raise(table, t0, t1):
     """``build_mesh(table, t1, prior)`` against a Qhull build, both raising alike."""
     try:
-        want = qhull_build(table, t1)
+        want = build_mesh(table, t1)
     except DegenerateInputError:
         with pytest.raises(DegenerateInputError):
             build_mesh(table, t1, build_mesh(table, t0))
@@ -415,8 +402,8 @@ def square_framed(rng, n):
 
 
 class TestAdvance:
-    """``build_mesh(table, t, prior)``, and ``build_mesh(table, t)`` seeded
-    from the warm-start slot, equal a Qhull build at ``t``."""
+    """``build_mesh(table, t, prior)`` equals a Qhull build at ``t``, and a
+    plan's first snapshot advances from the run's last plan's first."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_closed_loop_snapshots_equal_qhull(self, seed, monkeypatch):
@@ -424,12 +411,11 @@ class TestAdvance:
         calls = count_qhull(monkeypatch)
         advanced = []  # per advance: whether it ran without Qhull
 
-        def checking_build(nodes, t, prior=None):
+        def checking_build(nodes, t, prior):
             built = len(calls)
             got = build_mesh(nodes, t, prior)
-            if prior is not None:
-                advanced.append(len(calls) == built)
-                assert_same_tables(got, qhull_build(nodes, t))
+            advanced.append(len(calls) == built)
+            assert_same_tables(got, build_mesh(nodes, t))
             return got
 
         monkeypatch.setattr(sequencer, "build_mesh", checking_build)
@@ -442,21 +428,51 @@ class TestAdvance:
         calls = count_qhull(monkeypatch)
         started = []  # per plan: whether its first snapshot ran Qhull
 
-        def checking_build(nodes, t, prior=None):
+        def checking_build(nodes, t, prior):
             built = len(calls)
             got = build_mesh(nodes, t, prior)
-            if prior is None:
-                started.append(len(calls) > built)
-                assert_same_tables(got, qhull_build(nodes, t))
+            started.append(len(calls) > built)
+            assert_same_tables(got, build_mesh(nodes, t))
             return got
 
-        monkeypatch.setattr(sequencer, "build_mesh", checking_build)
         monkeypatch.setattr(simulate, "build_mesh", checking_build)
         for seed in range(3):
             run_scenario(dataclasses.replace(generate_synthetic(seed), time_limit=6.0),
                          method)
         assert len(started) > 100
         assert sum(started) <= 0.1 * len(started)
+
+    def test_runs_start_cold(self, monkeypatch):
+        # Parked pedestrians: every plan's first snapshot sits where the one
+        # before sat, so only a run's first plan runs Qhull, run after run.
+        scene = generate_synthetic(0)
+        parked = dataclasses.replace(scene, time_limit=3.0, nodes=[
+            dataclasses.replace(tr, kind=NodeKind.STATIC, waypoints=tr.waypoints[:1])
+            for tr in scene.nodes])
+        calls = count_qhull(monkeypatch)
+        runs = []  # per run, per plan: whether it ran Qhull
+        plan_detailed = simulate.plan_detailed
+
+        def recording_plan(*args):
+            built = len(calls)
+            planned = plan_detailed(*args)
+            runs[-1].append(len(calls) > built)
+            return planned
+
+        monkeypatch.setattr(simulate, "plan_detailed", recording_plan)
+        for _ in range(2):
+            runs.append([])
+            run_scenario(parked, MethodId.PROPOSED)
+        assert runs[0] == runs[1]
+        assert runs[0][0] and not any(runs[0][1:])
+        assert parked.plan_start is None
+
+    def test_no_prior_runs_qhull(self, monkeypatch):
+        table = generate_synthetic(0).table_at(4.0)
+        calls = count_qhull(monkeypatch)
+        first = build_mesh(table, 0.0)
+        assert build_mesh(table, 0.0).triangles is not first.triangles
+        assert calls == [len(table.ids)] * 2
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -486,9 +502,6 @@ class TestAdvance:
         calls = count_qhull(monkeypatch)
         for table in grids:
             del calls[:]
-            # Grids of one size sit at the same positions at 0: empty the
-            # warm-start slot, so that the prior is Qhull's.
-            monkeypatch.setattr(mesh_module, "_plan_start", None)
             advance_or_raise(table, 0.0, t1)
             # A moving grid's advance runs Qhull too; a still one shares
             # the tables Qhull built for its prior.
@@ -536,20 +549,16 @@ class TestAdvance:
         still = build_mesh(table, 0.0, prior)
         assert still.triangles is prior.triangles and still.neighbors is prior.neighbors
         assert not (still.triangles.flags.writeable or still.neighbors.flags.writeable)
-        monkeypatch.setattr(mesh_module, "_plan_start", prior)
-        assert build_mesh(table, 0.0).triangles is prior.triangles
         flipped = build_mesh(table, 0.3, prior)
         assert calls == []
         assert flipped.triangles.tolist() != prior.triangles.tolist()
-        assert_same_tables(flipped, qhull_build(table, 0.3))
+        assert_same_tables(flipped, build_mesh(table, 0.3))
 
     def test_new_table_with_same_positions_advances(self, monkeypatch):
         nodes = random_nodes(random.Random(2), 20)
         prior = build_mesh(table_of(nodes), 0.0)
         calls = count_qhull(monkeypatch)
         assert_same_tables(build_mesh(table_of(nodes), 0.0, prior), prior)
-        monkeypatch.setattr(mesh_module, "_plan_start", prior)
-        assert_same_tables(build_mesh(table_of(nodes), 0.0), prior)
         assert calls == []
 
     def test_seed_positions_share_the_tables_untested(self, monkeypatch):
@@ -565,12 +574,10 @@ class TestAdvance:
         calls = count_qhull(monkeypatch)
         monkeypatch.setattr(mesh_module, "incircle_filter", untested)
         monkeypatch.setattr(mesh_module, "_orientation", untested)
-        shared = build_mesh(table, 0.0, prior)
-        monkeypatch.setattr(mesh_module, "_plan_start", prior)
-        for built in (shared, build_mesh(table, 0.0)):
-            assert built.triangles is prior.triangles and built.neighbors is prior.neighbors
-            assert built.nodes is table and built.vel is table.vel and built.time == 0.0
-            assert built.xy is not prior.xy and built.xy.tobytes() == prior.xy.tobytes()
+        built = build_mesh(table, 0.0, prior)
+        assert built.triangles is prior.triangles and built.neighbors is prior.neighbors
+        assert built.nodes is table and built.vel is table.vel and built.time == 0.0
+        assert built.xy is not prior.xy and built.xy.tobytes() == prior.xy.tobytes()
         assert calls == []
 
     def test_interior_node_moved_by_one_ulp_is_certified(self, monkeypatch):
@@ -584,7 +591,7 @@ class TestAdvance:
         monkeypatch.setattr(mesh_module, "incircle_filter",
                             lambda *args: certified.append(1) or real(*args))
         calls = count_qhull(monkeypatch)
-        assert_same_tables(build_mesh(table_of(moved), 0.0, prior), qhull_build(table_of(moved), 0.0))
+        assert_same_tables(build_mesh(table_of(moved), 0.0, prior), build_mesh(table_of(moved), 0.0))
         assert certified and calls == [len(nodes)]
 
     def test_hull_vertex_moved_by_one_ulp_is_rebuilt(self, monkeypatch):
@@ -594,7 +601,7 @@ class TestAdvance:
         moved = [dataclasses.replace(n, x=np.nextafter(n.x, 21.0)) if n.id == 4 else n
                  for n in nodes]
         calls = count_qhull(monkeypatch)
-        assert_same_tables(build_mesh(table_of(moved), 0.0, prior), qhull_build(table_of(moved), 0.0))
+        assert_same_tables(build_mesh(table_of(moved), 0.0, prior), build_mesh(table_of(moved), 0.0))
         assert calls == [len(nodes)] * 2
 
     @pytest.mark.parametrize("extra", [-1, 1])
@@ -604,7 +611,7 @@ class TestAdvance:
         grown = nodes + [NodeState(id=len(nodes), x=7.5, y=12.5, vx=0.0, vy=0.0, r=0.0)]
         prior = build_mesh(table_of(nodes[:-1] if extra < 0 else grown), 0.0)
         calls = count_qhull(monkeypatch)
-        assert_same_tables(build_mesh(table_of(nodes), 0.0, prior), qhull_build(table_of(nodes), 0.0))
+        assert_same_tables(build_mesh(table_of(nodes), 0.0, prior), build_mesh(table_of(nodes), 0.0))
         assert calls == [len(nodes)] * 2
 
     def test_node_missing_from_prior_is_rebuilt(self, monkeypatch):
@@ -616,7 +623,7 @@ class TestAdvance:
         prior = build_mesh(table, 0.0)
         assert np.unique(prior.triangles).tolist() == list(range(len(nodes)))
         calls = count_qhull(monkeypatch)
-        assert_same_tables(build_mesh(table, 0.5, prior), qhull_build(table, 0.5))
+        assert_same_tables(build_mesh(table, 0.5, prior), build_mesh(table, 0.5))
         assert calls == [len(nodes) + 1] * 2
 
     @pytest.mark.parametrize("seeds", [(0, 1), (3, 4)])
@@ -625,8 +632,7 @@ class TestAdvance:
         prior_table, table = (generate_synthetic(s).table_at(0.0) for s in seeds)
         prior = build_mesh(prior_table, 0.0)
         calls = count_qhull(monkeypatch)
-        monkeypatch.setattr(mesh_module, "_plan_start", prior)
-        assert_same_tables(build_mesh(table, 0.0), qhull_build(table, 0.0))
+        assert_same_tables(build_mesh(table, 0.0, prior), build_mesh(table, 0.0))
         assert calls == [len(table.ids)] * 2
 
 

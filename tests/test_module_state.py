@@ -1,16 +1,16 @@
 """No function in ``src/`` rebinds module state through a ``global``
-statement, except the one known slot.
+statement.
 
-``mesh.build_mesh`` keeps the warm-start seed of the next plan in
-``mesh._plan_start``; the aim is for one closed-loop run to own it instead.
-Any other ``global`` fails here, and so does the known one once it is gone,
-so that the list shrinks with it.  An AST scan, as in ``test_imports``.
+State that outlives a call belongs to an owner that a caller can see: the
+warm start of a plan's first snapshot lives on the ``Scenario``, and one
+closed-loop run empties it at its start and end.  Any ``global`` fails
+here.  An AST scan, as in ``test_imports``.
 """
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "trichannel"
-KNOWN = {("mesh.py", "build_mesh", "_plan_start")}
+KNOWN = set()
 
 
 def global_statements(tree):

@@ -235,6 +235,13 @@ class TestScenario:
         with pytest.raises(ScenarioFormatError, match="node id must be an integer"):
             Scenario.from_dict(data)
 
+    def test_from_dict_rejects_an_ego_node(self):
+        # The ego is no node of the scene: as one, it would count as an obstacle.
+        data = generate_synthetic(0).to_dict()
+        data["nodes"][0]["kind"] = "ego"
+        with pytest.raises(ScenarioFormatError, match="malformed scenario"):
+            Scenario.from_dict(data)
+
     def test_load_rejects_missing_fields(self, tmp_path):
         f = tmp_path / "partial.json"
         f.write_text(json.dumps({"id": "x", "nodes": []}))

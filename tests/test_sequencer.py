@@ -194,8 +194,8 @@ class TestGenerateSequence:
         return SequencerConfig(**defaults)
 
     def test_static_scene_single_segment(self):
-        result = generate_sequence(table_of(static_scene_nodes()), (0.5, 1.0), (9.5, 3.0),
-                                   self.cfg())
+        result = generate_sequence(build_mesh(table_of(static_scene_nodes()), 0.0),
+                                   (0.5, 1.0), (9.5, 3.0), self.cfg())
         assert isinstance(result, ChannelSequence)
         assert len(result.segments) == 1
         assert result.terminated == "goal"
@@ -203,21 +203,21 @@ class TestGenerateSequence:
         assert result.segments[0].subgoal == (9.5, 3.0)
 
     def test_crossing_scene_multiple_segments(self):
-        result = generate_sequence(table_of(crossing_scene_nodes()), (0.5, 1.0),
-                                   (9.5, 3.0), self.cfg(ego_speed=0.4))
+        result = generate_sequence(build_mesh(table_of(crossing_scene_nodes()), 0.0),
+                                   (0.5, 1.0), (9.5, 3.0), self.cfg(ego_speed=0.4))
         assert isinstance(result, ChannelSequence)
         assert len(result.segments) >= 2
 
     def test_anchor_continuity(self):
-        result = generate_sequence(table_of(crossing_scene_nodes()), (0.5, 1.0),
-                                   (9.5, 3.0), self.cfg(ego_speed=0.4))
+        result = generate_sequence(build_mesh(table_of(crossing_scene_nodes()), 0.0),
+                                   (0.5, 1.0), (9.5, 3.0), self.cfg(ego_speed=0.4))
         assert isinstance(result, ChannelSequence)
         for cur, nxt in zip(result.segments, result.segments[1:]):
             assert frozenset(node_anchor(cur)) == frozenset(node_triangles(nxt)[0])
 
     def test_window_contiguity(self):
-        result = generate_sequence(table_of(crossing_scene_nodes()), (0.5, 1.0),
-                                   (9.5, 3.0), self.cfg(ego_speed=0.4))
+        result = generate_sequence(build_mesh(table_of(crossing_scene_nodes()), 0.0),
+                                   (0.5, 1.0), (9.5, 3.0), self.cfg(ego_speed=0.4))
         assert isinstance(result, ChannelSequence)
         for cur, nxt in zip(result.segments, result.segments[1:]):
             assert cur.t_end == nxt.mesh.time
@@ -232,8 +232,8 @@ class TestGenerateSequence:
         nodes = crossing_scene_nodes()
         velocity = {n.id: (n.vx, n.vy) for n in nodes}
         for speed in (0.2, 0.4, 1.0):
-            result = generate_sequence(table_of(nodes), (0.5, 1.0), (9.5, 3.0),
-                                       self.cfg(ego_speed=speed))
+            result = generate_sequence(build_mesh(table_of(nodes), 0.0), (0.5, 1.0),
+                                       (9.5, 3.0), self.cfg(ego_speed=speed))
             assert isinstance(result, ChannelSequence)
             closed = [seg for seg in result.segments if seg.t_end is not None]
             assert closed
@@ -246,8 +246,8 @@ class TestGenerateSequence:
                 assert point_in_triangle(anchor, seg.subgoal)
 
     def test_max_segments_cap(self):
-        result = generate_sequence(table_of(crossing_scene_nodes()), (0.5, 1.0),
-                                   (9.5, 3.0),
+        result = generate_sequence(build_mesh(table_of(crossing_scene_nodes()), 0.0),
+                                   (0.5, 1.0), (9.5, 3.0),
                                    self.cfg(ego_speed=0.4, max_segments=1))
         assert isinstance(result, ChannelSequence)
         assert len(result.segments) == 1
@@ -256,8 +256,8 @@ class TestGenerateSequence:
 
     def test_failure_names_cycle(self):
         # Goal outside the convex hull of the nodes: no goal triangle.
-        result = generate_sequence(table_of(static_scene_nodes()), (0.5, 1.0),
-                                   (50.0, 50.0), self.cfg())
+        result = generate_sequence(build_mesh(table_of(static_scene_nodes()), 0.0),
+                                   (0.5, 1.0), (50.0, 50.0), self.cfg())
         assert isinstance(result, SequenceFailure)
         assert result.cycle == 0
         assert "goal" in result.reason
@@ -266,7 +266,7 @@ class TestGenerateSequence:
         # Width threshold above every edge gap in the scene: no channel.
         pts = [(0, 0), (0, 2), (5, 0.95), (5, 1.05), (10, 0), (10, 2)]
         nodes = make_nodes(pts, r=0.0)
-        result = generate_sequence(table_of(nodes), (0.5, 1.0), (9.5, 1.0),
+        result = generate_sequence(build_mesh(table_of(nodes), 0.0), (0.5, 1.0), (9.5, 1.0),
                                    self.cfg(ego_radius=6.0))
         assert isinstance(result, SequenceFailure)
         assert result.reason == "no admissible channel"
@@ -276,7 +276,8 @@ class TestGenerateSequence:
         # nothing strictly inside its validity window.
         nodes = crossing_scene_nodes()
         cfg = self.cfg(ego_speed=0.4)
-        result = generate_sequence(table_of(nodes), (0.5, 1.0), (9.5, 3.0), cfg)
+        result = generate_sequence(build_mesh(table_of(nodes), 0.0), (0.5, 1.0), (9.5, 3.0),
+                                   cfg)
         assert isinstance(result, ChannelSequence)
         for seg in result.segments:
             if seg.t_end is None:
@@ -397,20 +398,19 @@ def test_one_build_per_snapshot_time(monkeypatch):
     built = []  # per plan: the snapshots built
 
     def recording_build(nodes, t, prior=None):
-        if builds[-1]:
-            assert prior.nodes is nodes
-            assert prior.time == builds[-1][-1]
-            assert prior.triangles is built[-1][-1].triangles
-        else:
-            assert prior is None
+        assert prior.nodes is nodes
+        assert prior.time == builds[-1][-1]
+        assert prior.triangles is built[-1][-1].triangles
         builds[-1].append(t)
         built[-1].append(build_mesh(nodes, t, prior))
         return built[-1][-1]
 
-    def recording_sequence(*args):
-        builds.append([])
-        built.append([])
-        results.append(generate_sequence(*args))
+    def recording_sequence(first, *args):
+        # The first snapshot comes from the plan, at time 0.
+        assert first.time == 0.0
+        builds.append([first.time])
+        built.append([first])
+        results.append(generate_sequence(first, *args))
         return results[-1]
 
     monkeypatch.setattr(sequencer, "build_mesh", recording_build)
@@ -443,7 +443,8 @@ def test_anchor_missing_from_snapshot_fails(monkeypatch):
         return None
 
     monkeypatch.setattr(sequencer, "find_triangle", no_anchor)
-    result = generate_sequence(table_of(crossing_scene_nodes()), (0.5, 1.0), (9.5, 3.0),
+    result = generate_sequence(build_mesh(table_of(crossing_scene_nodes()), 0.0),
+                               (0.5, 1.0), (9.5, 3.0),
                                SequencerConfig(ego_radius=0.2, ego_speed=0.4))
     assert isinstance(result, SequenceFailure)
     assert result.cycle == 1
@@ -458,7 +459,7 @@ def test_segments_keep_their_snapshot(seed):
     cfg = SimConfig().sequencer_for(scene)
     segments = 0
     for t in (0.0, 1.5, 3.0, 4.5):
-        result = generate_sequence(scene.table_at(t), scene.start,
+        result = generate_sequence(build_mesh(scene.table_at(t), 0.0), scene.start,
                                    scene.goal, cfg)
         if not isinstance(result, ChannelSequence):
             continue
@@ -541,7 +542,7 @@ def test_estimate_in_no_triangle_keeps_the_ego_triangle(monkeypatch, seed, t, eg
 
     monkeypatch.setattr(sequencer, "cut_index", recording_cut_index)
     scene = generate_synthetic(seed)
-    result = generate_sequence(scene.table_at(t), ego, scene.goal,
+    result = generate_sequence(build_mesh(scene.table_at(t), 0.0), ego, scene.goal,
                                SimConfig().sequencer_for(scene))
     assert result.terminated == "max_segments"
     assert (outside, [(seg.mesh.time, seg.t_end, seg.tri_ids, seg.subgoal)

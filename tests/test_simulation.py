@@ -4,10 +4,10 @@ import re
 
 import pytest
 
-from trichannel import mesh as mesh_module
 from trichannel import render, simulate
 from trichannel.funnel import PathPolyline
 from trichannel.geometry import NodeKind, dist, point_along
+from trichannel.mesh import build_mesh
 from trichannel.render import _bounds, render_run
 from trichannel.scenario import ObjectTrack, Scenario, generate_synthetic
 from trichannel.simulate import (Metrics, MethodId, SimConfig, SimState,
@@ -258,19 +258,44 @@ def test_render_stops_where_run_stops(tmp_path, method):
 
 
 def test_render_does_not_reseed_the_planner(tmp_path, monkeypatch):
-    # Frames draw the plan's own snapshot, so after a rendered run the
-    # warm-start slot holds the last plan's first snapshot, as after a run.
-    plans = []
+    # Frames draw the plan's own snapshot, so in a rendered run each plan
+    # leaves its first snapshot as the warm start, as in a run, and the run
+    # leaves none behind.
+    scene = empty_road(time_limit=1.0)
+    plans, kept = [], []
 
     def recorded(*args):
         plans.append(plan_detailed(*args))
+        kept.append(scene.plan_start)
         return plans[-1]
 
     monkeypatch.setattr(render, "plan_detailed", recorded)
     cfg = SimConfig()
-    render_run(empty_road(time_limit=1.0), MethodId.ASTAR, tmp_path, cfg, frame_dt=cfg.dt)
+    render_run(scene, MethodId.ASTAR, tmp_path, cfg, frame_dt=cfg.dt)
     assert len(plans) == 10
-    assert mesh_module._plan_start is plans[-1].segments[0].mesh
+    assert kept == [p.segments[0].mesh for p in plans]
+    assert scene.plan_start is None
+
+
+def test_plan_detailed_keeps_each_plans_first_snapshot(monkeypatch):
+    # A plan's first snapshot advances from the scenario's warm start and
+    # replaces it, also when the plan fails: here the goal leaves the mesh.
+    scene = empty_road()
+    cfg = SimConfig().sequencer_for(scene)
+    built = []  # (prior, snapshot) per first build
+
+    def recording_build(table, t, prior):
+        built.append((prior, build_mesh(table, t, prior)))
+        return built[-1][1]
+
+    monkeypatch.setattr(simulate, "build_mesh", recording_build)
+    first = plan_detailed(scene, MethodId.ASTAR, scene.start, 0.0, cfg)
+    assert first.path is not None and scene.plan_start is first.segments[0].mesh
+    scene.goal = (100.0, 100.0)
+    for method in MethodId:
+        assert plan_detailed(scene, method, scene.start, 1.0, cfg).path is None
+    assert [prior for prior, _ in built] == [None] + [mesh for _, mesh in built[:-1]]
+    assert scene.plan_start is built[-1][1]
 
 
 class TestAggregate:
