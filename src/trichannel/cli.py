@@ -296,11 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--count", type=int, default=200)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out-dir", default="scenarios")
-    gen.add_argument("--ped-min", type=int, default=10)
-    gen.add_argument("--ped-max", type=int, default=20)
-    gen.add_argument("--speed-min", type=float, default=0.25)
-    gen.add_argument("--speed-max", type=float, default=0.8)
-    gen.add_argument("--road-width", type=float, default=10.0)
+    gen.add_argument("--ped-min", type=int, default=SyntheticParams.ped_count_min)
+    gen.add_argument("--ped-max", type=int, default=SyntheticParams.ped_count_max)
+    gen.add_argument("--speed-min", type=float, default=SyntheticParams.ped_speed_min)
+    gen.add_argument("--speed-max", type=float, default=SyntheticParams.ped_speed_max)
+    gen.add_argument("--road-width", type=float, default=SyntheticParams.road_width)
     gen.set_defaults(func=cmd_generate)
 
     run = sub.add_parser("run", help="run scenarios and write metrics")

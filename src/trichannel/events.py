@@ -30,6 +30,7 @@ from .geometry import (
     incircle,
     incircle_filter,
     orient2d,
+    orient_det,
 )
 from .mesh import Mesh, NodeTable
 from .search import Channel
@@ -85,9 +86,10 @@ def _filter(pts: np.ndarray, vels: np.ndarray, taus: np.ndarray
     """Certain-event and certain-clear masks of the (samples, pairs) grid.
 
     ``pts``/``vels`` are (2, 6, pairs): x and y of the node rows laid out
-    as ``_ROWS``.  A cell in neither mask needs the exact predicate.  Every
-    value is computed with the same floating-point operations, in the same
-    order, as the scalar ``incircle`` and ``orient2d`` filters.
+    as ``_ROWS``.  A cell in neither mask needs the exact predicate.  The
+    filters are ``incircle_filter`` and ``orient_det`` with the predicates'
+    error bounds, so every value has the bits of the scalar ``incircle``
+    and ``orient2d`` filters.
     """
     t = taus[:, None]
     x = pts[0, :, None] + vels[0, :, None] * t  # (6, S, P)
@@ -95,11 +97,8 @@ def _filter(pts: np.ndarray, vels: np.ndarray, taus: np.ndarray
     det, det_perm = incircle_filter(x[:5] - x[5], y[:5] - y[5])
     det_err = ICC_ERRBOUND * det_perm
 
-    ox, oy = x[:2] - x[2], y[:2] - y[2]  # a - c and b - c
-    oleft = ox[0] * oy[1]
-    oright = oy[0] * ox[1]
-    orient = oleft - oright
-    orient_err = CCW_ERRBOUND * (np.abs(oleft) + np.abs(oright))
+    orient, orient_size = orient_det(x[:2] - x[2], y[:2] - y[2])  # a - c, b - c
+    orient_err = CCW_ERRBOUND * orient_size
 
     det_pos = det > det_err
     det_neg = det < -det_err

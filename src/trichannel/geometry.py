@@ -1,9 +1,10 @@
 """Planar predicates and the node record.
 
 ``orient2d`` and ``incircle`` return exact signs: a floating-point filter
-decides the common case and a rational (``fractions.Fraction``) fallback
-settles anything inside the filter's error bound.  Every function here is
-pure and reentrant.
+decides the common case, and inside the filter's error bound the same
+determinant (``orient_det``, ``incircle_det``) is evaluated again on
+``fractions.Fraction``s, where it is exact.  Every function here is pure
+and reentrant.
 """
 from __future__ import annotations
 
@@ -35,9 +36,8 @@ class NodeKind(str, Enum):
 class NodeState:
     """Disc-shaped node: position, velocity and radius.
 
-    Scenario-level validation additionally requires static/virtual nodes to
-    carry zero velocity; derived tables (e.g. after motion transmission) may
-    relax that, so it is not enforced here.
+    The view of one ``NodeTable`` row that ``Scenario.node_states_at``
+    builds for ``render`` and the benchmark; the planner reads the table.
     """
 
     id: int
@@ -73,12 +73,13 @@ def _signed_float(value: Fraction) -> float:
     return math.copysign(5e-324, 1.0 if value > 0 else -1.0)
 
 
-def _orient2d_exact(a: Point, b: Point, c: Point) -> float:
-    ax, ay = Fraction(a[0]), Fraction(a[1])
-    bx, by = Fraction(b[0]), Fraction(b[1])
-    cx, cy = Fraction(c[0]), Fraction(c[1])
-    det = (ax - cx) * (by - cy) - (ay - cy) * (bx - cx)
-    return _signed_float(det)
+def orient_det(dx, dy):
+    """The orientation determinant of (a, b, c) and the sum of its two
+    products' magnitudes, which its error bound scales.  ``dx``/``dy`` are
+    the x and y of a - c and b - c: floats, arrays or ``Fraction``s."""
+    (adx, bdx), (ady, bdy) = dx, dy
+    left, right = adx * bdy, ady * bdx
+    return left - right, abs(left) + abs(right)
 
 
 def orient2d(a: Point, b: Point, c: Point) -> float:
@@ -86,20 +87,19 @@ def orient2d(a: Point, b: Point, c: Point) -> float:
 
     The sign is exact for any double-precision input.
     """
-    detleft = (a[0] - c[0]) * (b[1] - c[1])
-    detright = (a[1] - c[1]) * (b[0] - c[0])
-    det = detleft - detright
-    detsum = abs(detleft) + abs(detright)
-    if abs(det) > CCW_ERRBOUND * detsum:
+    det, size = orient_det((a[0] - c[0], b[0] - c[0]), (a[1] - c[1], b[1] - c[1]))
+    if abs(det) > CCW_ERRBOUND * size:
         return det
-    return _orient2d_exact(a, b, c)
+    (ax, ay), (bx, by), (cx, cy) = (map(Fraction, q) for q in (a, b, c))
+    return _signed_float(orient_det((ax - cx, bx - cx), (ay - cy, by - cy))[0])
 
 
 def incircle_det(a: Point, b: Point, c: Point, p: Point) -> Tuple[float, float]:
-    """Float det[[x, y, x^2+y^2, 1]] over rows (a, b, c, p) and its permanent.
+    """det[[x, y, x^2+y^2, 1]] over rows (a, b, c, p) and its permanent.
 
-    The sign of the determinant is certain when its magnitude exceeds
-    ``ICC_ERRBOUND`` times the permanent.
+    On floats, the sign of the determinant is certain when its magnitude
+    exceeds ``ICC_ERRBOUND`` times the permanent; on ``Fraction``s, it is
+    exact.
     """
     adx = a[0] - p[0]
     ady = a[1] - p[1]
@@ -143,22 +143,6 @@ def incircle_filter(dx, dy):
     return terms[0] + terms[1] + terms[2], perms[0] + perms[1] + perms[2]
 
 
-def _incircle_det_exact(a: Point, b: Point, c: Point, p: Point) -> float:
-    px, py = Fraction(p[0]), Fraction(p[1])
-    rows = []
-    for q in (a, b, c):
-        qx = Fraction(q[0]) - px
-        qy = Fraction(q[1]) - py
-        rows.append((qx, qy, qx * qx + qy * qy))
-    (adx, ady, alift), (bdx, bdy, blift), (cdx, cdy, clift) = rows
-    det = (
-        alift * (bdx * cdy - cdx * bdy)
-        + blift * (cdx * ady - adx * cdy)
-        + clift * (adx * bdy - bdx * ady)
-    )
-    return _signed_float(det)
-
-
 def incircle(a: Point, b: Point, c: Point, p: Point) -> InCircleSide:
     """Exact side of ``p`` relative to the circumcircle of triangle (a, b, c).
 
@@ -176,8 +160,8 @@ def incircle(a: Point, b: Point, c: Point, p: Point) -> InCircleSide:
         raise DegenerateTriangleError(f"collinear triangle {a}, {b}, {c}")
 
     det, permanent = incircle_det(a, b, c, p)
-    if not abs(det) > ICC_ERRBOUND * permanent:
-        det = _incircle_det_exact(a, b, c, p)
+    if not abs(det) > ICC_ERRBOUND * permanent:  # exact, on the rationals
+        det, _ = incircle_det(*(tuple(map(Fraction, q)) for q in (a, b, c, p)))
 
     # det is the [[x, y, x^2+y^2, 1]] row order; the column order used by
     # gamma is an odd permutation of it, so gamma < 0 when det and orient

@@ -46,7 +46,7 @@ from scipy.spatial import Delaunay as _QhullDelaunay
 from scipy.spatial import QhullError
 
 from .geometry import (CCW_ERRBOUND, Point, TrianglePoints, dist, incircle_det,
-                       incircle_filter, orient2d)
+                       incircle_filter, orient2d, orient_det)
 
 # Column of the vertex opposite each of the edges ab, bc and ca.
 _AB_BC_CA = [2, 0, 1]
@@ -121,15 +121,6 @@ class Mesh:
         return (xy[a], xy[b], xy[c])
 
 
-def _orientation(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``orient2d``'s float determinant of every row of the ``(T, 3)`` corner
-    coordinates ``x`` and ``y``, and the sum of the magnitudes of its two
-    products, which its error bound scales."""
-    detleft = (x[:, 0] - x[:, 2]) * (y[:, 1] - y[:, 2])
-    detright = (y[:, 0] - y[:, 2]) * (x[:, 1] - x[:, 2])
-    return detleft - detright, np.abs(detleft) + np.abs(detright)
-
-
 def _by_sorted_triple(triangles: np.ndarray, neighbors: np.ndarray
                       ) -> Tuple[np.ndarray, np.ndarray]:
     """The tables with rows ordered by sorted vertex triple, neighbours renumbered."""
@@ -151,10 +142,11 @@ def _qhull_tables(pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
     triangles = qhull.simplices.astype(np.intp)
     neighbors = qhull.neighbors.astype(np.intp)
-    # Orient every triangle CCW: the float filter of ``orient2d`` decides
-    # all rows at once, and only the rows inside its error bound go to the
-    # exact predicate.
-    det, size = _orientation(pts[:, 0][triangles], pts[:, 1][triangles])
+    # Orient every triangle CCW: ``orient_det`` filters all rows at once,
+    # and only the rows inside its error bound go to the exact ``orient2d``.
+    x, y = pts[:, 0][triangles], pts[:, 1][triangles]  # (T, 3) corner coordinates
+    det, size = orient_det((x[:, 0] - x[:, 2], x[:, 1] - x[:, 2]),
+                           (y[:, 0] - y[:, 2], y[:, 1] - y[:, 2]))
     clockwise = det < 0
     for row in np.flatnonzero(~(np.abs(det) > CCW_ERRBOUND * size)):
         clockwise[row] = orient2d(*pts[triangles[row]].tolist()) < 0
@@ -195,7 +187,8 @@ def _advance(prior: Mesh, pts: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndar
             or (prior.xy[hull] != pts[hull]).any()):
         return None
     x, y = pts[:, 0][tris], pts[:, 1][tris]  # (T, 3) corner coordinates
-    det, size = _orientation(x, y)
+    det, size = orient_det((x[:, 0] - x[:, 2], x[:, 1] - x[:, 2]),
+                           (y[:, 0] - y[:, 2], y[:, 1] - y[:, 2]))
     if not (det > _ADVANCE_RTOL * size).all():
         return None
     # Every interior edge once, from its lower-id triangle t.
@@ -390,19 +383,17 @@ def point_in_triangle(pts: TrianglePoints, p: Point) -> bool:
 def locate(mesh: Mesh, p: Point) -> Optional[int]:
     """Triangle containing ``p`` (boundary-inclusive, lowest id wins).
 
-    The float filter of ``orient2d`` runs over every edge of every row at
-    once; a row that no edge certainly excludes and not every edge
-    certainly holds goes to the exact ``point_in_triangle``.  Returns None
-    when ``p`` is outside the convex hull.
+    ``orient_det`` filters every edge of every row at once; a row that no
+    edge certainly excludes and not every edge certainly holds goes to the
+    exact ``point_in_triangle``.  Returns None when ``p`` is outside the
+    convex hull.
     """
     px, py = p
     x, y = mesh.xy.T
     ax, ay = x[mesh.triangles] - px, y[mesh.triangles] - py  # (T, 3) corners
     # orient2d(a, b, p) of the edges ab, bc, ca
-    detleft = ax * ay[:, [1, 2, 0]]
-    detright = ay * ax[:, [1, 2, 0]]
-    det = detleft - detright
-    err = CCW_ERRBOUND * (np.abs(detleft) + np.abs(detright))
+    det, size = orient_det((ax, ax[:, [1, 2, 0]]), (ay, ay[:, [1, 2, 0]]))
+    err = CCW_ERRBOUND * size
     inside = (det > err).all(axis=1)
     for row in np.flatnonzero(~(det < -err).any(axis=1)).tolist():
         if inside[row] or point_in_triangle(mesh.triangle_points(row), p):

@@ -304,6 +304,11 @@ class SyntheticParams:
                              f"got {self.road_width}")
         if not self.ped_speed_min <= self.ped_speed_max < math.inf:
             raise ValueError("invalid pedestrian speed range")
+        # ``bool`` is an ``int``, but ``True`` is no pedestrian count.
+        for name in ("ped_count_min", "ped_count_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0 <= self.ped_count_min <= self.ped_count_max:
             raise ValueError("invalid pedestrian count range")
         legs = self.time_limit * self.ped_speed_max / (self.road_width - 2 * _WALL_MARGIN)

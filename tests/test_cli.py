@@ -9,7 +9,7 @@ import pytest
 from trichannel import cli
 from trichannel.cli import CSV_COLUMNS, main, run_batch
 from trichannel.geometry import NodeKind
-from trichannel.scenario import ObjectTrack, Scenario
+from trichannel.scenario import ObjectTrack, Scenario, SyntheticParams
 from trichannel.simulate import MethodId, SimConfig
 
 
@@ -277,6 +277,18 @@ def test_non_finite_or_negative_planner_flag_exit_code(tmp_path, caplog, flag, v
 def test_planner_flag_defaults_are_the_config_defaults():
     for command in (["run", "s.json"], ["compare", "s.json"], ["render", "s.json"]):
         assert cli._sim_config(cli.build_parser().parse_args(command)) == SimConfig()
+
+
+def test_generate_flag_defaults_are_the_generator_defaults(tmp_path, monkeypatch):
+    built = []
+
+    def generate(seed, params):
+        built.append(params)
+        return small_scenario(tmp_path / "s.json")
+
+    monkeypatch.setattr(cli, "generate_synthetic", generate)
+    assert main(["generate", "--count", "1", "--out-dir", str(tmp_path / "out")]) == 0
+    assert built == [SyntheticParams()]
 
 
 def test_pool_no_larger_than_the_task_count(tmp_path, monkeypatch):

@@ -1,13 +1,16 @@
 """Exact predicate tests: sign correctness, convention, and the filter path."""
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trichannel.geometry import (DegenerateTriangleError, InCircleSide,
-                                 NodeKind, NodeState, dist, incircle, orient2d)
+                                 NodeKind, NodeState, dist, incircle, incircle_det,
+                                 orient2d, orient_det)
 
 
 def orient_oracle(a, b, c):
@@ -38,9 +41,25 @@ def incircle_oracle(a, b, c, p):
     return (gamma > 0) - (gamma < 0)
 
 
+def lifted_det_oracle(a, b, c, p):
+    """Rational det[[x, y, x^2+y^2, 1]] over rows (a, b, c, p), by Leibniz's
+    sum over the 24 permutations."""
+    rows = [(x, y, x * x + y * y, 1) for x, y in (map(Fraction, q) for q in (a, b, c, p))]
+    det = Fraction(0)
+    for perm in itertools.permutations(range(4)):
+        inversions = sum(i > j for i, j in itertools.combinations(perm, 2))
+        det += (-1) ** inversions * math.prod(rows[i][j] for i, j in enumerate(perm))
+    return det
+
+
 coords = st.floats(min_value=-100, max_value=100, allow_nan=False,
                    allow_infinity=False)
 points = st.tuples(coords, coords)
+# Near-degenerate input: small integer grids, each coordinate maybe moved
+# by one ulp either way, so collinear and cocircular sets are common.
+grid_coords = st.builds(lambda v, step: math.nextafter(v, step * math.inf) if step else v,
+                        st.integers(-3, 3).map(float), st.sampled_from([-1, 0, 1]))
+near_points = st.tuples(st.one_of(grid_coords, coords), st.one_of(grid_coords, coords))
 
 
 class TestOrient2d:
@@ -125,6 +144,39 @@ class TestIncircle:
         got = {InCircleSide.INSIDE: -1, InCircleSide.COCIRCULAR: 0,
                InCircleSide.OUTSIDE: 1}[res]
         assert got == want
+
+
+def sign(value):
+    return (value > 0) - (value < 0)
+
+
+class TestDeterminants:
+    """``orient_det`` and ``incircle_det`` are the only determinant formulas:
+    the float filters and the exact fallbacks both evaluate them."""
+
+    @given(st.lists(st.tuples(near_points, near_points, near_points),
+                    min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_orient_det_over_arrays_is_its_scalar_form(self, triples):
+        (ax, ay), (bx, by), (cx, cy) = np.array(triples).transpose(1, 2, 0)
+        det, size = orient_det((ax - cx, bx - cx), (ay - cy, by - cy))
+        scalar = [orient_det((a[0] - c[0], b[0] - c[0]), (a[1] - c[1], b[1] - c[1]))
+                  for a, b, c in triples]
+        assert det.tobytes() == np.array([d for d, _ in scalar]).tobytes()
+        assert size.tobytes() == np.array([s for _, s in scalar]).tobytes()
+
+    @given(near_points, near_points, near_points)
+    @settings(max_examples=300, deadline=None)
+    def test_orient_det_on_fractions_is_exact(self, a, b, c):
+        (ax, ay), (bx, by), (cx, cy) = (map(Fraction, q) for q in (a, b, c))
+        det, _ = orient_det((ax - cx, bx - cx), (ay - cy, by - cy))
+        assert sign(det) == orient_oracle(a, b, c)
+
+    @given(near_points, near_points, near_points, near_points)
+    @settings(max_examples=300, deadline=None)
+    def test_incircle_det_on_fractions_is_exact(self, a, b, c, p):
+        det, _ = incircle_det(*(tuple(map(Fraction, q)) for q in (a, b, c, p)))
+        assert sign(det) == sign(lifted_det_oracle(a, b, c, p))
 
 
 class TestMotionModel:

@@ -573,7 +573,7 @@ class TestAdvance:
 
         calls = count_qhull(monkeypatch)
         monkeypatch.setattr(mesh_module, "incircle_filter", untested)
-        monkeypatch.setattr(mesh_module, "_orientation", untested)
+        monkeypatch.setattr(mesh_module, "orient_det", untested)
         built = build_mesh(table, 0.0, prior)
         assert built.triangles is prior.triangles and built.neighbors is prior.neighbors
         assert built.nodes is table and built.vel is table.vel and built.time == 0.0

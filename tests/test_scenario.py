@@ -415,6 +415,13 @@ class TestSyntheticGenerator:
         with pytest.raises(ValueError):
             SyntheticParams(ego_speed=-1)
 
+    @pytest.mark.parametrize("field", ["ped_count_min", "ped_count_max"])
+    @pytest.mark.parametrize("value", [True, 12.0, 1.5])
+    def test_non_integer_pedestrian_counts_rejected(self, field, value):
+        counts = {"ped_count_min": 1, "ped_count_max": 20, field: value}
+        with pytest.raises(ValueError, match=field):
+            SyntheticParams(**counts)
+
     @pytest.mark.parametrize("width", [1.2, 1.0])
     def test_road_without_room_between_margins_rejected(self, width):
         # Walkers bounce between margins 0.6 m inside each wall; with no
