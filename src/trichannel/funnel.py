@@ -19,11 +19,12 @@ from .mesh import Mesh, point_in_triangle
 @dataclass
 class PathPolyline:
     points: List[Point]
-    segment_ids: List[int]  # per-point source channel segment id
 
 
 def _triarea2(a: Point, b: Point, c: Point) -> float:
-    # Positive when c lies left of the directed line a -> b.
+    # Positive when c lies left of the directed line a -> b.  The products
+    # are ``geometry.orient_det``'s, written out: the string pull calls this
+    # in its inner loop, and a call through ``orient_det`` costs twice as much.
     return (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
 
 
@@ -79,7 +80,7 @@ def _string_pull(portals: Sequence[Tuple[Point, Point]], start: Point,
 
 
 def funnel(mesh: Mesh, tri_ids: Sequence[int], start: Point, target: Point,
-           padding: float, segment_id: int = 0) -> Optional[PathPolyline]:
+           padding: float) -> Optional[PathPolyline]:
     """Shortest taut path through the triangles ``tri_ids`` of ``mesh``.
 
     Returns None when any portal's shrunk width is non-positive (the
@@ -116,5 +117,4 @@ def funnel(mesh: Mesh, tri_ids: Sequence[int], start: Point, target: Point,
             return None
         shrunk.append(portal)
 
-    points = _string_pull(shrunk, start, target)
-    return PathPolyline(points=points, segment_ids=[segment_id] * len(points))
+    return PathPolyline(points=_string_pull(shrunk, start, target))

@@ -25,7 +25,8 @@ _KIND_FILL = {
 _EGO_FILL = "#cc2222"
 
 
-def _bounds(scenario: Scenario, pad: float = 2.0) -> Tuple[float, float, float, float]:
+def _bounds(scenario: Scenario) -> Tuple[float, float, float, float]:
+    """Every point the scenario names, boxed with a 2 m margin."""
     xs: List[float] = []
     ys: List[float] = []
     for b in scenario.boundaries:
@@ -39,17 +40,17 @@ def _bounds(scenario: Scenario, pad: float = 2.0) -> Tuple[float, float, float, 
         for _, x, y in track.waypoints:
             xs.append(x)
             ys.append(y)
-    return (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
+    return (min(xs) - 2.0, min(ys) - 2.0, max(xs) + 2.0, max(ys) + 2.0)
 
 
 class SvgCanvas:
     """Minimal SVG builder in scenario coordinates (y flipped)."""
 
-    def __init__(self, bounds: Tuple[float, float, float, float], scale: float = 20.0):
+    def __init__(self, bounds: Tuple[float, float, float, float]):
         self.x0, self.y0, self.x1, self.y1 = bounds
-        self.scale = scale
-        self.width = (self.x1 - self.x0) * scale
-        self.height = (self.y1 - self.y0) * scale
+        self.scale = 20.0  # px a metre
+        self.width = (self.x1 - self.x0) * self.scale
+        self.height = (self.y1 - self.y0) * self.scale
         self.parts: List[str] = []
 
     def tx(self, p: Point) -> Tuple[float, float]:
@@ -62,15 +63,13 @@ class SvgCanvas:
             f'fill="{fill}" fill-opacity="{opacity}"/>'
         )
 
-    def polyline(self, points: Sequence[Point], stroke: str, width: float = 1.5,
-                 dash: Optional[str] = None) -> None:
+    def polyline(self, points: Sequence[Point], stroke: str, width: float) -> None:
         if len(points) < 2:
             return
         coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in (self.tx(p) for p in points))
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self.parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{width}"{dash_attr}/>'
+            f'stroke-width="{width}"/>'
         )
 
     def polygon(self, points: Sequence[Point], fill: str, opacity: float) -> None:

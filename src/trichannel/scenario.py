@@ -82,16 +82,19 @@ class ObjectTrack:
             if len(xs) > 1:
                 raise ScenarioFormatError(f"node {self.id}: {self.kind.value} node moves")
 
+    def _leg(self, t: float) -> List[Tuple[float, float, float]]:
+        """The two waypoints that bound ``t``; past the last, the last two."""
+        wp = self.waypoints
+        for i in range(1, len(wp)):
+            if t <= wp[i][0]:
+                return wp[i - 1:i + 1]
+        return wp[-2:]
+
     def position_at(self, t: float) -> Point:
         wp = self.waypoints
         if len(wp) == 1 or t <= wp[0][0]:
             return (wp[0][1], wp[0][2])
-        for (t0, x0, y0), (t1, x1, y1) in zip(wp, wp[1:]):
-            if t <= t1:
-                f = (t - t0) / (t1 - t0)
-                return (x0 + f * (x1 - x0), y0 + f * (y1 - y0))
-        # Linear extrapolation past the last waypoint.
-        (t0, x0, y0), (t1, x1, y1) = wp[-2], wp[-1]
+        (t0, x0, y0), (t1, x1, y1) = self._leg(t)
         f = (t - t0) / (t1 - t0)
         return (x0 + f * (x1 - x0), y0 + f * (y1 - y0))
 
@@ -99,10 +102,7 @@ class ObjectTrack:
         wp = self.waypoints
         if len(wp) == 1 or t < wp[0][0]:
             return (0.0, 0.0)
-        for (t0, x0, y0), (t1, x1, y1) in zip(wp, wp[1:]):
-            if t <= t1:
-                return ((x1 - x0) / (t1 - t0), (y1 - y0) / (t1 - t0))
-        (t0, x0, y0), (t1, x1, y1) = wp[-2], wp[-1]
+        (t0, x0, y0), (t1, x1, y1) = self._leg(t)
         return ((x1 - x0) / (t1 - t0), (y1 - y0) / (t1 - t0))
 
 
@@ -289,14 +289,18 @@ class SyntheticParams:
 
     def __post_init__(self) -> None:
         # Chained comparisons: NaN fails them, so it is rejected too.
-        for name in ("road_length", "ped_speed_min", "ego_speed", "time_limit"):
+        # A zero ego radius leaves the wall nodes no spacing.
+        for name in ("ped_speed_min", "ego_speed", "ego_radius", "time_limit"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        for name in ("ped_radius", "ego_radius"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be >= 0 and finite, got {value}")
+        if not 0 <= self.ped_radius < math.inf:
+            raise ValueError(f"ped_radius must be >= 0 and finite, got {self.ped_radius}")
+        # The start lies 0.5 m from one end of the road and the goal 0.5 m
+        # from the other, so a shorter road puts the goal at or behind the start.
+        if not 1 < self.road_length < math.inf:
+            raise ValueError(f"road_length must exceed 1 and be finite, "
+                             f"got {self.road_length}")
         # Walkers bounce between the margins: with no room between them,
         # ``_bounce_waypoints`` never reaches the horizon.
         if not 2 * _WALL_MARGIN < self.road_width < math.inf:

@@ -109,9 +109,9 @@ def _clear_chord(a: Point, b: Point,
             + _clear_chord(moved, b, discs, depth - 1))
 
 
-def _clear_polyline(path: PathPolyline, table: NodeTable, rows: Sequence[int],
-                    ego_radius: float) -> PathPolyline:
-    """Push path chords off the obstacle discs they graze.
+def _clear_polyline(points: Sequence[Point], table: NodeTable, rows: Sequence[int],
+                    ego_radius: float) -> List[Point]:
+    """``points`` with each chord pushed off the obstacle discs it grazes.
 
     The funnel holds its bend points clear of the padded discs, but the
     straight chord wrapping a disc between two bends cuts inside the
@@ -122,13 +122,10 @@ def _clear_polyline(path: PathPolyline, table: NodeTable, rows: Sequence[int],
     """
     discs = [(tuple(p), ri + ego_radius + 0.05)
              for p, ri in zip(table.xy[rows].tolist(), table.r[rows].tolist())]
-    out_p = [path.points[0]]
-    out_i = [path.segment_ids[0]]
-    for a, b, sid in zip(path.points, path.points[1:], path.segment_ids[1:]):
-        for q in _clear_chord(a, b, discs, 5)[1:]:
-            out_p.append(q)
-            out_i.append(sid)
-    return PathPolyline(points=out_p, segment_ids=out_i)
+    out = [points[0]]
+    for a, b in zip(points, points[1:]):
+        out.extend(_clear_chord(a, b, discs, 5)[1:])
+    return out
 
 
 @dataclass
@@ -146,7 +143,6 @@ def _follow(segments: Sequence[ChannelSegment], ego: Point, table: NodeTable,
     the segments still, when the first segment's funnel fails; a later
     failure truncates the path."""
     points: List[Point] = []
-    segment_ids: List[int] = []
     cursor = ego
     for si, seg in enumerate(segments):
         # Subgoals live in the anchor extrapolated to the event time, so
@@ -158,8 +154,7 @@ def _follow(segments: Sequence[ChannelSegment], ego: Point, table: NodeTable,
         target_pt = subgoal(seg.mesh.triangle_points(seg.tri_ids[-1]), seg.subgoal,
                             (0.0, 0.0, 0.0), 0.0)
         try:
-            part = funnel(seg.mesh, seg.tri_ids, start_pt, target_pt, padding,
-                          segment_id=si)
+            part = funnel(seg.mesh, seg.tri_ids, start_pt, target_pt, padding)
         except ValueError:
             part = None
         if part is None:
@@ -168,10 +163,8 @@ def _follow(segments: Sequence[ChannelSegment], ego: Point, table: NodeTable,
             break
         skip = 1 if points and part.points[0] == points[-1] else 0
         points.extend(part.points[skip:])
-        segment_ids.extend(part.segment_ids[skip:])
         cursor = seg.subgoal
-    path = _clear_polyline(PathPolyline(points=points, segment_ids=segment_ids),
-                           table, obstacle_rows, ego_radius)
+    path = PathPolyline(points=_clear_polyline(points, table, obstacle_rows, ego_radius))
     return PlanResult(path=path, segments=segments)
 
 

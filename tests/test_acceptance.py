@@ -560,8 +560,8 @@ def test_criterion_8_golden_render_frames(tmp_path, seed, method):
 
 
 def plan_digest(monkeypatch, runs):
-    """sha256 of every plan() path, points and segment ids, over the closed-loop
-    ``runs`` of (scenario, method), and per plan whether it found a path."""
+    """sha256 of every plan() path's points over the closed-loop ``runs`` of
+    (scenario, method), and per plan whether it found a path."""
     digest, plans = hashlib.sha256(), []
     plan = simulate.plan
 
@@ -570,7 +570,6 @@ def plan_digest(monkeypatch, runs):
         plans.append(path is not None)
         if path is not None:
             digest.update(np.asarray(path.points, dtype=float).tobytes())
-            digest.update(np.asarray(path.segment_ids, dtype=np.int64).tobytes())
         digest.update(b"|")
         return path
 
@@ -584,7 +583,7 @@ def plan_digest(monkeypatch, runs):
 # (``plan_digest``) on the toolchain of GOLDEN_METRICS_CSV.  A parked copy
 # freezes each track at its first waypoint, as the benchmark's ``parked``
 # workload does, so no node moves in any snapshot.
-GOLDEN_PARKED_PATHS_SHA256 = "572e5e8b870435460c4e081d2be75896f8b46143257433879184272df0d0da48"
+GOLDEN_PARKED_PATHS_SHA256 = "e43250d8dcda3d74e496167b17fe0d70f4e102ea58d11da3d6bcfbc5c51a599c"
 
 
 def parked(sc):
@@ -606,7 +605,7 @@ def test_criterion_8_golden_parked_paths(monkeypatch):
 
 # Every plan() path of all three methods on two moving scenes cut to their
 # first 8 s, hashed (``plan_digest``) on the toolchain of GOLDEN_METRICS_CSV.
-GOLDEN_MOVING_PATHS_SHA256 = "af7c5e679af517cc69ea4764ebe880e00299428fca0e85462addd87194005141"
+GOLDEN_MOVING_PATHS_SHA256 = "46cd38bd7ab2d35fa921e16272e691af63a79a8c74a65e7aca2c93320b14e16f"
 
 
 def test_criterion_8_golden_moving_paths(monkeypatch):

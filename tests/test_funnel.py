@@ -82,7 +82,6 @@ class TestStraightCorridor:
         tris = strip_corridor(3)
         path = thread(tris, (0.5, 1.0), (8.5, 1.0), padding=0.2)
         assert path.points == [(0.5, 1.0), (8.5, 1.0)]
-        assert path.segment_ids == [0, 0]
 
     def test_single_triangle(self):
         tri = [((0, 0), (4, 0), (0, 4))]
@@ -263,5 +262,5 @@ class TestPortals:
 
 
 def test_polyline_length():
-    p = PathPolyline(points=[(0, 0), (3, 4), (3, 5)], segment_ids=[0, 0, 1])
+    p = PathPolyline(points=[(0, 0), (3, 4), (3, 5)])
     assert polyline_length(p) == 6.0

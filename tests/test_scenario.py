@@ -422,6 +422,14 @@ class TestSyntheticGenerator:
         with pytest.raises(ValueError, match=field):
             SyntheticParams(**counts)
 
+    @pytest.mark.parametrize("field, value", [("ego_radius", 0.0), ("road_length", 1.0),
+                                              ("road_length", 0.5)])
+    def test_params_the_generator_cannot_place_rejected(self, field, value):
+        # A zero ego radius gives the wall nodes no spacing; a road of 1 m
+        # or less puts the goal (0.5 m from its end) at or behind the start.
+        with pytest.raises(ValueError, match=field):
+            SyntheticParams(**{field: value})
+
     @pytest.mark.parametrize("width", [1.2, 1.0])
     def test_road_without_room_between_margins_rejected(self, width):
         # Walkers bounce between margins 0.6 m inside each wall; with no

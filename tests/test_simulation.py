@@ -100,8 +100,7 @@ def test_collision_count_matches_node_state_replay(monkeypatch):
 class TestStep:
     def test_advances_along_path(self):
         sc = empty_road()
-        path = PathPolyline(points=[(0.0, 3.0), (10.0, 3.0)],
-                            segment_ids=[0, 0])
+        path = PathPolyline(points=[(0.0, 3.0), (10.0, 3.0)])
         st = SimState(t=0.0, ego=(0.0, 3.0), path=path, cursor=0.0)
         st = step(st, sc, 0.5)
         assert st.t == 0.5
@@ -117,8 +116,7 @@ class TestStep:
 
     def test_stops_at_path_end(self):
         sc = empty_road()
-        path = PathPolyline(points=[(0.0, 3.0), (1.0, 3.0)],
-                            segment_ids=[0, 0])
+        path = PathPolyline(points=[(0.0, 3.0), (1.0, 3.0)])
         st = SimState(t=0.0, ego=(0.0, 3.0), path=path, cursor=0.0)
         st = step(st, sc, 5.0)
         assert st.ego == (1.0, 3.0)
@@ -126,8 +124,7 @@ class TestStep:
     def test_zero_length_hops_skipped(self):
         sc = empty_road()
         path = PathPolyline(points=[(0.0, 3.0), (0.0, 3.0), (1.0, 3.0),
-                                    (1.0, 3.0), (3.0, 3.0)],
-                            segment_ids=[0] * 5)
+                                    (1.0, 3.0), (3.0, 3.0)])
         st = step(SimState(t=0.0, ego=(0.0, 3.0), path=path), sc, 0.5)
         assert st.ego == (0.5, 3.0)
         st = step(st, sc, 1.0)
@@ -144,8 +141,7 @@ class TestStep:
 
     def test_holds_path_end_after_overshoot(self):
         sc = empty_road()
-        path = PathPolyline(points=[(0.0, 3.0), (1.0, 3.0), (1.0, 4.0)],
-                            segment_ids=[0, 0, 0])
+        path = PathPolyline(points=[(0.0, 3.0), (1.0, 3.0), (1.0, 4.0)])
         st = SimState(t=0.0, ego=(0.0, 3.0), path=path, cursor=1.5)
         for _ in range(3):
             st = step(st, sc, 0.5)
